@@ -4,21 +4,13 @@ compression-ignition engines."""
 from .core import (
     DomainError,
     EngineGeometry,
-    FuelProperties,
-    MassState,
     ModelCoefficients,
-    O2Readings,
     OperatingPoint,
     cylinder_volume,
     default_coefficients,
-    default_fuel_properties,
     default_geometry,
-    dilution_fraction,
-    egr_from_o2,
-    equivalence_ratios,
     load_coefficients,
     polytropic_state_at_soi,
-    residual_fraction,
     save_coefficients,
 )
 from .model import (
@@ -69,7 +61,6 @@ from .scenarios import Breakpoint, Scenario, builtin_case, load_scenario, save_s
 from .harness import (
     NoiseStudyResult,
     ScenarioSummary,
-    SensitivitySpec,
     run_noise_study,
     run_scenario,
     run_sensitivity,

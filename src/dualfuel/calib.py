@@ -324,9 +324,11 @@ def read_dataset(path):
     samples = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no dataset header")
         if tuple(header) != DATASET_COLUMNS:
-            raise ValueError(f"unexpected dataset columns: {header}")
+            raise ValueError(f"{path}: unexpected dataset columns: {header}")
         for row in r:
             vals = dict(zip(DATASET_COLUMNS, map(float, row)))
             op = OperatingPoint(speed=vals["speed"], phi_ng=vals["phi_ng"],
@@ -336,6 +338,8 @@ def read_dataset(path):
             samples.append(CalibSample(op=op, soi=vals["soi"],
                                        soc_ref=vals["soc_ref"],
                                        ca50_ref=vals["ca50_ref"]))
+    if not samples:
+        raise ValueError(f"{path}: dataset has a header but no rows")
     return samples
 
 

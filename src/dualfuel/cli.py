@@ -109,8 +109,7 @@ def cmd_simulate(args):
 
 def cmd_sensitivity(args):
     dataset = calib.read_dataset(args.data)
-    rows = harness.run_sensitivity(harness.SensitivitySpec(), _coeffs(args),
-                                   dataset, default_geometry())
+    rows = harness.run_sensitivity(_coeffs(args), dataset, default_geometry())
     out = _outdir(args) / "sensitivity.csv"
     harness.write_sensitivity_csv(out, rows)
     for r in rows:

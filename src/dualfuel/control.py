@@ -42,7 +42,6 @@ class ControllerState:
     alpha_hat: float = 0.0
     beta_hat: float = 0.0
     last_v_soi: float | None = None   # previous cycle's injection volume [m^3]
-    last_error: float = 0.0
 
 
 def compute_states(op: OperatingPoint, coeffs: ModelCoefficients) -> AdaptiveStates:
@@ -94,7 +93,6 @@ def adaptive_update(measured_ca50: float, ref_ca50: float,
         alpha_hat=ctrl.alpha_hat + eta * states.x1 * err,
         beta_hat=ctrl.beta_hat + eta * states.x2 * err,
         last_v_soi=ctrl.last_v_soi,
-        last_error=err,
     )
 
 

@@ -2,7 +2,7 @@
 (diesel pilot + premixed natural gas) compression-ignition engine.
 
 Conventions: crank angles in degrees after top dead center (aTDC), pressures
-in bar, temperatures in K, volumes in m^3, masses in kg, speed in RPM.
+in bar, temperatures in K, volumes in m^3, speed in RPM.
 All functions broadcast over numpy arrays.
 """
 
@@ -89,7 +89,7 @@ def cylinder_volume(theta, geom: EngineGeometry):
 
 
 # ---------------------------------------------------------------------------
-# per-cycle boundary conditions and charge composition
+# per-cycle boundary conditions
 
 @dataclass(frozen=True)
 class OperatingPoint:
@@ -118,60 +118,6 @@ class OperatingPoint:
             raise DomainError("p_ivc must be positive")
         if not np.all(np.asarray(self.t_ivc) > 0.0):
             raise DomainError("t_ivc must be positive")
-
-
-@dataclass(frozen=True)
-class MassState:
-    """In-cylinder masses per cycle [kg]."""
-
-    m_air: float
-    m_ng: float
-    m_diesel: float
-    m_egr: float
-    m_residual: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            if not np.all(np.asarray(getattr(self, f.name)) >= 0.0):
-                raise DomainError(f"{f.name} must be non-negative")
-
-
-@dataclass(frozen=True)
-class O2Readings:
-    """Oxygen mass fractions of ambient air, intake and exhaust manifolds."""
-
-    x_o2_amb: float
-    x_o2_int: float
-    x_o2_exh: float
-
-    _O2_AMBIENT_MAX = 0.23 + 1e-6
-
-    def __post_init__(self):
-        ok = (
-            np.all(np.asarray(self.x_o2_exh) > 0.0)
-            and np.all(np.asarray(self.x_o2_exh) <= np.asarray(self.x_o2_int))
-            and np.all(np.asarray(self.x_o2_int) <= np.asarray(self.x_o2_amb))
-            and np.all(np.asarray(self.x_o2_amb) <= self._O2_AMBIENT_MAX)
-        )
-        if not ok:
-            raise DomainError("require 0 < x_o2_exh <= x_o2_int <= x_o2_amb <= 0.23")
-
-
-@dataclass(frozen=True)
-class FuelProperties:
-    """Stoichiometric air-fuel mass ratios of the two fuels."""
-
-    afr_stoich_diesel: float
-    afr_stoich_ng: float
-
-    def __post_init__(self):
-        if self.afr_stoich_diesel <= 0.0 or self.afr_stoich_ng <= 0.0:
-            raise DomainError("stoichiometric AFRs must be positive")
-
-
-def default_fuel_properties() -> FuelProperties:
-    """Standard stoichiometric AFRs: diesel 14.5, methane 17.19."""
-    return FuelProperties(afr_stoich_diesel=14.5, afr_stoich_ng=17.19)
 
 
 # ---------------------------------------------------------------------------
@@ -272,48 +218,7 @@ def load_coefficients(path) -> ModelCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# charge-state operations
-
-def equivalence_ratios(masses: MassState, fuels: FuelProperties):
-    """Per-fuel equivalence ratios (phi_ng, phi_di) from cycle masses."""
-    if not np.all(np.asarray(masses.m_air) > 0.0):
-        raise DomainError("air mass must be positive to form equivalence ratios")
-    phi_ng = (masses.m_ng / masses.m_air) * fuels.afr_stoich_ng
-    phi_di = (masses.m_diesel / masses.m_air) * fuels.afr_stoich_diesel
-    return phi_ng, phi_di
-
-
-def egr_from_o2(readings: O2Readings) -> float:
-    """EGR mass fraction from intake/exhaust/ambient oxygen fractions.
-
-    Inverts the intake mixing balance
-    x_int = (1 - EGR) * x_amb + EGR * x_exh, i.e. returns
-    (x_amb - x_int) / (x_amb - x_exh). Values outside [0, 1] are clamped
-    with a warning.
-    """
-    num = readings.x_o2_amb - readings.x_o2_int
-    den = readings.x_o2_amb - readings.x_o2_exh
-    if np.any(np.asarray(den) <= 0.0):
-        raise DomainError("no oxygen depletion: ambient and exhaust O2 are equal")
-    egr = num / den
-    if np.any(np.asarray(egr) < 0.0) or np.any(np.asarray(egr) > 1.0):
-        warnings.warn("EGR estimate outside [0, 1]; clamped", stacklevel=2)
-        egr = np.clip(egr, 0.0, 1.0)
-    return egr
-
-
-def residual_fraction(masses: MassState) -> float:
-    """Residual gas fraction: trapped mass from the last cycle over fresh charge."""
-    den = masses.m_air + masses.m_ng + masses.m_diesel + masses.m_egr
-    if not np.all(np.asarray(den) > 0.0):
-        raise DomainError("total trapped fresh mass must be positive")
-    return masses.m_residual / den
-
-
-def dilution_fraction(egr, x_r):
-    """Total dilution of the charge: EGR fraction plus residual fraction."""
-    return egr + x_r
-
+# in-cylinder state
 
 def polytropic_state_at_soi(p_ivc, t_ivc, v_ivc, v_soi, k_c):
     """(P, T) at injection from IVC state via a polytropic compression.

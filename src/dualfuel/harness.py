@@ -101,11 +101,11 @@ def _op_at(scenario: Scenario, t: float) -> OperatingPoint:
 
 def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = None,
                  geom: EngineGeometry | None = None,
-                 plant_coeffs: ModelCoefficients | None = None,
                  measurement_filter_cycles: float = 0.0):
     """Closed-loop run of one scenario. Returns (records, summary).
 
-    The CA50 reference is sampled once per cycle and applied on the next
+    The plant runs the shipped coefficients; ctrl_coeffs (default: the
+    same) is the controller's model. The CA50 reference is sampled once per cycle and applied on the next
     one. The controller sees the scheduled (commanded) operating point; the
     plant applies its own intake lag. The optional first-order measurement
     filter (time constant in cycles, default off) smooths the CA50 fed to
@@ -113,9 +113,8 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
     flagged.
     """
     geom = geom or default_geometry()
-    plant_coeffs = plant_coeffs or default_coefficients()
     ctrl_coeffs = ctrl_coeffs or default_coefficients()
-    cfg = PlantConfig(geom=geom, coeffs=plant_coeffs, **scenario.plant)
+    cfg = PlantConfig(geom=geom, coeffs=default_coefficients(), **scenario.plant)
     plant = EnginePlant(cfg)
     adaptive = scenario.controller == "adaptive"
     ctrl = ControllerState()
@@ -284,13 +283,6 @@ DEFAULT_PERTURBATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class SensitivitySpec:
-    """One-at-a-time input perturbations to replay against a dataset."""
-
-    perturbations: tuple = DEFAULT_PERTURBATIONS
-
-
 @dataclass
 class SensitivityRow:
     quantity: str
@@ -300,10 +292,10 @@ class SensitivityRow:
     ca50_err_max: float
 
 
-def run_sensitivity(spec: SensitivitySpec, coeffs: ModelCoefficients,
-                    dataset, geom: EngineGeometry):
-    """Re-predict CA50 with each input perturbed, against unperturbed
-    references. First row is the unperturbed baseline."""
+def run_sensitivity(coeffs: ModelCoefficients, dataset, geom: EngineGeometry):
+    """Re-predict CA50 with each input perturbed one at a time (the
+    DEFAULT_PERTURBATIONS), against unperturbed references. First row is
+    the unperturbed baseline."""
     cols = {name: np.array([getattr(s.op, name) for s in dataset])
             for name in ("speed", "phi_ng", "phi_di", "egr", "x_r", "p_ivc", "t_ivc")}
     soi = np.array([s.soi for s in dataset])
@@ -329,7 +321,7 @@ def run_sensitivity(spec: SensitivitySpec, coeffs: ModelCoefficients,
                               ca50_err_max=float(np.max(np.abs(err))))
 
     rows = [row("none", 0.0, "abs")]
-    rows.extend(row(*p) for p in spec.perturbations)
+    rows.extend(row(*p) for p in DEFAULT_PERTURBATIONS)
     return rows
 
 

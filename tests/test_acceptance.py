@@ -12,7 +12,7 @@ import pytest
 
 import dualfuel as df
 from dualfuel.calib import CALIBRATED_FIELDS, CalibSample, CalibrationOptions
-from dualfuel.harness import SensitivitySpec, run_sensitivity
+from dualfuel.harness import run_sensitivity
 from dualfuel.scenarios import builtin_case
 
 from conftest import random_box_op, random_box_soi
@@ -214,7 +214,7 @@ def test_criterion7_sensitivity_table(geom, full_dataset, calibrated):
     """Perturbation study: exact baseline row and bounded inflation ratio."""
     samples, _ = full_dataset
     _, fitted, _ = calibrated
-    rows = run_sensitivity(SensitivitySpec(), fitted, samples, geom)
+    rows = run_sensitivity(fitted, samples, geom)
     stats = df.validate(fitted, samples, geom)
 
     ran_all = len(rows) == 13

@@ -232,3 +232,15 @@ class TestCsvRoundTrips:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_dataset(path)
+
+    def test_empty_dataset_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty.csv"):
+            read_dataset(path)
+
+    def test_header_only_dataset_rejected(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        write_dataset(path, [])
+        with pytest.raises(ValueError, match="header_only.csv"):
+            read_dataset(path)

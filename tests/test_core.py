@@ -1,4 +1,4 @@
-"""Domain types, geometry kinematics and charge-state relations.
+"""Domain types, geometry kinematics and the polytropic state relation.
 
 Expected values are frozen from an independent high-precision (mpmath)
 evaluation of the defining formulas; the oracles are recomputed inline so
@@ -80,93 +80,6 @@ class TestOperatingPoint:
                     p_ivc=3.0, t_ivc=390.0)
         with pytest.raises(DomainError):
             df.OperatingPoint(**{**base, **bad})
-
-
-class TestEquivalenceRatios:
-    def test_stoichiometric_by_construction(self):
-        fuels = df.default_fuel_properties()
-        m_air = 2.9e-3
-        masses = df.MassState(m_air=m_air, m_ng=m_air / fuels.afr_stoich_ng,
-                              m_diesel=0.0, m_egr=0.0, m_residual=0.0)
-        phi_ng, phi_di = df.equivalence_ratios(masses, fuels)
-        assert phi_ng == pytest.approx(1.0, rel=1e-14)
-        assert phi_di == 0.0
-
-    def test_methane_stoich_afr(self):
-        # CH4 + 2 (O2 + 3.76 N2): AFR = 2 * 4.76 * 28.96 / 16.04
-        assert df.default_fuel_properties().afr_stoich_ng == pytest.approx(
-            2 * 4.76 * 28.96 / 16.04, abs=5e-3)
-
-    def test_zero_air_mass_rejected(self):
-        masses = df.MassState(m_air=0.0, m_ng=1e-4, m_diesel=1e-5, m_egr=0.0,
-                              m_residual=0.0)
-        with pytest.raises(DomainError):
-            df.equivalence_ratios(masses, df.default_fuel_properties())
-
-
-class TestEgrFromO2:
-    def test_no_recirculation(self):
-        r = df.O2Readings(x_o2_amb=0.23, x_o2_int=0.23, x_o2_exh=0.11)
-        assert df.egr_from_o2(r) == 0.0
-
-    def test_pure_exhaust_intake(self):
-        r = df.O2Readings(x_o2_amb=0.23, x_o2_int=0.11, x_o2_exh=0.11)
-        assert df.egr_from_o2(r) == pytest.approx(1.0, rel=1e-14)
-
-    def test_forward_mixing_example(self):
-        # x_int = (1 - 0.25) * 0.23 + 0.25 * 0.11 = 0.20
-        r = df.O2Readings(x_o2_amb=0.23, x_o2_int=0.20, x_o2_exh=0.11)
-        assert df.egr_from_o2(r) == pytest.approx(0.25, rel=1e-12)
-
-    def test_round_trip_property(self):
-        rng = np.random.default_rng(5)
-        for _ in range(1000):
-            x_amb = rng.uniform(0.20, 0.23)
-            x_exh = rng.uniform(0.02, x_amb - 1e-3)
-            egr = rng.uniform(0.0, 1.0)
-            x_int = (1.0 - egr) * x_amb + egr * x_exh
-            r = df.O2Readings(x_o2_amb=x_amb, x_o2_int=x_int, x_o2_exh=x_exh)
-            assert df.egr_from_o2(r) == pytest.approx(egr, abs=1e-12)
-
-    def test_no_depletion_rejected(self):
-        r = df.O2Readings(x_o2_amb=0.23, x_o2_int=0.23, x_o2_exh=0.23)
-        with pytest.raises(DomainError):
-            df.egr_from_o2(r)
-
-    def test_unphysical_readings_rejected(self):
-        with pytest.raises(DomainError):
-            df.O2Readings(x_o2_amb=0.23, x_o2_int=0.24, x_o2_exh=0.11)
-        with pytest.raises(DomainError):
-            df.O2Readings(x_o2_amb=0.30, x_o2_int=0.20, x_o2_exh=0.11)
-
-
-class TestResidualAndDilution:
-    def test_zero_residual(self):
-        m = df.MassState(m_air=2e-3, m_ng=4e-5, m_diesel=2e-5, m_egr=5e-4,
-                         m_residual=0.0)
-        assert df.residual_fraction(m) == 0.0
-
-    def test_limiting_case_unity(self):
-        m = df.MassState(m_air=1e-3, m_ng=0.0, m_diesel=0.0, m_egr=0.0,
-                         m_residual=1e-3)
-        assert df.residual_fraction(m) == pytest.approx(1.0, rel=1e-14)
-
-    def test_arithmetic_example(self):
-        # 0.1 g residual over 2.9 g trapped
-        m = df.MassState(m_air=2.0e-3, m_ng=0.5e-3, m_diesel=0.2e-3,
-                         m_egr=0.2e-3, m_residual=0.1e-3)
-        assert df.residual_fraction(m) == pytest.approx(0.1 / 2.9, rel=1e-12)
-
-    def test_zero_denominator_rejected(self):
-        m = df.MassState(m_air=0.0, m_ng=0.0, m_diesel=0.0, m_egr=0.0,
-                         m_residual=1e-4)
-        with pytest.raises(DomainError):
-            df.residual_fraction(m)
-
-    def test_dilution_sum(self):
-        assert df.dilution_fraction(0.0, 0.0) == 0.0
-        assert df.dilution_fraction(0.25, 0.0329) == pytest.approx(0.2829, abs=1e-12)
-        assert df.dilution_fraction(0.5, 0.05) == pytest.approx(0.55, rel=1e-14)
 
 
 class TestPolytropic:

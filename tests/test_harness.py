@@ -8,7 +8,6 @@ import dualfuel as df
 from dualfuel import cli
 from dualfuel.harness import (
     RECORD_COLUMNS,
-    SensitivitySpec,
     _op_at,
     read_records_csv,
     run_sensitivity,
@@ -140,21 +139,21 @@ def dataset(geom, coeffs):
 
 class TestSensitivity:
     def test_zero_row_equals_baseline_validation(self, dataset, geom, coeffs):
-        rows = run_sensitivity(SensitivitySpec(), coeffs, dataset, geom)
+        rows = run_sensitivity(coeffs, dataset, geom)
         stats = df.validate(coeffs, dataset, geom)
         assert rows[0].quantity == "none"
         assert rows[0].ca50_err_std == stats.ca50_err_std
         assert rows[0].ca50_err_max == stats.ca50_err_max
 
     def test_sign_asymmetry(self, dataset, geom, coeffs):
-        rows = run_sensitivity(SensitivitySpec(), coeffs, dataset, geom)
+        rows = run_sensitivity(coeffs, dataset, geom)
         by_key = {(r.quantity, r.delta): r for r in rows[1:]}
         plus = by_key[("p_ivc", 0.05)]
         minus = by_key[("p_ivc", -0.05)]
         assert plus.ca50_err_std != minus.ca50_err_std
 
     def test_all_perturbations_present(self, dataset, geom, coeffs):
-        rows = run_sensitivity(SensitivitySpec(), coeffs, dataset, geom)
+        rows = run_sensitivity(coeffs, dataset, geom)
         assert len(rows) == 13
         quantities = {r.quantity for r in rows[1:]}
         assert quantities == {"p_ivc", "t_ivc", "egr", "phi_di", "phi_ng", "x_r"}
@@ -162,7 +161,7 @@ class TestSensitivity:
     def test_perturbation_inflation_is_bounded(self, dataset, geom, coeffs):
         # family-level robustness: sizable input errors inflate the worst
         # CA50 error by well under 1 CAD in absolute terms
-        rows = run_sensitivity(SensitivitySpec(), coeffs, dataset, geom)
+        rows = run_sensitivity(coeffs, dataset, geom)
         base = rows[0].ca50_err_max
         worst = max(r.ca50_err_max for r in rows[1:])
         assert worst - base < 1.0

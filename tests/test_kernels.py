@@ -36,17 +36,6 @@ def test_march_backends_agree(cfg, box_rng):
         assert reached_jit == pytest.approx(reached_np, rel=1e-12)
 
 
-@needs_numba
-def test_value_backends_agree(cfg, box_rng):
-    for _ in range(100):
-        op = random_box_op(box_rng)
-        soi = random_box_soi(box_rng)
-        end = soi + box_rng.uniform(0.05, 20.0)
-        args = (end, soi, cfg.quad_step) + _args(op, cfg)
-        assert _kernels.value_jit(*args) == pytest.approx(
-            _kernels.value_numpy(*args), rel=1e-12)
-
-
 def test_integrand_matches_reference_formula(cfg, geom, coeffs, mid_op):
     # the kernel-internal volume/polytropic/Arrhenius chain must reproduce
     # the public building blocks
@@ -58,6 +47,11 @@ def test_integrand_matches_reference_formula(cfg, geom, coeffs, mid_op):
     p, t = df.polytropic_state_at_soi(mid_op.p_ivc, mid_op.t_ivc, v_ivc, vol, poly)
     expected = np.exp(-coeffs.c5 * p ** coeffs.c6 / t) / denom
     np.testing.assert_allclose(got, expected, rtol=1e-12)
+    # the same exponent serves the scalar march one angle at a time
+    scalar = [math.exp(_kernels._arrhenius_exponent(
+        th, p_ivc, t_ivc, v_ivc, c5, c6, poly, area, v_clear, crank_r, rod_len)) / denom
+        for th in theta]
+    np.testing.assert_allclose(scalar, expected, rtol=1e-12)
 
 
 def test_scalar_and_numpy_paths_agree_without_numba(cfg, mid_op):
@@ -68,9 +62,6 @@ def test_scalar_and_numpy_paths_agree_without_numba(cfg, mid_op):
     soc_py, _ = _kernels._march_scalar(*args)
     soc_np, _ = _kernels.march_numpy(*args)
     assert soc_py == pytest.approx(soc_np, rel=1e-12, abs=1e-12)
-    vargs = (soc_py, soi, cfg.quad_step) + _args(mid_op, cfg)
-    assert _kernels._value_scalar(*vargs) == pytest.approx(
-        _kernels.value_numpy(*vargs), rel=1e-12)
 
 
 def test_misfire_returns_nan(cfg):
