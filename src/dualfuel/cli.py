@@ -179,7 +179,11 @@ def main(argv=None):
     p.set_defaults(func=cmd_noise_study)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:   # DomainError is a ValueError
+        print(f"dualfuel {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

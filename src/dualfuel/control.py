@@ -110,8 +110,8 @@ def feedforward_soi(ref_ca50: float, op: OperatingPoint,
         v_soi = ctrl.last_v_soi
     else:
         v_soi = cylinder_volume(FEEDFORWARD_SEED_SOI, geom)
-    v_ivc = cylinder_volume(geom.ivc_angle, geom)
-    p_soi, t_soi = polytropic_state_at_soi(op.p_ivc, op.t_ivc, v_ivc, v_soi, coeffs.k_c)
+    p_soi, t_soi = polytropic_state_at_soi(op.p_ivc, op.t_ivc, geom.ivc_volume, v_soi,
+                                           coeffs.k_c)
     delay = ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di, p_soi, t_soi, coeffs)
     burn = half_burn_angle(op.egr + MEAN_RESIDUAL_FRACTION, op.phi_ng, op.phi_di, coeffs)
     command = ref_ca50 - delay - burn

@@ -11,12 +11,25 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 
 class DomainError(ValueError):
     """Input outside the physical or model domain of an operation."""
+
+
+def holds(cond, reduce=np.all) -> bool:
+    """Truth value of a domain check over scalars or arrays.
+
+    A scalar comparison result (bool or np.bool_) is used as it is, so the
+    per-cycle scalar path makes no numpy call; an array result is reduced
+    with ``reduce`` (np.all or np.any).
+    """
+    if isinstance(cond, (bool, np.bool_)):
+        return bool(cond)
+    return bool(reduce(cond))
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +72,11 @@ class EngineGeometry:
     @property
     def clearance_volume(self) -> float:
         return self.displaced_volume / (self.compression_ratio - 1.0)
+
+    @cached_property
+    def ivc_volume(self) -> float:
+        """Cylinder volume at intake valve closing [m^3]."""
+        return cylinder_volume(self.ivc_angle, self)
 
 
 def default_geometry() -> EngineGeometry:
@@ -104,19 +122,19 @@ class OperatingPoint:
     t_ivc: float      # temperature at IVC [K]
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.speed) > 0.0):
+        if not holds(self.speed > 0.0):
             raise DomainError("engine speed must be positive")
-        if not (np.all(np.asarray(self.egr) >= 0.0) and np.all(np.asarray(self.egr) < 1.0)):
+        if not (holds(self.egr >= 0.0) and holds(self.egr < 1.0)):
             raise DomainError("EGR fraction must lie in [0, 1)")
-        if not (np.all(np.asarray(self.x_r) >= 0.0) and np.all(np.asarray(self.x_r) < 1.0)):
+        if not (holds(self.x_r >= 0.0) and holds(self.x_r < 1.0)):
             raise DomainError("residual fraction must lie in [0, 1)")
-        if not np.all(np.asarray(self.phi_ng) >= 0.0):
+        if not holds(self.phi_ng >= 0.0):
             raise DomainError("phi_ng must be non-negative")
-        if not np.all(np.asarray(self.phi_di) > 0.0):
+        if not holds(self.phi_di > 0.0):
             raise DomainError("phi_di must be positive")
-        if not np.all(np.asarray(self.p_ivc) > 0.0):
+        if not holds(self.p_ivc > 0.0):
             raise DomainError("p_ivc must be positive")
-        if not np.all(np.asarray(self.t_ivc) > 0.0):
+        if not holds(self.t_ivc > 0.0):
             raise DomainError("t_ivc must be positive")
 
 
@@ -225,7 +243,7 @@ def polytropic_state_at_soi(p_ivc, t_ivc, v_ivc, v_soi, k_c):
 
     P_SOI = P_IVC * (V_IVC/V_SOI)^k_c, T_SOI = T_IVC * (V_IVC/V_SOI)^(k_c-1).
     """
-    if np.any(np.asarray(v_ivc) <= 0.0) or np.any(np.asarray(v_soi) <= 0.0):
+    if holds(v_ivc <= 0.0, np.any) or holds(v_soi <= 0.0, np.any):
         raise DomainError("volumes must be positive")
     ratio = v_ivc / v_soi
     return p_ivc * ratio ** k_c, t_ivc * ratio ** (k_c - 1.0)

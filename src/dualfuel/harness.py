@@ -300,11 +300,10 @@ def run_sensitivity(coeffs: ModelCoefficients, dataset, geom: EngineGeometry):
             for name in ("speed", "phi_ng", "phi_di", "egr", "x_r", "p_ivc", "t_ivc")}
     soi = np.array([s.soi for s in dataset])
     ca50_ref = np.array([s.ca50_ref for s in dataset])
-    v_ivc = cylinder_volume(geom.ivc_angle, geom)
     v_soi = cylinder_volume(soi, geom)
 
     def predict(c):
-        p_soi, t_soi = polytropic_state_at_soi(c["p_ivc"], c["t_ivc"], v_ivc,
+        p_soi, t_soi = polytropic_state_at_soi(c["p_ivc"], c["t_ivc"], geom.ivc_volume,
                                                v_soi, coeffs.k_c)
         delay = ignition_delay(c["egr"], c["speed"], c["phi_ng"], c["phi_di"],
                                p_soi, t_soi, coeffs)

@@ -15,6 +15,7 @@ from .core import (
     ModelCoefficients,
     OperatingPoint,
     cylinder_volume,
+    holds,
     polytropic_state_at_soi,
 )
 
@@ -33,7 +34,7 @@ def ignition_delay(egr, speed, phi_ng, phi_di, p_soi, t_soi, coeffs: ModelCoeffi
     (c1*EGR + c2) * N * (phi_ng^c3 + phi_di^c4) * exp(c5 * P_SOI^c6 / T_SOI),
     with P in bar and T in K.
     """
-    if coeffs.c4 < 0.0 and np.any(np.asarray(phi_di) == 0.0):
+    if coeffs.c4 < 0.0 and holds(phi_di == 0.0, np.any):
         raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
     mixture = phi_ng ** coeffs.c3 + phi_di ** coeffs.c4
     return (coeffs.c1 * egr + coeffs.c2) * speed * mixture * np.exp(
@@ -42,8 +43,7 @@ def ignition_delay(egr, speed, phi_ng, phi_di, p_soi, t_soi, coeffs: ModelCoeffi
 
 
 def _check_soi(soi, geom: EngineGeometry):
-    soi = np.asarray(soi)
-    if np.any(soi < geom.ivc_angle) or np.any(soi > SOI_LATEST):
+    if holds(soi < geom.ivc_angle, np.any) or holds(soi > SOI_LATEST, np.any):
         raise DomainError(
             f"SOI must lie in [{geom.ivc_angle}, {SOI_LATEST}] deg aTDC"
         )
@@ -59,17 +59,17 @@ def predict_soc(op: OperatingPoint, soi, coeffs: ModelCoefficients,
     volume at the commanded angle.
     """
     _check_soi(soi, geom)
-    v_ivc = cylinder_volume(geom.ivc_angle, geom)
     if v_soi is None:
         v_soi = cylinder_volume(soi, geom)
-    p_soi, t_soi = polytropic_state_at_soi(op.p_ivc, op.t_ivc, v_ivc, v_soi, coeffs.k_c)
+    p_soi, t_soi = polytropic_state_at_soi(op.p_ivc, op.t_ivc, geom.ivc_volume, v_soi,
+                                           coeffs.k_c)
     return soi + ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di,
                                 p_soi, t_soi, coeffs)
 
 
 def burn_duration(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
     """Burn duration [CAD]: c7 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10)."""
-    if coeffs.c10 < 0.0 and np.any(np.asarray(phi_di) == 0.0):
+    if coeffs.c10 < 0.0 and holds(phi_di == 0.0, np.any):
         raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
     return coeffs.c7 * (1.0 + x_d) ** coeffs.c8 * (phi_ng ** coeffs.c9 + phi_di ** coeffs.c10)
 
@@ -80,7 +80,7 @@ def half_burn_angle(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
     Folded form c11 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10); identical to
     half_burn_fraction * burn_duration by construction of c7.
     """
-    if coeffs.c10 < 0.0 and np.any(np.asarray(phi_di) == 0.0):
+    if coeffs.c10 < 0.0 and holds(phi_di == 0.0, np.any):
         raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
     return coeffs.c11 * (1.0 + x_d) ** coeffs.c8 * (phi_ng ** coeffs.c9 + phi_di ** coeffs.c10)
 

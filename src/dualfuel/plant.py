@@ -9,7 +9,7 @@ path adds injection quantization, intake transport lag and measurement noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .core import (
     EngineGeometry,
     ModelCoefficients,
     OperatingPoint,
-    cylinder_volume,
+    cylinder_volume,  # noqa: F401  (perfbench traces plant.cylinder_volume)
+    holds,
 )
 from .model import burn_duration, ca50_from_soc_bd, predict_soc
 
@@ -56,6 +57,8 @@ class PlantConfig:
             raise DomainError("soi_resolution must be positive")
         if self.egr_lag_cycles < 0:
             raise DomainError("egr_lag_cycles must be non-negative")
+        if not (math.isfinite(self.ca50_noise_halfwidth) and self.ca50_noise_halfwidth >= 0.0):
+            raise DomainError("ca50_noise_halfwidth must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,7 @@ def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
         raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
     denom = (coeffs.c1 * op.egr + coeffs.c2) * op.speed * (
         op.phi_ng ** coeffs.c3 + op.phi_di ** coeffs.c4)
-    v_ivc = cylinder_volume(geom.ivc_angle, geom)
-    return (op.p_ivc, op.t_ivc, v_ivc, denom, coeffs.c5, coeffs.c6,
+    return (op.p_ivc, op.t_ivc, geom.ivc_volume, denom, coeffs.c5, coeffs.c6,
             cfg.plant_poly_exp, geom.piston_area, geom.clearance_volume,
             geom.crank_radius, geom.rod_length)
 
@@ -124,7 +126,7 @@ def knock_integral_value(op: OperatingPoint, soi: float, theta_end: float,
 
 def wiebe_fraction(theta, soc, bd, coeffs: ModelCoefficients):
     """Cumulative burned mass fraction of the Wiebe profile; 0 before SOC."""
-    if np.any(np.asarray(bd) <= 0.0):
+    if holds(bd <= 0.0, np.any):
         raise DomainError("burn duration must be positive")
     x = np.maximum((np.asarray(theta, dtype=float) - soc) / bd, 0.0)
     return 1.0 - np.exp(-coeffs.wiebe_a * x ** coeffs.wiebe_b)
@@ -177,7 +179,9 @@ class EnginePlant:
             self.egr_seen = op.egr   # plant starts in equilibrium with the schedule
         else:
             self.egr_seen += self._lag_gain * (op.egr - self.egr_seen)
-        op_seen = replace(op, egr=self.egr_seen)
+        op_seen = OperatingPoint(speed=op.speed, phi_ng=op.phi_ng, phi_di=op.phi_di,
+                                 egr=self.egr_seen, x_r=op.x_r, p_ivc=op.p_ivc,
+                                 t_ivc=op.t_ivc)
 
         soi_applied = quantize_soi(soi_command, cfg.soi_resolution)
 

@@ -5,9 +5,11 @@ the six built-in benchmark transients."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 from .control import MEAN_RESIDUAL_FRACTION
+from .plant import PlantConfig
 
 # quantities a scenario may schedule; manifold conditions are mapped to IVC
 # conditions unless the scenario supplies p_ivc/t_ivc directly
@@ -21,6 +23,10 @@ IVC_TEMP_OFFSET = 90.0      # t_ivc = t_man + 90    [K]
 
 CONTROLLERS = ("adaptive", "feedforward")
 
+# PlantConfig fields a scenario may override; the runner supplies the rest
+PLANT_KEYS = tuple(f.name for f in fields(PlantConfig)
+                   if f.name not in ("geom", "coeffs"))
+
 
 @dataclass(frozen=True)
 class Breakpoint:
@@ -32,6 +38,9 @@ class Breakpoint:
     ramp_s: float = 0.0
 
     def __post_init__(self):
+        for name in ("t", "value", "ramp_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"breakpoint {name} must be finite")
         if self.ramp_s < 0.0:
             raise ValueError("ramp_s must be non-negative")
 
@@ -45,10 +54,13 @@ class Scenario:
     plant: dict = field(default_factory=dict)   # PlantConfig overrides
 
     def __post_init__(self):
-        if self.duration_s < 0.0:
-            raise ValueError("duration_s must be non-negative")
+        if not (math.isfinite(self.duration_s) and self.duration_s >= 0.0):
+            raise ValueError("duration_s must be finite and non-negative")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}")
+        for key in self.plant:
+            if key not in PLANT_KEYS:
+                raise ValueError(f"unknown plant key {key!r}")
         for key, bps in self.schedules.items():
             if key not in SCHEDULE_KEYS:
                 raise ValueError(f"unknown schedule key {key!r}")

@@ -54,6 +54,9 @@ class TestGeometry:
         np.testing.assert_allclose(df.cylinder_volume(theta, geom),
                                    df.cylinder_volume(-theta, geom), rtol=1e-14)
 
+    def test_ivc_volume_is_volume_at_ivc(self, geom):
+        assert geom.ivc_volume == df.cylinder_volume(geom.ivc_angle, geom)
+
     def test_invalid_geometry_rejected(self):
         good = dict(bore=0.126, stroke=0.166, rod_length=0.251,
                     compression_ratio=17.0, ivc_angle=-148.5, ivo_angle=-363.5,
@@ -66,6 +69,18 @@ class TestGeometry:
             df.EngineGeometry(**{**good, "bore": 0.0})
 
 
+BASE_POINT = dict(speed=1200, phi_ng=0.4, phi_di=0.4, egr=0.25, x_r=0.03,
+                  p_ivc=3.0, t_ivc=390.0)
+
+
+def column_point(**bad):
+    """BASE_POINT as 3-element columns, with the given middle elements."""
+    cols = {k: np.full(3, float(v)) for k, v in BASE_POINT.items()}
+    for k, v in bad.items():
+        cols[k][1] = v
+    return cols
+
+
 class TestOperatingPoint:
     def test_valid_point_accepted(self):
         df.OperatingPoint(speed=1200, phi_ng=0.4, phi_di=0.4, egr=0.25,
@@ -74,12 +89,18 @@ class TestOperatingPoint:
     @pytest.mark.parametrize("bad", [
         dict(speed=0.0), dict(egr=-0.1), dict(egr=1.0), dict(x_r=1.0),
         dict(phi_ng=-0.1), dict(phi_di=0.0), dict(p_ivc=0.0), dict(t_ivc=-1.0),
+        # NaN fails every comparison, so each field rejects it
+        *[{name: float("nan")} for name in BASE_POINT],
+        # numpy scalars and 0-d arrays take the scalar branch
+        dict(speed=np.float64(0.0)), dict(egr=np.float64(1.0)),
+        dict(phi_di=np.float64("nan")), dict(t_ivc=np.array(-1.0)),
+        # one bad element among good ones fails the whole column
+        column_point(speed=0.0), column_point(x_r=-0.01),
+        column_point(phi_ng=float("nan")), column_point(p_ivc=0.0),
     ])
     def test_invalid_point_rejected(self, bad):
-        base = dict(speed=1200, phi_ng=0.4, phi_di=0.4, egr=0.25, x_r=0.03,
-                    p_ivc=3.0, t_ivc=390.0)
         with pytest.raises(DomainError):
-            df.OperatingPoint(**{**base, **bad})
+            df.OperatingPoint(**{**BASE_POINT, **bad})
 
 
 class TestPolytropic:
@@ -115,6 +136,8 @@ class TestPolytropic:
     def test_nonpositive_volume_rejected(self):
         with pytest.raises(DomainError):
             df.polytropic_state_at_soi(3.0, 390.0, 0.0, 1e-3, 1.3)
+        with pytest.raises(DomainError):
+            df.polytropic_state_at_soi(3.0, 390.0, 1e-2, np.array([1e-3, 0.0, 2e-3]), 1.3)
 
 
 class TestModelCoefficients:

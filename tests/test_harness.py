@@ -1,6 +1,8 @@
 """Closed-loop runner, summary metrics, CSV emission, sensitivity and noise
 studies, and the CLI."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from dualfuel.harness import (
     summarize_rows,
     write_records_csv,
 )
-from dualfuel.scenarios import Breakpoint, builtin_case
+from dualfuel.scenarios import Breakpoint, builtin_case, scenario_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -230,3 +232,48 @@ class TestCli:
 
     def test_simulate_requires_scenario(self, capsys):
         assert cli.main(["simulate"]) == 2
+
+
+def _scenario_json(tmp_path, edit):
+    d = scenario_to_dict(builtin_case(1))
+    edit(d)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
+class TestCliRejectsBadInput:
+    """Malformed or non-physical input: exit code 2, one line on stderr, no
+    traceback and no output file."""
+
+    def _rejects(self, argv, tmp_path, capsys, expected):
+        out = tmp_path / "out"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and expected in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_nan_duration(self, tmp_path, capsys):
+        path = _scenario_json(tmp_path, lambda d: d.update(duration_s=float("nan")))
+        self._rejects(["simulate", path], tmp_path, capsys, "duration_s")
+
+    def test_unknown_plant_key(self, tmp_path, capsys):
+        path = _scenario_json(tmp_path, lambda d: d["plant"].update(boost=1.0))
+        self._rejects(["simulate", path], tmp_path, capsys, "'boost'")
+
+    def test_nan_speed(self, tmp_path, capsys):
+        def edit(d):
+            d["schedules"]["speed"][0]["value"] = float("nan")
+        path = _scenario_json(tmp_path, edit)
+        self._rejects(["simulate", path], tmp_path, capsys, "value must be finite")
+
+    def test_negative_noise_halfwidth(self, tmp_path, capsys):
+        self._rejects(["noise-study", "--halfwidth", "-1"], tmp_path, capsys,
+                      "ca50_noise_halfwidth")
+
+    def test_empty_dataset(self, tmp_path, capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("")
+        self._rejects(["validate", "--data", str(data)], tmp_path, capsys,
+                      "empty file")

@@ -25,7 +25,8 @@ def cfg_matched(geom, coeffs):
 class TestPlantConfig:
     @pytest.mark.parametrize("bad", [
         dict(quad_step=0.0), dict(quad_step=0.6), dict(soi_resolution=0.0),
-        dict(egr_lag_cycles=-1),
+        dict(egr_lag_cycles=-1), dict(ca50_noise_halfwidth=-1.0),
+        dict(ca50_noise_halfwidth=float("nan")), dict(ca50_noise_halfwidth=float("inf")),
     ])
     def test_invalid_config_rejected(self, geom, coeffs, bad):
         with pytest.raises(DomainError):

@@ -60,6 +60,25 @@ class TestScenarioValidation:
                         schedules={"speed": [Breakpoint(t=0.0, value=1200.0)]},
                         reference=[Breakpoint(t=0.0, value=8.0)])
 
+    @pytest.mark.parametrize("duration_s", [float("nan"), float("inf"), -1.0])
+    def test_bad_duration_rejected(self, duration_s):
+        d = scenario_to_dict(builtin_case(1))
+        d["duration_s"] = duration_s
+        with pytest.raises(ValueError, match="duration_s"):
+            scenario_from_dict(d)
+
+    @pytest.mark.parametrize("field", ["t", "value", "ramp_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_breakpoint_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Breakpoint(**{"t": 1.0, "value": 2.0, "ramp_s": 0.5, field: value})
+
+    def test_unknown_plant_key_rejected(self):
+        d = scenario_to_dict(builtin_case(1))
+        d["plant"]["noise"] = 0.5
+        with pytest.raises(ValueError, match="'noise'"):
+            scenario_from_dict(d)
+
     def test_event_times_collects_changes(self):
         sc = builtin_case(6)
         assert sc.event_times() == [5.0]
