@@ -181,7 +181,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:   # DomainError is a ValueError
+    except (ValueError, OSError) as exc:   # DomainError is a ValueError
         print(f"dualfuel {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

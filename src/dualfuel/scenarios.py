@@ -45,6 +45,9 @@ class Breakpoint:
             raise ValueError("ramp_s must be non-negative")
 
 
+_BREAKPOINT_KEYS = tuple(f.name for f in fields(Breakpoint))
+
+
 @dataclass(frozen=True)
 class Scenario:
     duration_s: float
@@ -119,14 +122,27 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _breakpoint_from_dict(d: dict) -> Breakpoint:
+    for key in d:
+        if key not in _BREAKPOINT_KEYS:
+            raise ValueError(f"unknown breakpoint key {key!r}")
+    for key in ("t", "value"):
+        if key not in d:
+            raise ValueError(f"breakpoint is missing key {key!r}")
+    return Breakpoint(**d)
+
+
 def scenario_from_dict(d: dict) -> Scenario:
+    for key in ("duration_s", "controller", "schedules", "reference"):
+        if key not in d:
+            raise ValueError(f"scenario is missing key {key!r}")
     return Scenario(
         duration_s=float(d["duration_s"]),
         controller=d["controller"],
         plant=dict(d.get("plant", {})),
-        schedules={k: [Breakpoint(**bp) for bp in bps]
+        schedules={k: [_breakpoint_from_dict(bp) for bp in bps]
                    for k, bps in d["schedules"].items()},
-        reference=[Breakpoint(**bp) for bp in d["reference"]],
+        reference=[_breakpoint_from_dict(bp) for bp in d["reference"]],
     )
 
 

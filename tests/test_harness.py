@@ -268,6 +268,20 @@ class TestCliRejectsBadInput:
         path = _scenario_json(tmp_path, edit)
         self._rejects(["simulate", path], tmp_path, capsys, "value must be finite")
 
+    def test_missing_top_level_key(self, tmp_path, capsys):
+        path = _scenario_json(tmp_path, lambda d: d.pop("duration_s"))
+        self._rejects(["simulate", path], tmp_path, capsys, "'duration_s'")
+
+    def test_unknown_breakpoint_key(self, tmp_path, capsys):
+        def edit(d):
+            d["reference"][0]["slope"] = 1.0
+        path = _scenario_json(tmp_path, edit)
+        self._rejects(["simulate", path], tmp_path, capsys, "'slope'")
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere.json")
+        self._rejects(["simulate", missing], tmp_path, capsys, "nowhere.json")
+
     def test_negative_noise_halfwidth(self, tmp_path, capsys):
         self._rejects(["noise-study", "--halfwidth", "-1"], tmp_path, capsys,
                       "ca50_noise_halfwidth")

@@ -42,7 +42,9 @@ def test_integrand_matches_reference_formula(cfg, geom, coeffs, mid_op):
     theta = np.linspace(-20.0, 10.0, 61)
     args = _args(mid_op, cfg)
     p_ivc, t_ivc, v_ivc, denom, c5, c6, poly, area, v_clear, crank_r, rod_len = args
-    got = _kernels._integrand_numpy(theta, *args)
+    rk, rk1 = _kernels._compression_powers(theta, v_ivc, poly, area, v_clear,
+                                           crank_r, rod_len)
+    got = _kernels._integrand_numpy(theta, rk, rk1, p_ivc, t_ivc, denom, c5, c6)
     vol = df.cylinder_volume(theta, geom)
     p, t = df.polytropic_state_at_soi(mid_op.p_ivc, mid_op.t_ivc, v_ivc, vol, poly)
     expected = np.exp(-coeffs.c5 * p ** coeffs.c6 / t) / denom
@@ -82,3 +84,39 @@ def test_env_flag_parsing(monkeypatch):
         assert _kernels.numba_disabled_by_env()
     monkeypatch.setenv("DUALFUEL_DISABLE_NUMBA", "0")
     assert not _kernels.numba_disabled_by_env()
+
+
+# ---------------------------------------------------------------------------
+# the numpy march's grid cache
+
+def test_cached_grid_gives_cold_results(cfg, box_rng):
+    # repeated injection angles hit the cache with a different thermal state
+    # each time; every result must equal a march on an empty cache exactly
+    sois = [-15.0, -12.3, -15.0, -18.7, -12.3, -15.0, -10.0, -18.7]
+    calls = [(soi, cfg.quad_step, MISFIRE_LIMIT) + _args(random_box_op(box_rng), cfg)
+             for soi in sois]
+    _kernels._grid.cache_clear()
+    warm = [_kernels.march_numpy(*args) for args in calls]
+    assert _kernels._grid.cache_info().hits == 4
+    cold = []
+    for args in calls:
+        _kernels._grid.cache_clear()
+        cold.append(_kernels.march_numpy(*args))
+    assert warm == cold
+
+
+def test_cached_grid_is_read_only(cfg, mid_op):
+    args = _args(mid_op, cfg)
+    v_ivc, poly, area, v_clear, crank_r, rod_len = args[2], *args[6:]
+    arrays = _kernels._grid(-15.0, cfg.quad_step, MISFIRE_LIMIT, v_ivc, poly,
+                            area, v_clear, crank_r, rod_len)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_grid_cache_stays_bounded(cfg, mid_op):
+    rng = np.random.default_rng(7)
+    for soi in rng.uniform(-20.0, -10.0, 1054):
+        _kernels.march_numpy(soi, cfg.quad_step, MISFIRE_LIMIT, *_args(mid_op, cfg))
+        assert _kernels._grid.cache_info().currsize <= 16

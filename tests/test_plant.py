@@ -3,12 +3,14 @@ transport imperfections."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualfuel as df
 from dualfuel.core import DomainError
 from dualfuel.plant import Misfire, quantize_soi
 
-from conftest import random_box_op, random_box_soi
+from conftest import BOX, SOI_BOX, random_box_op, random_box_soi
 
 
 @pytest.fixture
@@ -82,6 +84,20 @@ class TestKnockIntegralSoc:
             a = df.knock_integral_soc(op, soi, cfg)
             b = df.knock_integral_soc(op, soi + delta, cfg)
             assert 0.0 < b - a < 2.0 * delta
+
+    @settings(deadline=None, derandomize=True)
+    @given(op=st.builds(df.OperatingPoint,
+                        **{k: st.floats(lo, hi) for k, (lo, hi) in BOX.items()}),
+           commands=st.lists(st.floats(*SOI_BOX), min_size=2, max_size=8))
+    def test_soc_non_decreasing_on_actuator_grid(self, op, commands):
+        # quantized angles repeat, so the numpy march serves many of these
+        # from its grid cache; equal angles must give equal SOCs
+        cfg = df.PlantConfig(geom=df.default_geometry(),
+                             coeffs=df.default_coefficients())
+        sois = sorted(quantize_soi(c, cfg.soi_resolution) for c in commands)
+        socs = [df.knock_integral_soc(op, soi, cfg) for soi in sois]
+        for (soi_a, a), (soi_b, b) in zip(zip(sois, socs), zip(sois[1:], socs[1:])):
+            assert a < b if soi_a < soi_b else a == b
 
     def test_pre_ivc_injection_rejected(self, cfg, mid_op):
         with pytest.raises(DomainError):
@@ -170,6 +186,14 @@ class TestQuantize:
             q = quantize_soi(cmd, res)
             assert abs(q - cmd) <= res / 2 + 1e-12
             assert round(q / res) == pytest.approx(q / res, abs=1e-9)
+
+    @settings(derandomize=True)
+    @given(command=st.floats(-60.0, 60.0), res=st.floats(1e-3, 1.0))
+    def test_grid_property(self, command, res):
+        q = quantize_soi(command, res)
+        assert abs(q / res - round(q / res)) <= 1e-9
+        assert abs(q - command) <= res / 2 + 1e-12 * max(1.0, abs(command))
+        assert quantize_soi(q, res) == q
 
 
 class TestStepCycle:

@@ -1,6 +1,8 @@
 """Schedule evaluation semantics and scenario JSON round trips."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dualfuel as df
 from dualfuel.scenarios import (
@@ -34,6 +36,17 @@ class TestScheduleValue:
     def test_before_first_breakpoint_holds_value(self):
         bps = [Breakpoint(t=2.0, value=3.0)]
         assert schedule_value(bps, 0.0) == 3.0
+
+    @settings(derandomize=True)
+    @given(points=st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(-1e3, 1e3),
+                                     st.floats(0.0, 2.0)), min_size=1, max_size=6),
+           t=st.floats(-1.0, 15.0))
+    def test_value_within_breakpoint_range(self, points, t):
+        bps = [Breakpoint(t=bt, value=v, ramp_s=r) for bt, v, r in sorted(points)]
+        lo = min(bp.value for bp in bps)
+        hi = max(bp.value for bp in bps)
+        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+        assert lo - tol <= schedule_value(bps, t) <= hi + tol
 
     def test_unordered_breakpoints_rejected(self):
         with pytest.raises(ValueError):
@@ -99,6 +112,22 @@ class TestJsonRoundTrip:
     def test_dict_round_trip(self):
         sc = builtin_case(4, controller="feedforward")
         assert scenario_from_dict(scenario_to_dict(sc)) == sc
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: d.pop("controller"), "missing key 'controller'",
+                     id="no-controller"),
+        pytest.param(lambda d: d.pop("reference"), "missing key 'reference'",
+                     id="no-reference"),
+        pytest.param(lambda d: d["reference"][0].pop("value"), "missing key 'value'",
+                     id="breakpoint-without-value"),
+        pytest.param(lambda d: d["schedules"]["speed"][0].update(v=1.0),
+                     "unknown breakpoint key 'v'", id="unknown-breakpoint-key"),
+    ])
+    def test_malformed_dict_rejected(self, edit, message):
+        d = scenario_to_dict(builtin_case(1))
+        edit(d)
+        with pytest.raises(ValueError, match=message):
+            scenario_from_dict(d)
 
 
 class TestBuiltinCases:
