@@ -1,9 +1,10 @@
-"""Synthetic dataset generation and batch gradient-descent calibration of the
+"""Synthetic dataset generation and Levenberg-Marquardt calibration of the
 CA50 model against the plant, with holdout validation statistics."""
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -15,7 +16,13 @@ from .core import (
     OperatingPoint,
     default_coefficients,
 )
-from .model import burn_duration, ca50_from_soc_bd, predict_ca50, predict_soc
+from .model import (
+    burn_duration,
+    ca50_from_soc_bd,
+    ca50_jacobian,
+    predict_ca50,
+    predict_soc,
+)
 from .plant import Misfire, PlantConfig, knock_integral_soc
 
 DATASET_COLUMNS = ("speed", "t_ivc", "p_ivc", "phi_di", "phi_ng", "egr",
@@ -26,6 +33,14 @@ CALIBRATED_FIELDS = ("c1", "c2", "c3", "c4", "c5", "c6", "c8", "c9", "c10",
                      "c11", "k_c")
 
 DIVERGENCE_RMSE = 1e3
+
+# Levenberg-Marquardt damping: start, change per accepted (/) or rejected (*)
+# step, floor (repeated division must not reach 0, where a rejection could no
+# longer raise it) and the ceiling past which no improving step is left
+LM_DAMPING_INITIAL = 1e-3
+LM_DAMPING_FACTOR = 10.0
+LM_DAMPING_MIN = 1e-12
+LM_DAMPING_MAX = 1e10
 
 
 class CalibrationDiverged(RuntimeError):
@@ -61,9 +76,14 @@ class SampleRanges:
 
 @dataclass
 class CalibrationOptions:
-    learn_rate: float = 0.05
     max_iters: int = 2000
     tol: float = 1e-6   # stop when an accepted step improves RMSE by less
+
+    def __post_init__(self):
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
 
 
 @dataclass
@@ -83,6 +103,7 @@ class CalibReport:
     final_rmse: float
     rmse_history: list = field(default_factory=list)
     coeff_history: list = field(default_factory=list)  # dict per iteration
+    stop_reason: str = ""   # "tol", "max_iters" or "no_improving_step"
     soc_err_std: float = float("nan")
     soc_err_max: float = float("nan")
     ca50_err_std: float = float("nan")
@@ -198,7 +219,7 @@ def validate(coeffs: ModelCoefficients, dataset, geom: EngineGeometry) -> Valida
 
 
 # ---------------------------------------------------------------------------
-# batch gradient descent
+# Levenberg-Marquardt fit
 
 def _pack(coeffs):
     return np.array([getattr(coeffs, name) for name in CALIBRATED_FIELDS])
@@ -220,28 +241,38 @@ def _objective(base_coeffs, op, soi, ca50_ref, geom):
     return f
 
 
-def gradient(f, vec, rel_step=1e-6):
-    """Central-difference gradient with a relative step per coordinate."""
-    g = np.zeros_like(vec)
-    for i in range(len(vec)):
-        h = rel_step * max(abs(vec[i]), 1e-12)
-        e = np.zeros_like(vec)
-        e[i] = h
-        g[i] = (f(vec + e) - f(vec - e)) / (2.0 * h)
-    return g
+def _lm_step(jac, resid, lam):
+    """Levenberg-Marquardt step: the solution of
+    (J^T J + lam * diag(J^T J)) step = -J^T resid.
+
+    Solved as the damped least-squares problem it is the normal equation of,
+    with the columns scaled to unit norm. A zero column (a coefficient the
+    dataset does not identify) gets a zero step.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->j", jac, jac))
+    active = norms > 0.0
+    n = int(np.count_nonzero(active))
+    damped = np.vstack([jac[:, active] / norms[active], np.sqrt(lam) * np.eye(n)])
+    rhs = np.concatenate([-resid, np.zeros(n)])
+    step = np.zeros(jac.shape[1])
+    step[active] = np.linalg.lstsq(damped, rhs, rcond=None)[0] / norms[active]
+    return step
 
 
 def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
               options: CalibrationOptions | None = None):
-    """Minimise the CA50 RMSE by batch gradient descent.
+    """Minimise the CA50 RMSE by Levenberg-Marquardt.
 
-    Descent runs in magnitude-normalised coordinates (each coefficient
-    scaled by its starting size) with a spectral (Barzilai-Borwein) step
-    size, safeguarded by backtracking halving whenever a trial step would
-    increase the RMSE, so the reported RMSE trace is non-increasing. Stops
-    when no halved step improves, the improvement drops below tol, or
-    max_iters is reached. The shipped coefficient set is the default
-    starting point. Returns (report, coefficients).
+    The solve runs in magnitude-normalised coordinates (each coefficient
+    scaled by its starting size) with the analytic Jacobian of
+    model.ca50_jacobian. A step is accepted only if it lowers the RMSE, so
+    the reported RMSE trace is non-increasing; the damping falls tenfold
+    after an accepted step and rises tenfold after a rejected one. Stops
+    when the improvement of an accepted step drops below tol ("tol"), when
+    no step improves before the damping exceeds LM_DAMPING_MAX
+    ("no_improving_step"), or after max_iters accepted steps ("max_iters").
+    The shipped coefficient set is the default starting point. Returns
+    (report, coefficients).
     """
     if initial is None:
         initial = default_coefficients()
@@ -259,31 +290,23 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
                                   f"{DIVERGENCE_RMSE:g}", report)
 
     scale = np.maximum(np.abs(x), 1e-12)
-    x_prev = None
-    gs_prev = None
+    lam = LM_DAMPING_INITIAL
+    report.stop_reason = "max_iters"
     for _ in range(options.max_iters):
-        gs = gradient(f, x) * scale   # gradient in normalised coordinates
-        if not np.any(gs):
-            break
-        if gs_prev is not None:
-            du = (x - x_prev) / scale
-            dg = gs - gs_prev
-            curvature = float(du @ dg)
-            t = float(du @ du) / curvature if curvature > 0.0 else options.learn_rate
-            t = min(max(t, 1e-6), 1e3)
-        else:
-            t = options.learn_rate
-        accepted = False
-        for _ in range(60):
-            x_try = x - t * gs * scale
+        coeffs = _unpack(initial, x)
+        resid = predict_ca50(op, soi, coeffs, geom) - ca50_ref
+        columns = ca50_jacobian(op, soi, coeffs, geom)
+        jac = np.column_stack([columns[name] for name in CALIBRATED_FIELDS]) * scale
+        while lam <= LM_DAMPING_MAX:
+            x_try = x + _lm_step(jac, resid, lam) * scale
             f_try = f(x_try)
             if f_try < fx:
-                accepted = True
+                lam = max(lam / LM_DAMPING_FACTOR, LM_DAMPING_MIN)
                 break
-            t *= 0.5
-        if not accepted:
+            lam *= LM_DAMPING_FACTOR
+        else:
+            report.stop_reason = "no_improving_step"
             break
-        x_prev, gs_prev = x, gs
         improvement = fx - f_try
         x, fx = x_try, f_try
         report.iterations += 1
@@ -294,6 +317,7 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
             raise CalibrationDiverged(f"RMSE {fx:.3g} CAD exceeds "
                                       f"{DIVERGENCE_RMSE:g}", report)
         if improvement < options.tol:
+            report.stop_reason = "tol"
             break
 
     coeffs = _unpack(initial, x)
@@ -354,6 +378,7 @@ def write_report_csv(path, report: CalibReport):
 def write_report_summary(path, report: CalibReport):
     lines = [
         f"iterations          {report.iterations}",
+        f"stop reason         {report.stop_reason}",
         f"final CA50 RMSE     {report.final_rmse:.6f} CAD",
         f"SOC error std/max   {report.soc_err_std:.4f} / {report.soc_err_max:.4f} CAD",
         f"CA50 error std/max  {report.ca50_err_std:.4f} / {report.ca50_err_max:.4f} CAD",

@@ -50,10 +50,9 @@ def cmd_gen_data(args):
 
 
 def cmd_calibrate(args):
+    options = calib.CalibrationOptions(max_iters=args.max_iters, tol=args.tol)
     dataset = calib.read_dataset(args.data)
     train, holdout = calib.split_dataset(dataset, args.holdout_frac, args.seed)
-    options = calib.CalibrationOptions(learn_rate=args.learn_rate,
-                                       max_iters=args.max_iters, tol=args.tol)
     report, coeffs = calib.calibrate(_coeffs(args), train,
                                      default_geometry(), options)
     out = _outdir(args)
@@ -61,7 +60,8 @@ def cmd_calibrate(args):
     calib.write_report_csv(out / "calibration_report.csv", report)
     calib.write_report_summary(out / "calibration_summary.txt", report)
     print(f"calibrated on {len(train)} samples in {report.iterations} "
-          f"iterations, final RMSE {report.final_rmse:.4f} CAD")
+          f"iterations (stopped: {report.stop_reason}), "
+          f"final RMSE {report.final_rmse:.4f} CAD")
     if holdout:
         stats = calib.validate(coeffs, holdout, default_geometry())
         print(f"holdout ({stats.n_samples}): CA50 err std {stats.ca50_err_std:.4f} "
@@ -143,7 +143,6 @@ def main(argv=None):
 
     p = sub.add_parser("calibrate", help="fit model coefficients to a dataset")
     p.add_argument("--data", type=Path, required=True, help="dataset CSV")
-    p.add_argument("--learn-rate", type=float, default=0.05)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--holdout-frac", type=float, default=0.2,

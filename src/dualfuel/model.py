@@ -99,3 +99,47 @@ def predict_ca50(op: OperatingPoint, soi, coeffs: ModelCoefficients,
     soc = predict_soc(op, soi, coeffs, geom, v_soi=v_soi)
     x_d = op.egr + op.x_r
     return soc + half_burn_angle(x_d, op.phi_ng, op.phi_di, coeffs)
+
+
+def _pow_log(phi, c):
+    """phi^c * ln(phi), continued by its limit 0 at phi = 0 (phi_ng may be 0)."""
+    positive = phi > 0.0
+    safe = np.where(positive, phi, 1.0)
+    return np.where(positive, safe ** c * np.log(safe), 0.0)
+
+
+def ca50_jacobian(op: OperatingPoint, soi, coeffs: ModelCoefficients,
+                  geom: EngineGeometry) -> dict:
+    """Analytic partial derivatives of predict_ca50 with respect to the model
+    coefficients: {name: dCA50/dc} for c1..c6, c8..c11 and k_c.
+
+    CA50 = SOI + ID + HB with ID = (c1*EGR + c2) * N * (phi_ng^c3 + phi_di^c4)
+    * exp(A), A = c5 * P^c6 / T, and HB = c11 * (1 + X_d)^c8 * (phi_ng^c9 +
+    phi_di^c10); P and T follow the polytrope of exponent k_c from IVC.
+    """
+    _check_soi(soi, geom)
+    v_soi = cylinder_volume(soi, geom)
+    p_soi, t_soi = polytropic_state_at_soi(op.p_ivc, op.t_ivc, geom.ivc_volume, v_soi,
+                                           coeffs.k_c)
+    a = arrhenius_exponent(p_soi, t_soi, coeffs)
+    delay = ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di, p_soi, t_soi, coeffs)
+    x_d = op.egr + op.x_r
+    half_burn = half_burn_angle(x_d, op.phi_ng, op.phi_di, coeffs)
+    # delay per unit of (c1*EGR + c2), and per unit of the mixture term
+    speed_exp = op.speed * np.exp(a)
+    per_rate = (op.phi_ng ** coeffs.c3 + op.phi_di ** coeffs.c4) * speed_exp
+    per_mixture = (coeffs.c1 * op.egr + coeffs.c2) * speed_exp
+    per_burn_mixture = coeffs.c11 * (1.0 + x_d) ** coeffs.c8
+    return {
+        "c1": op.egr * per_rate,
+        "c2": per_rate,
+        "c3": per_mixture * _pow_log(op.phi_ng, coeffs.c3),
+        "c4": per_mixture * _pow_log(op.phi_di, coeffs.c4),
+        "c5": delay * a / coeffs.c5,
+        "c6": delay * a * np.log(p_soi),
+        "c8": half_burn * np.log1p(x_d),
+        "c9": per_burn_mixture * _pow_log(op.phi_ng, coeffs.c9),
+        "c10": per_burn_mixture * _pow_log(op.phi_di, coeffs.c10),
+        "c11": half_burn / coeffs.c11,
+        "k_c": delay * a * (coeffs.c6 - 1.0) * np.log(geom.ivc_volume / v_soi),
+    }

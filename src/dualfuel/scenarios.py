@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 from .control import MEAN_RESIDUAL_FRACTION
@@ -28,6 +29,13 @@ PLANT_KEYS = tuple(f.name for f in fields(PlantConfig)
                    if f.name not in ("geom", "coeffs"))
 
 
+def _number(value, what):
+    """value if it is a real number (JSON true/false are not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Breakpoint:
     """New schedule value taking effect at time t, optionally reached by a
@@ -39,7 +47,7 @@ class Breakpoint:
 
     def __post_init__(self):
         for name in ("t", "value", "ramp_s"):
-            if not math.isfinite(getattr(self, name)):
+            if not math.isfinite(_number(getattr(self, name), f"breakpoint {name}")):
                 raise ValueError(f"breakpoint {name} must be finite")
         if self.ramp_s < 0.0:
             raise ValueError("ramp_s must be non-negative")
@@ -61,9 +69,10 @@ class Scenario:
             raise ValueError("duration_s must be finite and non-negative")
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}")
-        for key in self.plant:
+        for key, value in self.plant.items():
             if key not in PLANT_KEYS:
                 raise ValueError(f"unknown plant key {key!r}")
+            _number(value, f"plant key {key!r}")
         for key, bps in self.schedules.items():
             if key not in SCHEDULE_KEYS:
                 raise ValueError(f"unknown schedule key {key!r}")
@@ -122,7 +131,21 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
-def _breakpoint_from_dict(d: dict) -> Breakpoint:
+def _expect(value, kind, what):
+    """value if it has the JSON type kind (dict or list), else ValueError."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {name}, got {type(value).__name__}")
+    return value
+
+
+def _breakpoints_from_list(name, bps) -> list:
+    return [_breakpoint_from_dict(name, bp)
+            for bp in _expect(bps, list, f"schedule {name!r}")]
+
+
+def _breakpoint_from_dict(name, d) -> Breakpoint:
+    _expect(d, dict, f"breakpoint of {name!r}")
     for key in d:
         if key not in _BREAKPOINT_KEYS:
             raise ValueError(f"unknown breakpoint key {key!r}")
@@ -133,16 +156,17 @@ def _breakpoint_from_dict(d: dict) -> Breakpoint:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
+    _expect(d, dict, "scenario")
     for key in ("duration_s", "controller", "schedules", "reference"):
         if key not in d:
             raise ValueError(f"scenario is missing key {key!r}")
     return Scenario(
-        duration_s=float(d["duration_s"]),
+        duration_s=float(_number(d["duration_s"], "scenario key 'duration_s'")),
         controller=d["controller"],
-        plant=dict(d.get("plant", {})),
-        schedules={k: [_breakpoint_from_dict(bp) for bp in bps]
-                   for k, bps in d["schedules"].items()},
-        reference=[_breakpoint_from_dict(bp) for bp in d["reference"]],
+        plant=dict(_expect(d.get("plant", {}), dict, "scenario key 'plant'")),
+        schedules={k: _breakpoints_from_list(k, bps) for k, bps in
+                   _expect(d["schedules"], dict, "scenario key 'schedules'").items()},
+        reference=_breakpoints_from_list("reference", d["reference"]),
     )
 
 

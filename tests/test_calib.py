@@ -1,5 +1,5 @@
-"""Dataset generation, RMSE objective, gradient-descent calibration and
-validation statistics."""
+"""Dataset generation, RMSE objective, the analytic CA50 Jacobian,
+Levenberg-Marquardt calibration and validation statistics."""
 
 import numpy as np
 import pytest
@@ -10,15 +10,13 @@ from dualfuel.calib import (
     CalibSample,
     CalibrationDiverged,
     CalibrationOptions,
-    gradient,
     read_dataset,
     write_dataset,
     write_report_csv,
     write_report_summary,
     _columns,
-    _objective,
-    _pack,
 )
+from dualfuel.model import ca50_jacobian
 
 from conftest import random_box_op, random_box_soi
 
@@ -160,15 +158,70 @@ class TestCalibrate:
             df.calibrate(coeffs, broken, geom)
         assert exc.value.report.rmse_history
 
-    def test_gradient_step_insensitivity(self, geom, coeffs, small_plant_dataset):
-        # the optimizer's central-difference gradient agrees with a
-        # 100x finer step at the starting point
-        op, soi, _, ca50_ref = _columns(small_plant_dataset)
-        f = _objective(coeffs, op, soi, ca50_ref, geom)
-        x = _pack(coeffs)
-        g_coarse = gradient(f, x, rel_step=1e-6)
-        g_fine = gradient(f, x, rel_step=1e-8)
-        assert np.linalg.norm(g_coarse - g_fine) <= 1e-3 * np.linalg.norm(g_fine)
+    def test_jacobian_matches_central_differences(self, geom, coeffs,
+                                                  small_plant_dataset):
+        # every column of the analytic Jacobian agrees with a central
+        # difference of predict_ca50, also on a sample without natural gas
+        # (phi_ng = 0, where phi_ng^c ln phi_ng is continued by 0)
+        no_gas = df.OperatingPoint(speed=1300.0, phi_ng=0.0, phi_di=0.3, egr=0.2,
+                                   x_r=0.03, p_ivc=3.5, t_ivc=390.0)
+        samples = small_plant_dataset + [CalibSample(op=no_gas, soi=-15.0,
+                                                     soc_ref=0.0, ca50_ref=0.0)]
+        op, soi, _, _ = _columns(samples)
+        jac = ca50_jacobian(op, soi, coeffs, geom)
+        assert set(jac) == set(CALIBRATED_FIELDS)
+        for name in CALIBRATED_FIELDS:
+            value = getattr(coeffs, name)
+            h = 1e-6 * abs(value)
+            up = df.predict_ca50(op, soi, coeffs.replace(**{name: value + h}), geom)
+            down = df.predict_ca50(op, soi, coeffs.replace(**{name: value - h}), geom)
+            fd = (up - down) / (2.0 * h)
+            assert np.all(np.isfinite(jac[name])), name
+            assert np.max(np.abs(jac[name] - fd)) <= 1e-6 * np.max(np.abs(fd)), name
+        assert jac["c3"][-1] == 0.0 and jac["c9"][-1] == 0.0
+
+    def test_unidentified_coefficient_does_not_raise(self, geom, coeffs, plant_cfg):
+        # with EGR = 0 everywhere the c1 column of the Jacobian is zero: the
+        # fit leaves c1 alone and still lowers the RMSE monotonically
+        no_egr = df.SampleRanges(egr=(0.0, 0.0))
+        samples, _ = df.generate_dataset(no_egr, 64, plant_cfg, seed=10)
+        assert all(s.op.egr == 0.0 for s in samples)
+        report, fitted = df.calibrate(coeffs, samples, geom,
+                                      CalibrationOptions(max_iters=60))
+        trace = report.rmse_history
+        assert all(b <= a for a, b in zip(trace, trace[1:]))
+        assert report.final_rmse < 0.1 * trace[0]
+        assert fitted.c1 == coeffs.c1
+
+    def test_stops_by_tol(self, geom, coeffs, small_plant_dataset):
+        options = CalibrationOptions(tol=1e-6)
+        report, _ = df.calibrate(coeffs, small_plant_dataset, geom, options)
+        assert report.stop_reason == "tol"
+        gains = -np.diff(report.rmse_history)
+        assert gains[-1] < options.tol and np.all(gains[:-1] >= options.tol)
+
+    @pytest.mark.parametrize("max_iters", [0, 2])
+    def test_stops_by_max_iters(self, geom, coeffs, small_plant_dataset, max_iters):
+        report, _ = df.calibrate(coeffs, small_plant_dataset, geom,
+                                 CalibrationOptions(max_iters=max_iters, tol=0.0))
+        assert report.stop_reason == "max_iters"
+        assert report.iterations == max_iters
+
+    def test_stops_when_no_step_improves(self, geom, coeffs):
+        # references from the model itself: the start is already the optimum
+        samples = model_dataset(coeffs, geom, 32, seed=11)
+        report, _ = df.calibrate(coeffs, samples, geom,
+                                 CalibrationOptions(max_iters=500, tol=0.0))
+        assert report.stop_reason == "no_improving_step"
+        assert report.iterations < 500
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iters": -1}, {"tol": -1e-6}, {"tol": float("nan")},
+        {"tol": float("inf")},
+    ])
+    def test_invalid_options_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            CalibrationOptions(**kwargs)
 
 
 class TestSplitDataset:
@@ -226,6 +279,14 @@ class TestCsvRoundTrips:
         assert lines[0].split(",")[:2] == ["iteration", "rmse"]
         assert len(lines) == len(report.rmse_history) + 1
         assert "final CA50 RMSE" in (tmp_path / "summary.txt").read_text()
+
+    def test_summary_names_stop_reason(self, tmp_path, geom, coeffs,
+                                       small_plant_dataset):
+        report, _ = df.calibrate(coeffs, small_plant_dataset, geom,
+                                 CalibrationOptions(max_iters=1))
+        write_report_summary(tmp_path / "summary.txt", report)
+        assert "stop reason         max_iters" in (
+            tmp_path / "summary.txt").read_text().splitlines()
 
     def test_dataset_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

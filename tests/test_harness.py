@@ -233,6 +233,21 @@ class TestCli:
     def test_simulate_requires_scenario(self, capsys):
         assert cli.main(["simulate"]) == 2
 
+    def test_calibrate_reports_stop_reason(self, tmp_path, capsys):
+        data = _dataset_csv(tmp_path)
+        assert cli.main(["calibrate", "--data", data, "--out", str(tmp_path)]) == 0
+        assert "(stopped: tol)" in capsys.readouterr().out
+        summary = (tmp_path / "calibration_summary.txt").read_text()
+        assert "stop reason         tol" in summary.splitlines()
+
+
+def _dataset_csv(tmp_path):
+    cfg = df.PlantConfig(geom=df.default_geometry(), coeffs=df.default_coefficients())
+    samples, _ = df.generate_dataset(None, 16, cfg, seed=1)
+    path = tmp_path / "dataset.csv"
+    df.write_dataset(path, samples)
+    return str(path)
+
 
 def _scenario_json(tmp_path, edit):
     d = scenario_to_dict(builtin_case(1))
@@ -285,6 +300,41 @@ class TestCliRejectsBadInput:
     def test_negative_noise_halfwidth(self, tmp_path, capsys):
         self._rejects(["noise-study", "--halfwidth", "-1"], tmp_path, capsys,
                       "ca50_noise_halfwidth")
+
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param(lambda d: d.update(schedules=[]), "'schedules' must be an object",
+                     id="schedules-list"),
+        pytest.param(lambda d: d.update(plant=[1]), "'plant' must be an object",
+                     id="plant-list"),
+        pytest.param(lambda d: d["schedules"].update(speed=[[0.0, 1200.0]]),
+                     "breakpoint of 'speed' must be an object", id="breakpoint-list"),
+        pytest.param(lambda d: d.update(reference={"t": 0}),
+                     "'reference' must be a list", id="reference-object"),
+    ])
+    def test_wrong_json_type(self, tmp_path, capsys, edit, expected):
+        path = _scenario_json(tmp_path, edit)
+        self._rejects(["simulate", path], tmp_path, capsys, expected)
+
+    @pytest.mark.parametrize("option, value", [
+        ("--max-iters", "-5"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+    ])
+    def test_bad_calibrate_option(self, tmp_path, capsys, option, value):
+        data = _dataset_csv(tmp_path)
+        name = option.lstrip("-").replace("-", "_")
+        self._rejects(["calibrate", "--data", data, option, value], tmp_path, capsys,
+                      name)
+
+    def test_removed_learn_rate(self, tmp_path, capsys):
+        # argparse rejects the option that the damped Gauss-Newton fit dropped
+        data = _dataset_csv(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["calibrate", "--data", data, "--learn-rate", "0.05",
+                      "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --learn-rate" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_dataset(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"

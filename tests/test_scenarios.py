@@ -122,12 +122,33 @@ class TestJsonRoundTrip:
                      id="breakpoint-without-value"),
         pytest.param(lambda d: d["schedules"]["speed"][0].update(v=1.0),
                      "unknown breakpoint key 'v'", id="unknown-breakpoint-key"),
+        pytest.param(lambda d: d.update(schedules=[]),
+                     "scenario key 'schedules' must be an object", id="schedules-list"),
+        pytest.param(lambda d: d.update(plant=[1]),
+                     "scenario key 'plant' must be an object", id="plant-list"),
+        pytest.param(lambda d: d["schedules"]["speed"].__setitem__(0, [0.0, 1200.0]),
+                     "breakpoint of 'speed' must be an object", id="breakpoint-list"),
+        pytest.param(lambda d: d.update(reference={"t": 0}),
+                     "schedule 'reference' must be a list", id="reference-object"),
+        pytest.param(lambda d: d["reference"][0].update(t="0"),
+                     "breakpoint t must be a number, got str", id="string-time"),
+        pytest.param(lambda d: d["reference"][0].update(value=True),
+                     "breakpoint value must be a number, got bool", id="bool-value"),
+        pytest.param(lambda d: d.update(duration_s=[10.0]),
+                     "'duration_s' must be a number, got list", id="list-duration"),
+        pytest.param(lambda d: d["plant"].update(soi_resolution="0.1"),
+                     "plant key 'soi_resolution' must be a number, got str",
+                     id="string-plant-value"),
     ])
     def test_malformed_dict_rejected(self, edit, message):
         d = scenario_to_dict(builtin_case(1))
         edit(d)
         with pytest.raises(ValueError, match=message):
             scenario_from_dict(d)
+
+    def test_non_object_scenario_rejected(self):
+        with pytest.raises(ValueError, match="scenario must be an object"):
+            scenario_from_dict([scenario_to_dict(builtin_case(1))])
 
 
 class TestBuiltinCases:
