@@ -15,8 +15,10 @@ from .core import (
     ModelCoefficients,
     OperatingPoint,
     default_coefficients,
+    default_geometry,
 )
 from .model import (
+    _check_soi,
     burn_duration,
     ca50_from_soc_bd,
     ca50_jacobian,
@@ -344,7 +346,23 @@ def write_dataset(path, samples):
             w.writerow([repr(float(v)) for v in row])
 
 
+def _read_sample(row, geom: EngineGeometry) -> CalibSample:
+    if len(row) != len(DATASET_COLUMNS):
+        raise ValueError(f"expected {len(DATASET_COLUMNS)} values, got {len(row)}")
+    vals = dict(zip(DATASET_COLUMNS, map(float, row)))
+    for name, v in vals.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    soi, soc_ref, ca50_ref = vals.pop("soi"), vals.pop("soc_ref"), vals.pop("ca50_ref")
+    _check_soi(soi, geom)
+    return CalibSample(op=OperatingPoint(**vals), soi=soi, soc_ref=soc_ref, ca50_ref=ca50_ref)
+
+
 def read_dataset(path):
+    """Samples of a dataset CSV. A malformed, non-finite or out-of-domain row
+    (SOI outside the reference geometry's window included) raises a
+    ValueError naming the file and line."""
+    geom = default_geometry()
     samples = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -354,14 +372,10 @@ def read_dataset(path):
         if tuple(header) != DATASET_COLUMNS:
             raise ValueError(f"{path}: unexpected dataset columns: {header}")
         for row in r:
-            vals = dict(zip(DATASET_COLUMNS, map(float, row)))
-            op = OperatingPoint(speed=vals["speed"], phi_ng=vals["phi_ng"],
-                                phi_di=vals["phi_di"], egr=vals["egr"],
-                                x_r=vals["x_r"], p_ivc=vals["p_ivc"],
-                                t_ivc=vals["t_ivc"])
-            samples.append(CalibSample(op=op, soi=vals["soi"],
-                                       soc_ref=vals["soc_ref"],
-                                       ca50_ref=vals["ca50_ref"]))
+            try:
+                samples.append(_read_sample(row, geom))
+            except ValueError as exc:   # DomainError is a ValueError
+                raise ValueError(f"{path}:{r.line_num}: {exc}") from None
     if not samples:
         raise ValueError(f"{path}: dataset has a header but no rows")
     return samples

@@ -55,17 +55,18 @@ def cmd_calibrate(args):
     train, holdout = calib.split_dataset(dataset, args.holdout_frac, args.seed)
     report, coeffs = calib.calibrate(_coeffs(args), train,
                                      default_geometry(), options)
+    # holdout statistics come before any output, so a failure writes nothing
+    stats = calib.validate(coeffs, holdout, default_geometry()) if holdout else None
     out = _outdir(args)
     save_coefficients(out / "coefficients.json", coeffs)
     calib.write_report_csv(out / "calibration_report.csv", report)
     calib.write_report_summary(out / "calibration_summary.txt", report)
     print(f"calibrated on {len(train)} samples in {report.iterations} "
           f"iterations (stopped: {report.stop_reason}), "
-          f"final RMSE {report.final_rmse:.4f} CAD")
-    if holdout:
-        stats = calib.validate(coeffs, holdout, default_geometry())
-        print(f"holdout ({stats.n_samples}): CA50 err std {stats.ca50_err_std:.4f} "
-              f"max {stats.ca50_err_max:.4f} CAD")
+          f"final RMSE {report.final_rmse:.6f} CAD")
+    if stats is not None:
+        print(f"holdout ({stats.n_samples}): CA50 err std {stats.ca50_err_std:.6f} "
+              f"max {stats.ca50_err_max:.6f} CAD")
     print(f"wrote coefficients.json, calibration_report.csv, "
           f"calibration_summary.txt to {out}")
     return 0
@@ -180,7 +181,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:   # DomainError is a ValueError
+    except (ValueError, OSError, calib.CalibrationDiverged) as exc:  # DomainError is a ValueError
         print(f"dualfuel {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,8 @@ from .core import (
     ModelCoefficients,
     OperatingPoint,
     cylinder_volume,
-    polytropic_state_at_soi,
 )
-from .model import half_burn_angle, ignition_delay
+from .model import fuel_term, phasing_terms
 
 # long-run average in-cylinder residual fraction, used by the open-loop law
 # in place of the unmeasurable per-cycle value
@@ -46,10 +45,8 @@ class ControllerState:
 
 def compute_states(op: OperatingPoint, coeffs: ModelCoefficients) -> AdaptiveStates:
     """Regressors from engine speed and the two equivalence ratios."""
-    if op.phi_di == 0.0:
-        raise DomainError("no pilot fuel: phi_di must be positive")
-    x1 = op.speed * (op.phi_ng ** coeffs.c3 + op.phi_di ** coeffs.c4)
-    x2 = op.phi_ng ** coeffs.c9 + op.phi_di ** coeffs.c10
+    x1 = op.speed * fuel_term(op.phi_ng, op.phi_di, coeffs.c3, coeffs.c4)
+    x2 = fuel_term(op.phi_ng, op.phi_di, coeffs.c9, coeffs.c10)
     return AdaptiveStates(x1=x1, x2=x2)
 
 
@@ -110,10 +107,9 @@ def feedforward_soi(ref_ca50: float, op: OperatingPoint,
         v_soi = ctrl.last_v_soi
     else:
         v_soi = cylinder_volume(FEEDFORWARD_SEED_SOI, geom)
-    p_soi, t_soi = polytropic_state_at_soi(op.p_ivc, op.t_ivc, geom.ivc_volume, v_soi,
-                                           coeffs.k_c)
-    delay = ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di, p_soi, t_soi, coeffs)
-    burn = half_burn_angle(op.egr + MEAN_RESIDUAL_FRACTION, op.phi_ng, op.phi_di, coeffs)
-    command = ref_ca50 - delay - burn
+    delay, half_burn = phasing_terms(v_soi, op.speed, op.phi_ng, op.phi_di, op.egr,
+                                     MEAN_RESIDUAL_FRACTION, op.p_ivc, op.t_ivc,
+                                     coeffs, geom)
+    command = ref_ca50 - delay - half_burn
     new_state = replace(ctrl, last_v_soi=cylinder_volume(command, geom))
     return command, new_state

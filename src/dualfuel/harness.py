@@ -8,10 +8,11 @@ the model-sensitivity and measurement-noise studies. All outputs are CSV.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .calib import _columns
 from .control import (
     ControllerState,
     MEAN_RESIDUAL_FRACTION,
@@ -28,9 +29,9 @@ from .core import (
     cylinder_volume,
     default_coefficients,
     default_geometry,
-    polytropic_state_at_soi,
 )
-from .model import half_burn_angle, ignition_delay
+from .model import _check_soi, phasing_terms
+from .model import half_burn_angle, ignition_delay  # noqa: F401  (perfbench traces them)
 from .plant import CycleRecord, EnginePlant, Misfire, PlantConfig
 from .scenarios import (
     IVC_PRESSURE_GAIN,
@@ -295,26 +296,19 @@ class SensitivityRow:
 def run_sensitivity(coeffs: ModelCoefficients, dataset, geom: EngineGeometry):
     """Re-predict CA50 with each input perturbed one at a time (the
     DEFAULT_PERTURBATIONS), against unperturbed references. First row is
-    the unperturbed baseline."""
-    cols = {name: np.array([getattr(s.op, name) for s in dataset])
-            for name in ("speed", "phi_ng", "phi_di", "egr", "x_r", "p_ivc", "t_ivc")}
-    soi = np.array([s.soi for s in dataset])
-    ca50_ref = np.array([s.ca50_ref for s in dataset])
+    the unperturbed baseline. A perturbed input may leave the
+    OperatingPoint domain (a negative EGR or residual fraction)."""
+    op, soi, _, ca50_ref = _columns(dataset)
+    _check_soi(soi, geom)
     v_soi = cylinder_volume(soi, geom)
-
-    def predict(c):
-        p_soi, t_soi = polytropic_state_at_soi(c["p_ivc"], c["t_ivc"], geom.ivc_volume,
-                                               v_soi, coeffs.k_c)
-        delay = ignition_delay(c["egr"], c["speed"], c["phi_ng"], c["phi_di"],
-                               p_soi, t_soi, coeffs)
-        burn = half_burn_angle(c["egr"] + c["x_r"], c["phi_ng"], c["phi_di"], coeffs)
-        return soi + delay + burn
+    cols = {f.name: getattr(op, f.name) for f in fields(op)}
 
     def row(quantity, delta, mode):
         c = dict(cols)
         if quantity != "none":
             c[quantity] = c[quantity] * (1.0 + delta) if mode == "rel" else c[quantity] + delta
-        err = predict(c) - ca50_ref
+        delay, half_burn = phasing_terms(v_soi, **c, coeffs=coeffs, geom=geom)
+        err = soi + delay + half_burn - ca50_ref
         return SensitivityRow(quantity=quantity, delta=delta, mode=mode,
                               ca50_err_std=float(np.std(err)),
                               ca50_err_max=float(np.max(np.abs(err))))

@@ -23,6 +23,13 @@ from .core import (
 SOI_LATEST = 30.0
 
 
+def fuel_term(phi_ng, phi_di, c_ng, c_di):
+    """phi_ng^c_ng + phi_di^c_di; without pilot fuel a negative c_di has no value."""
+    if c_di < 0.0 and holds(phi_di == 0.0, np.any):
+        raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
+    return phi_ng ** c_ng + phi_di ** c_di
+
+
 def arrhenius_exponent(p, t, coeffs: ModelCoefficients):
     """Dimensionless exponent c5 * P^c6 / T of the ignition-delay correlation."""
     return coeffs.c5 * p ** coeffs.c6 / t
@@ -34,12 +41,37 @@ def ignition_delay(egr, speed, phi_ng, phi_di, p_soi, t_soi, coeffs: ModelCoeffi
     (c1*EGR + c2) * N * (phi_ng^c3 + phi_di^c4) * exp(c5 * P_SOI^c6 / T_SOI),
     with P in bar and T in K.
     """
-    if coeffs.c4 < 0.0 and holds(phi_di == 0.0, np.any):
-        raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
-    mixture = phi_ng ** coeffs.c3 + phi_di ** coeffs.c4
+    mixture = fuel_term(phi_ng, phi_di, coeffs.c3, coeffs.c4)
     return (coeffs.c1 * egr + coeffs.c2) * speed * mixture * np.exp(
         arrhenius_exponent(p_soi, t_soi, coeffs)
     )
+
+
+def burn_duration(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
+    """Burn duration [CAD]: c7 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10)."""
+    mixture = fuel_term(phi_ng, phi_di, coeffs.c9, coeffs.c10)
+    return coeffs.c7 * (1.0 + x_d) ** coeffs.c8 * mixture
+
+
+def half_burn_angle(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
+    """Crank-angle span from SOC to 50 % mass burned [CAD].
+
+    Folded form c11 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10); identical to
+    half_burn_fraction * burn_duration by construction of c7.
+    """
+    mixture = fuel_term(phi_ng, phi_di, coeffs.c9, coeffs.c10)
+    return coeffs.c11 * (1.0 + x_d) ** coeffs.c8 * mixture
+
+
+def phasing_terms(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
+                  coeffs: ModelCoefficients, geom: EngineGeometry):
+    """(ignition delay, half-burn span) [CAD] at injection volume v_soi, from
+    plain values or arrays: CA50 = SOI + delay + span. The inputs are not
+    checked, as the sensitivity study perturbs them out of the domain."""
+    p_soi, t_soi = polytropic_state_at_soi(p_ivc, t_ivc, geom.ivc_volume, v_soi,
+                                           coeffs.k_c)
+    return (ignition_delay(egr, speed, phi_ng, phi_di, p_soi, t_soi, coeffs),
+            half_burn_angle(egr + x_r, phi_ng, phi_di, coeffs))
 
 
 def _check_soi(soi, geom: EngineGeometry):
@@ -50,39 +82,13 @@ def _check_soi(soi, geom: EngineGeometry):
 
 
 def predict_soc(op: OperatingPoint, soi, coeffs: ModelCoefficients,
-                geom: EngineGeometry, v_soi=None):
-    """Start of combustion [deg aTDC] for a commanded injection angle.
-
-    The injection-point state is projected from IVC with the polytropic
-    exponent k_c. Pass v_soi to pin the injection volume explicitly (the
-    controllers reuse the previous cycle's volume); by default it is the
-    volume at the commanded angle.
-    """
+                geom: EngineGeometry):
+    """Start of combustion [deg aTDC] for a commanded injection angle:
+    SOI plus the ignition delay at the volume of that angle."""
     _check_soi(soi, geom)
-    if v_soi is None:
-        v_soi = cylinder_volume(soi, geom)
-    p_soi, t_soi = polytropic_state_at_soi(op.p_ivc, op.t_ivc, geom.ivc_volume, v_soi,
-                                           coeffs.k_c)
-    return soi + ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di,
-                                p_soi, t_soi, coeffs)
-
-
-def burn_duration(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
-    """Burn duration [CAD]: c7 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10)."""
-    if coeffs.c10 < 0.0 and holds(phi_di == 0.0, np.any):
-        raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
-    return coeffs.c7 * (1.0 + x_d) ** coeffs.c8 * (phi_ng ** coeffs.c9 + phi_di ** coeffs.c10)
-
-
-def half_burn_angle(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
-    """Crank-angle span from SOC to 50 % mass burned [CAD].
-
-    Folded form c11 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10); identical to
-    half_burn_fraction * burn_duration by construction of c7.
-    """
-    if coeffs.c10 < 0.0 and holds(phi_di == 0.0, np.any):
-        raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
-    return coeffs.c11 * (1.0 + x_d) ** coeffs.c8 * (phi_ng ** coeffs.c9 + phi_di ** coeffs.c10)
+    delay, _ = phasing_terms(cylinder_volume(soi, geom), op.speed, op.phi_ng, op.phi_di,
+                             op.egr, op.x_r, op.p_ivc, op.t_ivc, coeffs, geom)
+    return soi + delay
 
 
 def ca50_from_soc_bd(soc, bd, coeffs: ModelCoefficients):
@@ -92,13 +98,14 @@ def ca50_from_soc_bd(soc, bd, coeffs: ModelCoefficients):
 
 def predict_ca50(op: OperatingPoint, soi, coeffs: ModelCoefficients,
                  geom: EngineGeometry, v_soi=None):
-    """CA50 [deg aTDC]: predicted SOC plus the half-burn offset.
-
-    Dilution is the operating point's EGR plus residual fraction.
-    """
-    soc = predict_soc(op, soi, coeffs, geom, v_soi=v_soi)
-    x_d = op.egr + op.x_r
-    return soc + half_burn_angle(x_d, op.phi_ng, op.phi_di, coeffs)
+    """CA50 [deg aTDC]: SOI plus ignition delay plus half-burn span. v_soi
+    pins the injection volume; by default it is the volume at soi."""
+    _check_soi(soi, geom)
+    if v_soi is None:
+        v_soi = cylinder_volume(soi, geom)
+    delay, half_burn = phasing_terms(v_soi, op.speed, op.phi_ng, op.phi_di, op.egr,
+                                     op.x_r, op.p_ivc, op.t_ivc, coeffs, geom)
+    return soi + delay + half_burn
 
 
 def _pow_log(phi, c):
@@ -127,7 +134,7 @@ def ca50_jacobian(op: OperatingPoint, soi, coeffs: ModelCoefficients,
     half_burn = half_burn_angle(x_d, op.phi_ng, op.phi_di, coeffs)
     # delay per unit of (c1*EGR + c2), and per unit of the mixture term
     speed_exp = op.speed * np.exp(a)
-    per_rate = (op.phi_ng ** coeffs.c3 + op.phi_di ** coeffs.c4) * speed_exp
+    per_rate = fuel_term(op.phi_ng, op.phi_di, coeffs.c3, coeffs.c4) * speed_exp
     per_mixture = (coeffs.c1 * op.egr + coeffs.c2) * speed_exp
     per_burn_mixture = coeffs.c11 * (1.0 + x_d) ** coeffs.c8
     return {

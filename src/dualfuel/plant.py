@@ -22,7 +22,7 @@ from .core import (
     cylinder_volume,  # noqa: F401  (perfbench traces plant.cylinder_volume)
     holds,
 )
-from .model import burn_duration, ca50_from_soc_bd, predict_soc
+from .model import burn_duration, ca50_from_soc_bd, fuel_term, predict_soc
 
 # combustion later than this is treated as a failed cycle
 MISFIRE_LIMIT = 60.0
@@ -89,10 +89,8 @@ class CycleRecord:
 
 def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
     geom, coeffs = cfg.geom, cfg.coeffs
-    if coeffs.c4 < 0.0 and op.phi_di == 0.0:
-        raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
-    denom = (coeffs.c1 * op.egr + coeffs.c2) * op.speed * (
-        op.phi_ng ** coeffs.c3 + op.phi_di ** coeffs.c4)
+    denom = (coeffs.c1 * op.egr + coeffs.c2) * op.speed * fuel_term(
+        op.phi_ng, op.phi_di, coeffs.c3, coeffs.c4)
     return (op.p_ivc, op.t_ivc, geom.ivc_volume, denom, coeffs.c5, coeffs.c6,
             cfg.plant_poly_exp, geom.piston_area, geom.clearance_volume,
             geom.crank_radius, geom.rod_length)

@@ -1,14 +1,18 @@
 """Closed-loop runner, summary metrics, CSV emission, sensitivity and noise
 studies, and the CLI."""
 
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dualfuel as df
-from dualfuel import cli
+from dualfuel import calib, cli
+from dualfuel.calib import DATASET_COLUMNS
 from dualfuel.harness import (
+    DEFAULT_PERTURBATIONS,
     RECORD_COLUMNS,
     _op_at,
     read_records_csv,
@@ -168,6 +172,30 @@ class TestSensitivity:
         worst = max(r.ca50_err_max for r in rows[1:])
         assert worst - base < 1.0
 
+    # a negative EGR or residual fraction leaves the OperatingPoint domain,
+    # so only the other perturbations have a dataset to validate
+    @pytest.mark.parametrize("quantity, delta, mode", [
+        p for p in DEFAULT_PERTURBATIONS if not (p[0] in ("egr", "x_r") and p[1] < 0.0)
+    ])
+    def test_row_equals_validation_of_perturbed_dataset(self, dataset, geom, coeffs,
+                                                        quantity, delta, mode):
+        def perturb(v):
+            return v * (1.0 + delta) if mode == "rel" else v + delta
+        perturbed = [replace(s, op=replace(s.op, **{quantity: perturb(getattr(s.op, quantity))}))
+                     for s in dataset]
+        stats = df.validate(coeffs, perturbed, geom)
+        rows = run_sensitivity(coeffs, dataset, geom)
+        row, = [r for r in rows if (r.quantity, r.delta) == (quantity, delta)]
+        assert row.ca50_err_std == stats.ca50_err_std
+        assert row.ca50_err_max == stats.ca50_err_max
+
+    @pytest.mark.parametrize("soi", [40.0, -150.0])
+    def test_soi_outside_model_window_rejected(self, dataset, geom, coeffs, soi):
+        bad = list(dataset)
+        bad[7] = replace(bad[7], soi=soi)
+        with pytest.raises(df.DomainError, match="SOI must lie in"):
+            run_sensitivity(coeffs, bad, geom)
+
 
 class TestNoiseStudy:
     def test_zero_halfwidth_reduces_to_clean_run(self):
@@ -240,6 +268,15 @@ class TestCli:
         summary = (tmp_path / "calibration_summary.txt").read_text()
         assert "stop reason         tol" in summary.splitlines()
 
+    def test_calibrate_prints_rmse_as_summary_does(self, tmp_path, capsys):
+        # fits reach about 1e-3 CAD, so four decimals would hide the figure
+        data = _dataset_csv(tmp_path)
+        assert cli.main(["calibrate", "--data", data, "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.split("final RMSE ")[1].split()[0]
+        summary = (tmp_path / "calibration_summary.txt").read_text()
+        assert f"final CA50 RMSE     {printed} CAD" in summary.splitlines()
+        assert float(printed) < 0.01 and printed != f"{float(printed):.4f}"
+
 
 def _dataset_csv(tmp_path):
     cfg = df.PlantConfig(geom=df.default_geometry(), coeffs=df.default_coefficients())
@@ -247,6 +284,23 @@ def _dataset_csv(tmp_path):
     path = tmp_path / "dataset.csv"
     df.write_dataset(path, samples)
     return str(path)
+
+
+def _set_cell(column, value):
+    def edit(row):
+        row[DATASET_COLUMNS.index(column)] = value
+    return edit
+
+
+def _edited_dataset_csv(tmp_path, line, edit):
+    """The _dataset_csv file with edit applied to the row on a physical line."""
+    path = _dataset_csv(tmp_path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows[line - 1])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
 
 
 def _scenario_json(tmp_path, edit):
@@ -341,3 +395,45 @@ class TestCliRejectsBadInput:
         data.write_text("")
         self._rejects(["validate", "--data", str(data)], tmp_path, capsys,
                       "empty file")
+
+    @pytest.mark.parametrize("command", ["calibrate", "validate", "sensitivity"])
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param(lambda row: row.pop(), "dataset.csv:4: expected 10 values, got 9",
+                     id="short-row"),
+        pytest.param(lambda row: row.append("1.0"),
+                     "dataset.csv:4: expected 10 values, got 11", id="long-row"),
+        pytest.param(_set_cell("egr", "abc"), "dataset.csv:4: could not convert",
+                     id="not-a-number"),
+        pytest.param(_set_cell("speed", "inf"), "dataset.csv:4: speed must be finite",
+                     id="inf-speed"),
+        pytest.param(_set_cell("soi", "nan"), "dataset.csv:4: soi must be finite",
+                     id="nan-soi"),
+        pytest.param(_set_cell("ca50_ref", "nan"), "dataset.csv:4: ca50_ref must be finite",
+                     id="nan-ca50-ref"),
+        pytest.param(_set_cell("soi", "40.0"), "dataset.csv:4: SOI must lie in",
+                     id="soi-late"),
+        pytest.param(_set_cell("soi", "-150.0"), "dataset.csv:4: SOI must lie in",
+                     id="soi-early"),
+        pytest.param(_set_cell("egr", "1.5"), "dataset.csv:4: EGR fraction",
+                     id="egr-above-one"),
+    ])
+    def test_malformed_dataset_row(self, tmp_path, capsys, command, edit, expected):
+        data = _edited_dataset_csv(tmp_path, 4, edit)
+        self._rejects([command, "--data", data], tmp_path, capsys, expected)
+
+    def test_calibration_divergence(self, tmp_path, capsys):
+        # a finite but absurd reference drives the initial RMSE past the limit
+        data = _edited_dataset_csv(tmp_path, 4, _set_cell("ca50_ref", "1e9"))
+        self._rejects(["calibrate", "--data", data, "--holdout-frac", "0"], tmp_path,
+                      capsys, "exceeds")
+
+    def test_holdout_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # a holdout sample the model rejects, past the reader's checks
+        split = calib.split_dataset
+
+        def split_with_bad_holdout(samples, holdout_frac, seed):
+            train, holdout = split(samples, holdout_frac, seed)
+            return train, [replace(holdout[0], soi=40.0), *holdout[1:]]
+        monkeypatch.setattr(calib, "split_dataset", split_with_bad_holdout)
+        data = _dataset_csv(tmp_path)
+        self._rejects(["calibrate", "--data", data], tmp_path, capsys, "SOI must lie in")

@@ -6,7 +6,14 @@ from mpmath import exp as mp_exp, mp, mpf, power as mp_power
 
 import dualfuel as df
 from dualfuel.core import DomainError
-from dualfuel.model import SOI_LATEST, half_burn_angle, ignition_delay
+from dualfuel.model import (
+    SOI_LATEST,
+    ca50_jacobian,
+    fuel_term,
+    half_burn_angle,
+    ignition_delay,
+    phasing_terms,
+)
 
 from conftest import random_box_op, random_box_soi
 
@@ -166,3 +173,50 @@ class TestPredictCa50:
             a = df.predict_ca50(op, soi, coeffs, geom, v_soi=v_fix)
             b = df.predict_ca50(op, soi + delta, coeffs, geom, v_soi=v_fix)
             assert b - a == pytest.approx(delta, abs=1e-12)
+
+
+def _no_pilot_op():
+    op = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=1e-12, egr=0.25,
+                           x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
+    object.__setattr__(op, "phi_di", 0.0)   # bypass the type guard
+    return op
+
+
+class TestFuelTerm:
+    def test_zero_pilot_with_non_negative_exponent(self):
+        assert fuel_term(0.4, 0.0, 0.2, 0.3) == 0.4 ** 0.2
+
+    def test_no_pilot_rejected_anywhere_in_an_array(self):
+        with pytest.raises(DomainError, match="no pilot fuel"):
+            fuel_term(np.array([0.4, 0.4]), np.array([0.3, 0.0]), 0.2, -0.3)
+
+    # ignition_delay, burn_duration and compute_states have their own tests
+    @pytest.mark.parametrize("evaluate", [
+        lambda op, c, g: df.predict_soc(op, -15.0, c, g),
+        lambda op, c, g: df.predict_ca50(op, -15.0, c, g),
+        lambda op, c, g: ca50_jacobian(op, -15.0, c, g),
+        lambda op, c, g: df.feedforward_soi(8.0, op, c, g, df.ControllerState()),
+        lambda op, c, g: df.knock_integral_soc(op, -15.0, df.PlantConfig(geom=g, coeffs=c)),
+    ], ids=["predict_soc", "predict_ca50", "ca50_jacobian", "feedforward_soi",
+            "knock_integral_soc"])
+    def test_every_caller_applies_the_rule(self, coeffs, geom, evaluate):
+        with pytest.raises(DomainError, match="no pilot fuel"):
+            evaluate(_no_pilot_op(), coeffs, geom)
+
+
+class TestPhasingTerms:
+    def test_sums_to_predict_ca50(self, coeffs, geom, box_rng):
+        for _ in range(50):
+            op = random_box_op(box_rng)
+            soi = random_box_soi(box_rng)
+            delay, half_burn = phasing_terms(df.cylinder_volume(soi, geom), op.speed,
+                                             op.phi_ng, op.phi_di, op.egr, op.x_r,
+                                             op.p_ivc, op.t_ivc, coeffs, geom)
+            assert soi + delay + half_burn == df.predict_ca50(op, soi, coeffs, geom)
+            assert soi + delay == df.predict_soc(op, soi, coeffs, geom)
+
+    def test_accepts_inputs_outside_the_operating_domain(self, coeffs, geom):
+        # the sensitivity study perturbs EGR and the residual fraction below 0
+        delay, half_burn = phasing_terms(df.cylinder_volume(-15.0, geom), 1200.0, 0.4,
+                                         0.4, -0.05, -0.03, 3.5, 390.0, coeffs, geom)
+        assert np.isfinite(delay) and np.isfinite(half_burn)
