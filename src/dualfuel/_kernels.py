@@ -3,29 +3,35 @@
 The accumulated integral is the trapezoid rule on a fixed crank-angle grid
 anchored at the injection angle, interpolated linearly between nodes; the
 start of combustion is the exact crossing of 1 of that piecewise-linear
-cumulative. The integrand (slider-crank volume -> polytrope -> Arrhenius
-exponent) is written once, with numpy ufuncs, so that it takes a scalar
-angle or an angle array, in two pieces: ``_compression_powers`` (the
-geometric part, the compression ratio raised to the polytropic exponent and
-to the exponent less one) and ``_thermal_exponent`` (the part that depends
-on the IVC state). Two marches use them: a scalar march that stops at the
-crossing, compiled by numba when numba is installed (the optional ``fast``
-extra), and a vectorised numpy march over the whole grid. Without numba, or
-with DUALFUEL_DISABLE_NUMBA=1, the numpy march is used.
-``value_numpy`` integrates up to a given angle for the quadrature checks.
+cumulative. The integrand is exp(-c5 * P^c6 / T) / denom with P and T
+projected from IVC along the polytrope, P = p_ivc * r^k and
+T = t_ivc * r^(k-1), where r = V_ivc / V(theta) is the compression ratio of
+the slider crank. Folding the polytrope into the exponent gives
 
-The numpy march caches the grid and its compression-ratio powers in
-``_grid``, a 16-entry LRU keyed by the injection angle, step, grid end,
-IVC volume, polytropic exponent and the four slider-crank dimensions: every
-input of the geometric part and nothing else. The actuator quantizes the
-injection angle, so a closed loop revisits a few dozen angles; a
-continuous set of angles (a random dataset) misses every time and builds
-its grid on each call as before, plus the lookup. A hit returns the arrays
-that the same operations produced on the first call, and the thermal part
-keeps its operation order, so the results are bit for bit those of an
-uncached march. The thermal part and ``exp`` still run at every node of the
-full grid on each call. The cache is shared by every caller in the
-process; its arrays are read-only, so no caller can change another's grid.
+    -c5 * P^c6 / T = a * r^e,  a = -c5 * p_ivc^c6 / t_ivc,  e = k*c6 - k + 1,
+
+so a node costs one cos (sin^2 = 1 - cos^2), one sqrt, one power r^e, one
+multiply by a, one exp and one divide. ``_folded_exponent`` returns (a, e)
+for a state; ``_ratio_power`` returns r^e for a scalar angle or an angle
+array. Two marches use them: a scalar march that stops at the crossing,
+compiled by numba when numba is installed (the optional ``fast`` extra),
+and a vectorised numpy march over the whole grid. Without numba, or with
+DUALFUEL_DISABLE_NUMBA=1, the numpy march is used. ``value_numpy``
+integrates up to a given angle for the quadrature checks.
+
+The numpy march caches the grid and its r^e in ``_grid``, a 16-entry LRU
+keyed by the injection angle, step, grid end, IVC volume, folded exponent e
+and the four slider-crank dimensions: every input of the geometric part and
+nothing else. The actuator quantizes the injection angle, so a closed loop
+revisits a few dozen angles and a hit costs one multiply, one exp and one
+divide per node; a continuous set of angles (a random dataset) misses every
+time and builds the grid on each call, plus the lookup. A hit returns the
+arrays that the same operations produced on the first call, so cached and
+uncached marches agree bit for bit. The folded exponent rounds differently
+from the unfolded chain P^c6 / T, so results differ from that chain in the
+last bits (SOC by about 1e-15 CAD), not bit for bit. The cache is shared by
+every caller in the process; its arrays are read-only, so no caller can
+change another's grid.
 """
 
 from __future__ import annotations
@@ -43,29 +49,18 @@ def numba_disabled_by_env() -> bool:
     return os.environ.get("DUALFUEL_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
 
 
-def _compression_powers(theta, v_ivc, poly_exp, area, v_clear, crank_r, rod_len):
-    """(r^k, r^(k-1)) at crank angle(s) theta [deg aTDC], where r is the
-    compression ratio V_ivc / V(theta) of the slider crank and k the
-    polytropic exponent."""
-    rad = theta * _DEG
-    s = crank_r * (1.0 - np.cos(rad)) + rod_len - np.sqrt(
-        rod_len * rod_len - (crank_r * np.sin(rad)) ** 2)
-    ratio = v_ivc / (v_clear + area * s)
-    return ratio ** poly_exp, ratio ** (poly_exp - 1.0)
+def _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp):
+    """(a, e) with -c5 * P^c6 / T = a * r^e along the polytrope from IVC."""
+    return -c5 * p_ivc ** c6 / t_ivc, poly_exp * c6 - poly_exp + 1.0
 
 
-def _thermal_exponent(rk, rk1, p_ivc, t_ivc, c5, c6):
-    """-c5 * P^c6 / T with P = p_ivc * r^k and T = t_ivc * r^(k-1)."""
-    return -c5 * (p_ivc * rk) ** c6 / (t_ivc * rk1)
-
-
-def _arrhenius_exponent(theta, p_ivc, t_ivc, v_ivc, c5, c6, poly_exp,
-                        area, v_clear, crank_r, rod_len):
-    """-c5 * P^c6 / T at crank angle(s) theta [deg aTDC], with P and T
-    projected from IVC along the polytrope through the slider-crank volume."""
-    rk, rk1 = _compression_powers(theta, v_ivc, poly_exp, area, v_clear,
-                                  crank_r, rod_len)
-    return _thermal_exponent(rk, rk1, p_ivc, t_ivc, c5, c6)
+def _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len):
+    """r^e at crank angle(s) theta [deg aTDC], where r is the compression
+    ratio V_ivc / V(theta) of the slider crank."""
+    c = np.cos(theta * _DEG)
+    s = crank_r * (1.0 - c) + rod_len - np.sqrt(
+        rod_len * rod_len - crank_r * crank_r * (1.0 - c * c))
+    return (v_ivc / (v_clear + area * s)) ** e
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +70,16 @@ def _march_scalar(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
                   c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
     """Returns (soc, integral_reached). soc is NaN when the integral never
     reaches 1 before theta_max (misfire)."""
+    a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
     th = soi
-    f0 = math.exp(_arrhenius_exponent(th, p_ivc, t_ivc, v_ivc, c5, c6, poly_exp,
-                                      area, v_clear, crank_r, rod_len)) / denom
+    f0 = math.exp(a * _ratio_power(th, v_ivc, e, area, v_clear, crank_r, rod_len)) / denom
     total = 0.0
     i = 0
     while th < theta_max:
         i += 1
         th1 = soi + step * i
-        f1 = math.exp(_arrhenius_exponent(th1, p_ivc, t_ivc, v_ivc, c5, c6, poly_exp,
-                                          area, v_clear, crank_r, rod_len)) / denom
+        f1 = math.exp(a * _ratio_power(th1, v_ivc, e, area, v_clear,
+                                       crank_r, rod_len)) / denom
         new_total = total + 0.5 * step * (f0 + f1)
         if new_total >= 1.0:
             frac = (1.0 - total) / (new_total - total)
@@ -98,29 +93,27 @@ def _march_scalar(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
 # ---------------------------------------------------------------------------
 # vectorised numpy path
 
-def _integrand_numpy(theta, rk, rk1, p_ivc, t_ivc, denom, c5, c6):
-    """Integrand at the nodes theta, given the compression-ratio powers
-    rk, rk1 taken on those nodes."""
-    return np.exp(_thermal_exponent(rk, rk1, p_ivc, t_ivc, c5, c6)) / denom
+def _integrand_numpy(theta, r_e, a, denom):
+    """Integrand at the nodes theta, given r^e taken on those nodes."""
+    return np.exp(a * r_e) / denom
 
 
 @functools.lru_cache(maxsize=16)
-def _grid(soi, step, theta_max, v_ivc, poly_exp, area, v_clear, crank_r, rod_len):
-    """Read-only (theta, rk, rk1) of the march grid from soi to theta_max."""
+def _grid(soi, step, theta_max, v_ivc, e, area, v_clear, crank_r, rod_len):
+    """Read-only (theta, r^e) of the march grid from soi to theta_max."""
     n = int(math.ceil((theta_max - soi) / step))
     theta = soi + step * np.arange(n + 1)
-    rk, rk1 = _compression_powers(theta, v_ivc, poly_exp, area, v_clear,
-                                  crank_r, rod_len)
-    for a in (theta, rk, rk1):
-        a.setflags(write=False)
-    return theta, rk, rk1
+    r_e = _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
+    for arr in (theta, r_e):
+        arr.setflags(write=False)
+    return theta, r_e
 
 
 def march_numpy(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
                 c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
-    theta, rk, rk1 = _grid(soi, step, theta_max, v_ivc, poly_exp, area,
-                           v_clear, crank_r, rod_len)
-    f = _integrand_numpy(theta, rk, rk1, p_ivc, t_ivc, denom, c5, c6)
+    a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
+    theta, r_e = _grid(soi, step, theta_max, v_ivc, e, area, v_clear, crank_r, rod_len)
+    f = _integrand_numpy(theta, r_e, a, denom)
     cum = np.cumsum(0.5 * step * (f[:-1] + f[1:]))
     idx = int(np.searchsorted(cum, 1.0))
     if idx == len(cum):
@@ -134,11 +127,11 @@ def value_numpy(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
                 c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
     """Accumulated integral up to theta_end, linearly interpolated within
     the final grid step (the same convention the march inverts)."""
+    a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
     n_full = int(math.floor((theta_end - soi) / step))
     theta = soi + step * np.arange(n_full + 2)
-    rk, rk1 = _compression_powers(theta, v_ivc, poly_exp, area, v_clear,
-                                  crank_r, rod_len)
-    f = _integrand_numpy(theta, rk, rk1, p_ivc, t_ivc, denom, c5, c6)
+    r_e = _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
+    f = _integrand_numpy(theta, r_e, a, denom)
     incr = 0.5 * step * (f[:-1] + f[1:])
     frac = (theta_end - (soi + step * n_full)) / step
     return float(np.sum(incr[:n_full]) + frac * incr[n_full])
@@ -157,9 +150,9 @@ if not numba_disabled_by_env():
     except ImportError:  # numba is the optional "fast" extra
         pass
     else:
-        # compiles the shared exponent wherever jitted code calls it; Python
+        # compiles the shared integrand wherever jitted code calls it; Python
         # callers keep the plain functions
-        for fn in (_compression_powers, _thermal_exponent, _arrhenius_exponent):
+        for fn in (_folded_exponent, _ratio_power):
             register_jitable(fn)
         march_jit = njit(cache=True)(_march_scalar)
         NUMBA_ENABLED = True

@@ -284,6 +284,9 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
 
     x = _pack(initial)
     fx = f(x)
+    if not np.isfinite(fx):
+        # a sample outside the model domain is not divergence: name it
+        _locate_domain_error(dataset, initial, geom)
     report = CalibReport(iterations=0, final_rmse=fx)
     report.rmse_history.append(fx)
     report.coeff_history.append(dict(zip(CALIBRATED_FIELDS, x.tolist())))

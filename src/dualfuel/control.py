@@ -8,7 +8,7 @@ open-loop law that inverts the phasing model to place the injection angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
     DomainError,
@@ -111,5 +111,6 @@ def feedforward_soi(ref_ca50: float, op: OperatingPoint,
                                      MEAN_RESIDUAL_FRACTION, op.p_ivc, op.t_ivc,
                                      coeffs, geom)
     command = ref_ca50 - delay - half_burn
-    new_state = replace(ctrl, last_v_soi=cylinder_volume(command, geom))
+    new_state = ControllerState(alpha_hat=ctrl.alpha_hat, beta_hat=ctrl.beta_hat,
+                                last_v_soi=cylinder_volume(command, geom))
     return command, new_state

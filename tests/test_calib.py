@@ -1,6 +1,8 @@
 """Dataset generation, RMSE objective, the analytic CA50 Jacobian,
 Levenberg-Marquardt calibration and validation statistics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,14 @@ class TestCalibrate:
         with pytest.raises(CalibrationDiverged) as exc:
             df.calibrate(coeffs, broken, geom)
         assert exc.value.report.rmse_history
+
+    def test_sample_outside_domain_named(self, geom, plant_cfg):
+        # the starting point is checked the way rmse checks it, so an
+        # out-of-window SOI is a DomainError naming the row, not divergence
+        samples, _ = df.generate_dataset(None, 20, plant_cfg, seed=4)
+        samples[3] = dataclasses.replace(samples[3], soi=40.0)
+        with pytest.raises(df.DomainError, match="sample 3: SOI must lie in"):
+            df.calibrate(None, samples, geom)
 
     def test_jacobian_matches_central_differences(self, geom, coeffs,
                                                   small_plant_dataset):

@@ -36,34 +36,41 @@ def test_march_backends_agree(cfg, box_rng):
         assert reached_jit == pytest.approx(reached_np, rel=1e-12)
 
 
-def test_integrand_matches_reference_formula(cfg, geom, coeffs, mid_op):
-    # the kernel-internal volume/polytropic/Arrhenius chain must reproduce
-    # the public building blocks
+def test_integrand_matches_reference_formula(cfg, geom, coeffs, box_rng):
+    # the folded exponent a * r^e must reproduce the unfolded chain of the
+    # public building blocks: volume -> polytropic state -> Arrhenius
     theta = np.linspace(-20.0, 10.0, 61)
-    args = _args(mid_op, cfg)
-    p_ivc, t_ivc, v_ivc, denom, c5, c6, poly, area, v_clear, crank_r, rod_len = args
-    rk, rk1 = _kernels._compression_powers(theta, v_ivc, poly, area, v_clear,
-                                           crank_r, rod_len)
-    got = _kernels._integrand_numpy(theta, rk, rk1, p_ivc, t_ivc, denom, c5, c6)
     vol = df.cylinder_volume(theta, geom)
-    p, t = df.polytropic_state_at_soi(mid_op.p_ivc, mid_op.t_ivc, v_ivc, vol, poly)
-    expected = np.exp(-coeffs.c5 * p ** coeffs.c6 / t) / denom
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
-    # the same exponent serves the scalar march one angle at a time
-    scalar = [math.exp(_kernels._arrhenius_exponent(
-        th, p_ivc, t_ivc, v_ivc, c5, c6, poly, area, v_clear, crank_r, rod_len)) / denom
-        for th in theta]
-    np.testing.assert_allclose(scalar, expected, rtol=1e-12)
+    for _ in range(25):
+        op = random_box_op(box_rng)
+        p_ivc, t_ivc, v_ivc, denom, c5, c6, poly, area, v_clear, crank_r, rod_len = \
+            _args(op, cfg)
+        p, t = df.polytropic_state_at_soi(op.p_ivc, op.t_ivc, v_ivc, vol, poly)
+        expected = np.exp(-coeffs.c5 * p ** coeffs.c6 / t) / denom
+        a, e = _kernels._folded_exponent(p_ivc, t_ivc, c5, c6, poly)
+        r_e = _kernels._ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
+        got = _kernels._integrand_numpy(theta, r_e, a, denom)
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        # the same helpers serve the scalar march one angle at a time
+        scalar = [math.exp(a * _kernels._ratio_power(
+            th, v_ivc, e, area, v_clear, crank_r, rod_len)) / denom for th in theta]
+        np.testing.assert_allclose(scalar, expected, rtol=1e-12)
 
 
-def test_scalar_and_numpy_paths_agree_without_numba(cfg, mid_op):
+def test_scalar_and_numpy_paths_agree_without_numba(cfg, box_rng):
     # the plain-python scalar march is the function numba compiles; it must
-    # agree with the vectorised path on its own
-    soi = -15.0
-    args = (soi, cfg.quad_step, MISFIRE_LIMIT) + _args(mid_op, cfg)
-    soc_py, _ = _kernels._march_scalar(*args)
-    soc_np, _ = _kernels.march_numpy(*args)
-    assert soc_py == pytest.approx(soc_np, rel=1e-12, abs=1e-12)
+    # agree with the vectorised path on its own, fired or misfired
+    freezing = df.OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
+                                 x_r=0.03, p_ivc=1.0, t_ivc=60.0)
+    points = [(random_box_op(box_rng), random_box_soi(box_rng)) for _ in range(120)]
+    for op, soi in points + [(freezing, -15.0)]:
+        args = (soi, cfg.quad_step, MISFIRE_LIMIT) + _args(op, cfg)
+        soc_py, reached_py = _kernels._march_scalar(*args)
+        soc_np, reached_np = _kernels.march_numpy(*args)
+        assert math.isnan(soc_py) == math.isnan(soc_np) == (op is freezing)
+        if op is not freezing:
+            assert soc_py == pytest.approx(soc_np, rel=1e-12, abs=1e-12)
+        assert reached_py == pytest.approx(reached_np, rel=1e-12)
 
 
 def test_misfire_returns_nan(cfg):
@@ -106,9 +113,10 @@ def test_cached_grid_gives_cold_results(cfg, box_rng):
 
 
 def test_cached_grid_is_read_only(cfg, mid_op):
-    args = _args(mid_op, cfg)
-    v_ivc, poly, area, v_clear, crank_r, rod_len = args[2], *args[6:]
-    arrays = _kernels._grid(-15.0, cfg.quad_step, MISFIRE_LIMIT, v_ivc, poly,
+    p_ivc, t_ivc, v_ivc, _, c5, c6, poly, area, v_clear, crank_r, rod_len = \
+        _args(mid_op, cfg)
+    _, e = _kernels._folded_exponent(p_ivc, t_ivc, c5, c6, poly)
+    arrays = _kernels._grid(-15.0, cfg.quad_step, MISFIRE_LIMIT, v_ivc, e,
                             area, v_clear, crank_r, rod_len)
     for a in arrays:
         with pytest.raises(ValueError):
