@@ -13,11 +13,11 @@ the slider crank. Folding the polytrope into the exponent gives
 so a node costs one cos (sin^2 = 1 - cos^2), one sqrt, one power r^e, one
 multiply by a, one exp and one divide. ``_folded_exponent`` returns (a, e)
 for a state; ``_ratio_power`` returns r^e for a scalar angle or an angle
-array. Two marches use them: a scalar march that stops at the crossing,
-compiled by numba when numba is installed (the optional ``fast`` extra),
-and a vectorised numpy march over the whole grid. Without numba, or with
-DUALFUEL_DISABLE_NUMBA=1, the numpy march is used. ``value_numpy``
-integrates up to a given angle for the quadrature checks.
+array. ``march`` is the vectorised numpy march over the whole grid, the
+one kernel the package runs. ``_march_scalar`` is the reference march: it
+takes the same nodes one at a time and stops at the crossing, and the
+tests check ``march`` against it. ``value_numpy`` integrates up to a given
+angle for the quadrature checks.
 
 The numpy march caches the grid and its r^e in ``_grid``, a 16-entry LRU
 keyed by the injection angle, step, grid end, IVC volume, folded exponent e
@@ -38,15 +38,10 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 
 import numpy as np
 
 _DEG = math.pi / 180.0
-
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("DUALFUEL_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
 
 
 def _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp):
@@ -64,7 +59,7 @@ def _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len):
 
 
 # ---------------------------------------------------------------------------
-# scalar march (numba-compilable; no allocations, early exit at the crossing)
+# scalar reference march (early exit at the crossing)
 
 def _march_scalar(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
                   c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
@@ -138,23 +133,10 @@ def value_numpy(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
 
 
 # ---------------------------------------------------------------------------
-# backend selection
+# the kernel
 
+march = march_numpy
+
+# perfbench/run.py's run manifest reads this flag; it goes in the next
+# change to the benchmark
 NUMBA_ENABLED = False
-march_jit = None
-
-if not numba_disabled_by_env():
-    try:
-        from numba import njit
-        from numba.extending import register_jitable
-    except ImportError:  # numba is the optional "fast" extra
-        pass
-    else:
-        # compiles the shared integrand wherever jitted code calls it; Python
-        # callers keep the plain functions
-        for fn in (_folded_exponent, _ratio_power):
-            register_jitable(fn)
-        march_jit = njit(cache=True)(_march_scalar)
-        NUMBA_ENABLED = True
-
-march = march_jit if NUMBA_ENABLED else march_numpy

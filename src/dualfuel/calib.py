@@ -162,6 +162,9 @@ def split_dataset(samples, holdout_frac: float = 0.2, seed: int = 0):
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(samples))
     n_holdout = int(round(holdout_frac * len(samples)))
+    if n_holdout == len(samples):
+        raise DomainError(f"holdout_frac {holdout_frac:g} of {len(samples)} samples "
+                          "leaves no training sample")
     holdout_idx = set(order[:n_holdout].tolist())
     train = [s for i, s in enumerate(samples) if i not in holdout_idx]
     holdout = [s for i, s in enumerate(samples) if i in holdout_idx]

@@ -9,8 +9,10 @@ All functions broadcast over numpy arrays.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +32,13 @@ def holds(cond, reduce=np.all) -> bool:
     if isinstance(cond, (bool, np.bool_)):
         return bool(cond)
     return bool(reduce(cond))
+
+
+def _number(value, what):
+    """value if it is a real number (JSON true/false are not), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {type(value).__name__}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +179,10 @@ class ModelCoefficients:
     wiebe_b: float = 1.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"coefficient {f.name!r} must be finite, got {value}")
         if self.c5 <= 0.0:
             raise DomainError("c5 must be positive")
         if self.c11 <= 0.0:
@@ -196,11 +209,19 @@ class ModelCoefficients:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelCoefficients":
-        names = {f.name for f in fields(cls)}
-        kwargs = {k: float(v) for k, v in d.items() if k in names}
+        if not isinstance(d, dict):
+            raise ValueError(f"coefficients must be a JSON object, got {type(d).__name__}")
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in d:
+                kwargs[f.name] = float(_number(d[f.name], f"coefficient {f.name!r}"))
+            elif f.default is MISSING:
+                raise ValueError(f"missing coefficient {f.name!r}")
         coeffs = cls(**kwargs)
-        if "c7" in d and abs(float(d["c7"]) - coeffs.c7) > 1e-9 * coeffs.c7:
-            warnings.warn("c7 in file is inconsistent with c11 and Wiebe shape; recomputed")
+        if "c7" in d:
+            c7 = float(_number(d["c7"], "coefficient 'c7'"))
+            if abs(c7 - coeffs.c7) > 1e-9 * coeffs.c7:
+                warnings.warn("c7 in file is inconsistent with c11 and Wiebe shape; recomputed")
         return coeffs
 
     def replace(self, **changes) -> "ModelCoefficients":

@@ -8,6 +8,7 @@ the model-sensitivity and measurement-noise studies. All outputs are CSV.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -109,10 +110,13 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
     same) is the controller's model. The CA50 reference is sampled once per cycle and applied on the next
     one. The controller sees the scheduled (commanded) operating point; the
     plant applies its own intake lag. The optional first-order measurement
-    filter (time constant in cycles, default off) smooths the CA50 fed to
-    the observer. A misfire aborts with the partial stream and the summary
+    filter (time constant in cycles, finite and non-negative; 0, the
+    default, is off) smooths the CA50 fed to the observer. A misfire aborts with the partial stream and the summary
     flagged.
     """
+    if not (math.isfinite(measurement_filter_cycles) and measurement_filter_cycles >= 0.0):
+        raise ValueError("measurement_filter_cycles must be finite and non-negative, "
+                         f"got {measurement_filter_cycles}")
     geom = geom or default_geometry()
     ctrl_coeffs = ctrl_coeffs or default_coefficients()
     cfg = PlantConfig(geom=geom, coeffs=default_coefficients(), **scenario.plant)

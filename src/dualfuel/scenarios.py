@@ -6,10 +6,10 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 from .control import MEAN_RESIDUAL_FRACTION
+from .core import _number
 from .plant import PlantConfig
 
 # quantities a scenario may schedule; manifold conditions are mapped to IVC
@@ -27,13 +27,6 @@ CONTROLLERS = ("adaptive", "feedforward")
 # PlantConfig fields a scenario may override; the runner supplies the rest
 PLANT_KEYS = tuple(f.name for f in fields(PlantConfig)
                    if f.name not in ("geom", "coeffs"))
-
-
-def _number(value, what):
-    """value if it is a real number (JSON true/false are not), else ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)

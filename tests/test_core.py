@@ -6,6 +6,7 @@ the frozen literals stay auditable.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -153,10 +154,22 @@ class TestModelCoefficients:
     @pytest.mark.parametrize("bad", [
         dict(c5=0.0), dict(c5=-1.0), dict(c11=0.0), dict(k_c=1.0),
         dict(wiebe_a=0.0), dict(wiebe_b=-1.0),
+        dict(c1=math.nan), dict(c2=math.inf), dict(c5=math.nan), dict(c6=-math.inf),
+        dict(k_c=math.inf), dict(wiebe_b=math.nan),
     ])
     def test_invariants(self, coeffs, bad):
         with pytest.raises(DomainError):
             coeffs.replace(**bad)
+
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param(lambda d: d.update(c3=None), "'c3' must be a number", id="null"),
+        pytest.param(lambda d: d.update(c7="x"), "'c7' must be a number", id="c7-string"),
+    ])
+    def test_from_dict_rejects_non_number(self, coeffs, edit, expected):
+        d = coeffs.to_dict()
+        edit(d)
+        with pytest.raises(ValueError, match=expected):
+            df.ModelCoefficients.from_dict(d)
 
     def test_json_round_trip(self, tmp_path, coeffs):
         path = tmp_path / "coeffs.json"

@@ -278,9 +278,9 @@ class TestCli:
         assert float(printed) < 0.01 and printed != f"{float(printed):.4f}"
 
 
-def _dataset_csv(tmp_path):
+def _dataset_csv(tmp_path, n_samples=16):
     cfg = df.PlantConfig(geom=df.default_geometry(), coeffs=df.default_coefficients())
-    samples, _ = df.generate_dataset(None, 16, cfg, seed=1)
+    samples, _ = df.generate_dataset(None, n_samples, cfg, seed=1)
     path = tmp_path / "dataset.csv"
     df.write_dataset(path, samples)
     return str(path)
@@ -355,6 +355,28 @@ class TestCliRejectsBadInput:
         self._rejects(["noise-study", "--halfwidth", "-1"], tmp_path, capsys,
                       "ca50_noise_halfwidth")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_filter_cycles(self, tmp_path, capsys, value):
+        self._rejects(["noise-study", "--filter-cycles", value], tmp_path, capsys,
+                      "measurement_filter_cycles must be finite and non-negative")
+
+    @pytest.mark.parametrize("document, expected", [
+        pytest.param(lambda d: {k: v for k, v in d.items() if k != "c5"},
+                     "missing coefficient 'c5'", id="missing-c5"),
+        pytest.param(lambda d: [d], "must be a JSON object, got list", id="list"),
+        pytest.param(lambda d: {**d, "c5": float("nan")}, "'c5' must be finite",
+                     id="nan-c5"),
+        pytest.param(lambda d: {**d, "c2": float("nan")}, "'c2' must be finite",
+                     id="nan-c2"),
+        pytest.param(lambda d: {**d, "c1": float("inf")}, "'c1' must be finite",
+                     id="inf-c1"),
+    ])
+    def test_bad_coefficients_file(self, tmp_path, capsys, document, expected):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document(df.default_coefficients().to_dict())))
+        self._rejects(["simulate", "--case", "1", "--coeffs", str(path)], tmp_path,
+                      capsys, expected)
+
     @pytest.mark.parametrize("edit, expected", [
         pytest.param(lambda d: d.update(schedules=[]), "'schedules' must be an object",
                      id="schedules-list"),
@@ -420,6 +442,11 @@ class TestCliRejectsBadInput:
     def test_malformed_dataset_row(self, tmp_path, capsys, command, edit, expected):
         data = _edited_dataset_csv(tmp_path, 4, edit)
         self._rejects([command, "--data", data], tmp_path, capsys, expected)
+
+    def test_no_training_sample_left(self, tmp_path, capsys):
+        data = _dataset_csv(tmp_path, n_samples=3)
+        self._rejects(["calibrate", "--data", data, "--holdout-frac", "0.9"], tmp_path,
+                      capsys, "holdout_frac 0.9 of 3 samples leaves no training sample")
 
     def test_calibration_divergence(self, tmp_path, capsys):
         # a finite but absurd reference drives the initial RMSE past the limit

@@ -1,4 +1,5 @@
-"""Equivalence of the numba and pure-numpy quadrature kernels."""
+"""The numpy quadrature march against the scalar reference march, the
+integrand against its unfolded formula, and the march's grid cache."""
 
 import math
 
@@ -11,9 +12,6 @@ from dualfuel.plant import MISFIRE_LIMIT, _kernel_args
 
 from conftest import random_box_op, random_box_soi
 
-needs_numba = pytest.mark.skipif(not _kernels.NUMBA_ENABLED,
-                                 reason="numba backend disabled")
-
 
 def _args(op, cfg):
     return _kernel_args(op, cfg)
@@ -22,18 +20,6 @@ def _args(op, cfg):
 @pytest.fixture
 def cfg(geom, coeffs):
     return df.PlantConfig(geom=geom, coeffs=coeffs)
-
-
-@needs_numba
-def test_march_backends_agree(cfg, box_rng):
-    for _ in range(100):
-        op = random_box_op(box_rng)
-        soi = random_box_soi(box_rng)
-        args = (soi, cfg.quad_step, MISFIRE_LIMIT) + _args(op, cfg)
-        soc_jit, reached_jit = _kernels.march_jit(*args)
-        soc_np, reached_np = _kernels.march_numpy(*args)
-        assert soc_jit == pytest.approx(soc_np, rel=1e-12, abs=1e-12)
-        assert reached_jit == pytest.approx(reached_np, rel=1e-12)
 
 
 def test_integrand_matches_reference_formula(cfg, geom, coeffs, box_rng):
@@ -57,9 +43,10 @@ def test_integrand_matches_reference_formula(cfg, geom, coeffs, box_rng):
         np.testing.assert_allclose(scalar, expected, rtol=1e-12)
 
 
-def test_scalar_and_numpy_paths_agree_without_numba(cfg, box_rng):
-    # the plain-python scalar march is the function numba compiles; it must
-    # agree with the vectorised path on its own, fired or misfired
+def test_scalar_and_numpy_marches_agree(cfg, box_rng):
+    # the scalar march is the reference: it takes the same nodes one at a
+    # time and stops at the crossing; the vectorised march must agree with
+    # it, fired or misfired
     freezing = df.OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
                                  x_r=0.03, p_ivc=1.0, t_ivc=60.0)
     points = [(random_box_op(box_rng), random_box_soi(box_rng)) for _ in range(120)]
@@ -81,16 +68,6 @@ def test_misfire_returns_nan(cfg):
     soc, reached = _kernels.march(*args)
     assert math.isnan(soc)
     assert reached < 1.0
-
-
-def test_env_flag_parsing(monkeypatch):
-    monkeypatch.delenv("DUALFUEL_DISABLE_NUMBA", raising=False)
-    assert not _kernels.numba_disabled_by_env()
-    for val in ("1", "true", "YES"):
-        monkeypatch.setenv("DUALFUEL_DISABLE_NUMBA", val)
-        assert _kernels.numba_disabled_by_env()
-    monkeypatch.setenv("DUALFUEL_DISABLE_NUMBA", "0")
-    assert not _kernels.numba_disabled_by_env()
 
 
 # ---------------------------------------------------------------------------
