@@ -12,31 +12,26 @@ the slider crank. Folding the polytrope into the exponent gives
 
 so a node costs one cos (sin^2 = 1 - cos^2), one sqrt, one power r^e, one
 multiply by a, one exp and one divide. ``_folded_exponent`` returns (a, e)
-for a state; ``_ratio_power`` returns r^e for a scalar angle or an angle
-array. ``march`` is the vectorised numpy march over the whole grid, the
-one kernel the package runs. ``_march_scalar`` is the reference march: it
-takes the same nodes one at a time and stops at the crossing, and the
-tests check ``march`` against it. ``value_numpy`` integrates up to a given
-angle for the quadrature checks.
+for a state and ``_node`` the integrand at one angle in plain ``math``.
 
-The numpy march caches the grid and its r^e in ``_grid``, a 16-entry LRU
-keyed by the injection angle, step, grid end, IVC volume, folded exponent e
-and the four slider-crank dimensions: every input of the geometric part and
-nothing else. The actuator quantizes the injection angle, so a closed loop
-revisits a few dozen angles and a hit costs one multiply, one exp and one
-divide per node; a continuous set of angles (a random dataset) misses every
-time and builds the grid on each call, plus the lookup. A hit returns the
-arrays that the same operations produced on the first call, so cached and
-uncached marches agree bit for bit. The folded exponent rounds differently
-from the unfolded chain P^c6 / T, so results differ from that chain in the
-last bits (SOC by about 1e-15 CAD), not bit for bit. The cache is shared by
-every caller in the process; its arrays are read-only, so no caller can
-change another's grid.
+``march`` is the kernel the package runs: ``_march_scalar`` takes the nodes
+one at a time and stops at the crossing: about 11 nodes for a firing point
+against the 584 of the whole grid up to the misfire limit, which in plain
+CPython cost less than one vectorised pass over that grid. ``value``
+integrates up to a given angle with the same nodes and the same sum, for the
+quadrature checks.
+
+``march_numpy`` is the reference march: it evaluates the whole grid at once
+with the numpy helpers ``_ratio_power`` and ``_integrand_numpy``, written
+apart from the scalar loop so that a slip in one does not hide in both.
+The tests hold ``march`` to it within 1e-12 CAD, and the benchmark's node
+counts and backend label read it by name. numpy's vectorised cos, sqrt and
+power round differently from libm in the last bit now and then, so a few SOCs
+differ from the reference by about 1e-15 CAD, not bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -49,32 +44,31 @@ def _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp):
     return -c5 * p_ivc ** c6 / t_ivc, poly_exp * c6 - poly_exp + 1.0
 
 
-def _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len):
-    """r^e at crank angle(s) theta [deg aTDC], where r is the compression
-    ratio V_ivc / V(theta) of the slider crank."""
-    c = np.cos(theta * _DEG)
-    s = crank_r * (1.0 - c) + rod_len - np.sqrt(
-        rod_len * rod_len - crank_r * crank_r * (1.0 - c * c))
-    return (v_ivc / (v_clear + area * s)) ** e
-
-
 # ---------------------------------------------------------------------------
-# scalar reference march (early exit at the crossing)
+# the kernel: plain-math march with an early exit at the crossing
+
+def _node(theta, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len):
+    """Integrand exp(a * r^e) / denom at one crank angle theta [deg aTDC]."""
+    c = math.cos(theta * _DEG)
+    s = crank_r * (1.0 - c) + rod_len - math.sqrt(
+        rod_len * rod_len - crank_r * crank_r * (1.0 - c * c))
+    return math.exp(a * (v_ivc / (v_clear + area * s)) ** e) / denom
+
 
 def _march_scalar(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
                   c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
     """Returns (soc, integral_reached). soc is NaN when the integral never
     reaches 1 before theta_max (misfire)."""
     a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
+    geo = (a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
     th = soi
-    f0 = math.exp(a * _ratio_power(th, v_ivc, e, area, v_clear, crank_r, rod_len)) / denom
+    f0 = _node(th, *geo)
     total = 0.0
     i = 0
     while th < theta_max:
         i += 1
         th1 = soi + step * i
-        f1 = math.exp(a * _ratio_power(th1, v_ivc, e, area, v_clear,
-                                       crank_r, rod_len)) / denom
+        f1 = _node(th1, *geo)
         new_total = total + 0.5 * step * (f0 + f1)
         if new_total >= 1.0:
             frac = (1.0 - total) / (new_total - total)
@@ -85,29 +79,47 @@ def _march_scalar(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
     return math.nan, total
 
 
+march = _march_scalar
+
+
+def value(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
+          c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
+    """Accumulated integral up to theta_end, linearly interpolated within
+    the final grid step (the same convention the march inverts)."""
+    a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
+    geo = (a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
+    n_full = int(math.floor((theta_end - soi) / step))
+    f = [_node(soi + step * i, *geo) for i in range(n_full + 2)]
+    total = 0.0
+    for i in range(n_full):
+        total += 0.5 * step * (f[i] + f[i + 1])
+    frac = (theta_end - (soi + step * n_full)) / step
+    return total + frac * (0.5 * step * (f[n_full] + f[n_full + 1]))
+
+
 # ---------------------------------------------------------------------------
-# vectorised numpy path
+# vectorised numpy reference march over the whole grid
+
+def _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len):
+    """r^e at crank angle(s) theta [deg aTDC], where r is the compression
+    ratio V_ivc / V(theta) of the slider crank."""
+    c = np.cos(theta * _DEG)
+    s = crank_r * (1.0 - c) + rod_len - np.sqrt(
+        rod_len * rod_len - crank_r * crank_r * (1.0 - c * c))
+    return (v_ivc / (v_clear + area * s)) ** e
+
 
 def _integrand_numpy(theta, r_e, a, denom):
     """Integrand at the nodes theta, given r^e taken on those nodes."""
     return np.exp(a * r_e) / denom
 
 
-@functools.lru_cache(maxsize=16)
-def _grid(soi, step, theta_max, v_ivc, e, area, v_clear, crank_r, rod_len):
-    """Read-only (theta, r^e) of the march grid from soi to theta_max."""
-    n = int(math.ceil((theta_max - soi) / step))
-    theta = soi + step * np.arange(n + 1)
-    r_e = _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
-    for arr in (theta, r_e):
-        arr.setflags(write=False)
-    return theta, r_e
-
-
 def march_numpy(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
                 c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
     a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
-    theta, r_e = _grid(soi, step, theta_max, v_ivc, e, area, v_clear, crank_r, rod_len)
+    n = int(math.ceil((theta_max - soi) / step))
+    theta = soi + step * np.arange(n + 1)
+    r_e = _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
     f = _integrand_numpy(theta, r_e, a, denom)
     cum = np.cumsum(0.5 * step * (f[:-1] + f[1:]))
     idx = int(np.searchsorted(cum, 1.0))
@@ -117,25 +129,6 @@ def march_numpy(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
     frac = (1.0 - prev) / (float(cum[idx]) - prev)
     return float(theta[idx]) + frac * step, float(cum[idx])
 
-
-def value_numpy(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
-                c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
-    """Accumulated integral up to theta_end, linearly interpolated within
-    the final grid step (the same convention the march inverts)."""
-    a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
-    n_full = int(math.floor((theta_end - soi) / step))
-    theta = soi + step * np.arange(n_full + 2)
-    r_e = _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
-    f = _integrand_numpy(theta, r_e, a, denom)
-    incr = 0.5 * step * (f[:-1] + f[1:])
-    frac = (theta_end - (soi + step * n_full)) / step
-    return float(np.sum(incr[:n_full]) + frac * incr[n_full])
-
-
-# ---------------------------------------------------------------------------
-# the kernel
-
-march = march_numpy
 
 # perfbench/run.py's run manifest reads this flag; it goes in the next
 # change to the benchmark

@@ -43,6 +43,8 @@ def cmd_gen_data(args):
                       rng_seed=args.seed)
     samples, misfires = calib.generate_dataset(None, args.samples, cfg,
                                                seed=args.seed)
+    if not samples:
+        raise ValueError(f"all {misfires} samples misfired; no dataset written")
     out = _outdir(args) / "dataset.csv"
     calib.write_dataset(out, samples)
     print(f"wrote {len(samples)} samples to {out} ({misfires} misfires excluded)")

@@ -252,8 +252,21 @@ def save_coefficients(path, coeffs: ModelCoefficients):
 
 
 def load_coefficients(path) -> ModelCoefficients:
+    """Coefficients from a JSON file, with a positive ignition-delay scale.
+
+    The delay scale c1*egr + c2 must be positive for every egr in [0, 1),
+    that is c2 > 0 and c1 + c2 > 0; otherwise the model predicts a zero or
+    negative ignition delay and a controller built on it pins its command
+    at the actuator limit. The calibration's trial points do not come
+    through here, so the check stays out of ``ModelCoefficients``.
+    """
     with open(path) as fh:
-        return ModelCoefficients.from_dict(json.load(fh))
+        coeffs = ModelCoefficients.from_dict(json.load(fh))
+    if not (coeffs.c2 > 0.0 and coeffs.c1 + coeffs.c2 > 0.0):
+        raise DomainError(
+            f"ignition-delay scale c1*egr + c2 must be positive for egr in [0, 1): "
+            f"need c2 > 0 and c1 + c2 > 0, got c1={coeffs.c1}, c2={coeffs.c2}")
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

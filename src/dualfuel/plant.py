@@ -119,7 +119,7 @@ def knock_integral_value(op: OperatingPoint, soi: float, theta_end: float,
     """Accumulated autoignition integral from soi up to theta_end."""
     if theta_end < soi:
         raise DomainError("theta_end must not precede soi")
-    return _kernels.value_numpy(theta_end, soi, cfg.quad_step, *_kernel_args(op, cfg))
+    return _kernels.value(theta_end, soi, cfg.quad_step, *_kernel_args(op, cfg))
 
 
 def wiebe_fraction(theta, soc, bd, coeffs: ModelCoefficients):

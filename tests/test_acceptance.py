@@ -37,7 +37,8 @@ def report(criterion, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def warm_kernels(geom, coeffs):
-    # JIT compilation is one-time setup; keep it out of the timed sections
+    # first calls pay for imports and lazy setup; keep them out of the
+    # timed sections
     op = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
                            x_r=0.03, p_ivc=3.0, t_ivc=390.0)
     cfg = df.PlantConfig(geom=geom, coeffs=coeffs)

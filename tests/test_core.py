@@ -179,6 +179,21 @@ class TestModelCoefficients:
         # the serialised form carries the derived c7 for reference
         assert json.loads(path.read_text())["c7"] == pytest.approx(coeffs.c7)
 
+    @pytest.mark.parametrize("c1_over_c2, accepted", [
+        (-0.5, True), (-1.0, False), (-2.0, False),
+    ])
+    def test_file_needs_positive_delay_scale(self, tmp_path, coeffs, c1_over_c2,
+                                              accepted):
+        # c1*egr + c2 > 0 on egr in [0, 1) holds iff c2 > 0 and c1 + c2 > 0;
+        # ModelCoefficients itself accepts the point, as calibration trials need
+        path = tmp_path / "coeffs.json"
+        df.save_coefficients(path, coeffs.replace(c1=c1_over_c2 * coeffs.c2))
+        if accepted:
+            assert df.load_coefficients(path).c1 == c1_over_c2 * coeffs.c2
+        else:
+            with pytest.raises(DomainError, match="c1 \\+ c2 > 0"):
+                df.load_coefficients(path)
+
     def test_inconsistent_c7_warns(self, tmp_path, coeffs):
         d = coeffs.to_dict()
         d["c7"] = d["c7"] * 2.0

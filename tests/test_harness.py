@@ -370,6 +370,10 @@ class TestCliRejectsBadInput:
                      id="nan-c2"),
         pytest.param(lambda d: {**d, "c1": float("inf")}, "'c1' must be finite",
                      id="inf-c1"),
+        pytest.param(lambda d: {**d, "c1": -1.0}, "c1*egr + c2 must be positive",
+                     id="negative-delay-scale"),
+        pytest.param(lambda d: {**d, "c2": 0.0}, "c1*egr + c2 must be positive",
+                     id="zero-c2"),
     ])
     def test_bad_coefficients_file(self, tmp_path, capsys, document, expected):
         path = tmp_path / "bad.json"
@@ -411,6 +415,13 @@ class TestCliRejectsBadInput:
         assert "unrecognized arguments: --learn-rate" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_gen_data_all_misfire(self, tmp_path, capsys):
+        # c6 = 50 freezes the charge: every sample misfires
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**df.default_coefficients().to_dict(), "c6": 50.0}))
+        self._rejects(["gen-data", "--samples", "5", "--coeffs", str(path)], tmp_path,
+                      capsys, "all 5 samples misfired")
 
     def test_empty_dataset(self, tmp_path, capsys):
         data = tmp_path / "empty.csv"

@@ -1,7 +1,9 @@
-"""The numpy quadrature march against the scalar reference march, the
-integrand against its unfolded formula, and the march's grid cache."""
+"""The plain-math march against the numpy reference march, its early exit,
+the integrand against its unfolded formula, and the integral value against
+the march's crossing and a numpy reference sum."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,9 +39,9 @@ def test_integrand_matches_reference_formula(cfg, geom, coeffs, box_rng):
         r_e = _kernels._ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
         got = _kernels._integrand_numpy(theta, r_e, a, denom)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
-        # the same helpers serve the scalar march one angle at a time
-        scalar = [math.exp(a * _kernels._ratio_power(
-            th, v_ivc, e, area, v_clear, crank_r, rod_len)) / denom for th in theta]
+        # the plain-math node of the march, one angle at a time
+        scalar = [_kernels._node(th, a, denom, v_ivc, e, area, v_clear, crank_r,
+                                 rod_len) for th in theta]
         np.testing.assert_allclose(scalar, expected, rtol=1e-12)
 
 
@@ -71,37 +73,57 @@ def test_misfire_returns_nan(cfg):
 
 
 # ---------------------------------------------------------------------------
-# the numpy march's grid cache
+# the early exit and the integral value
 
-def test_cached_grid_gives_cold_results(cfg, box_rng):
-    # repeated injection angles hit the cache with a different thermal state
-    # each time; every result must equal a march on an empty cache exactly
-    sois = [-15.0, -12.3, -15.0, -18.7, -12.3, -15.0, -10.0, -18.7]
-    calls = [(soi, cfg.quad_step, MISFIRE_LIMIT) + _args(random_box_op(box_rng), cfg)
-             for soi in sois]
-    _kernels._grid.cache_clear()
-    warm = [_kernels.march_numpy(*args) for args in calls]
-    assert _kernels._grid.cache_info().hits == 4
-    cold = []
-    for args in calls:
-        _kernels._grid.cache_clear()
-        cold.append(_kernels.march_numpy(*args))
-    assert warm == cold
+def test_march_evaluates_nodes_up_to_the_crossing(cfg, box_rng, monkeypatch):
+    # one exp per node: the march stops at the node past the crossing, or at
+    # the misfire limit when there is none
+    calls = [0]
 
-
-def test_cached_grid_is_read_only(cfg, mid_op):
-    p_ivc, t_ivc, v_ivc, _, c5, c6, poly, area, v_clear, crank_r, rod_len = \
-        _args(mid_op, cfg)
-    _, e = _kernels._folded_exponent(p_ivc, t_ivc, c5, c6, poly)
-    arrays = _kernels._grid(-15.0, cfg.quad_step, MISFIRE_LIMIT, v_ivc, e,
-                            area, v_clear, crank_r, rod_len)
-    for a in arrays:
-        with pytest.raises(ValueError):
-            a[0] = 0.0
+    def exp(x):
+        calls[0] += 1
+        return math.exp(x)
+    counting_math = SimpleNamespace(**{n: getattr(math, n) for n in dir(math)
+                                       if not n.startswith("_")})
+    counting_math.exp = exp
+    monkeypatch.setattr(_kernels, "math", counting_math)
+    freezing = df.OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
+                                 x_r=0.03, p_ivc=1.0, t_ivc=60.0)
+    points = [(random_box_op(box_rng), random_box_soi(box_rng)) for _ in range(50)]
+    for op, soi in points + [(freezing, -15.0)]:
+        calls[0] = 0
+        soc, _ = _kernels.march(soi, cfg.quad_step, MISFIRE_LIMIT, *_args(op, cfg))
+        assert math.isnan(soc) == (op is freezing)
+        end = MISFIRE_LIMIT if op is freezing else soc
+        assert calls[0] == math.ceil((end - soi) / cfg.quad_step) + 1
 
 
-def test_grid_cache_stays_bounded(cfg, mid_op):
-    rng = np.random.default_rng(7)
-    for soi in rng.uniform(-20.0, -10.0, 1054):
-        _kernels.march_numpy(soi, cfg.quad_step, MISFIRE_LIMIT, *_args(mid_op, cfg))
-        assert _kernels._grid.cache_info().currsize <= 16
+def test_value_is_one_at_the_march_crossing(cfg, box_rng):
+    for _ in range(200):
+        args = _args(random_box_op(box_rng), cfg)
+        soi = random_box_soi(box_rng)
+        soc, _ = _kernels.march(soi, cfg.quad_step, MISFIRE_LIMIT, *args)
+        assert abs(_kernels.value(soc, soi, cfg.quad_step, *args) - 1.0) <= 1e-12
+
+
+def _numpy_value(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
+                 c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
+    # the whole grid up to theta_end at once, summed by numpy
+    a, e = _kernels._folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
+    n_full = int(math.floor((theta_end - soi) / step))
+    theta = soi + step * np.arange(n_full + 2)
+    r_e = _kernels._ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
+    f = _kernels._integrand_numpy(theta, r_e, a, denom)
+    incr = 0.5 * step * (f[:-1] + f[1:])
+    frac = (theta_end - (soi + step * n_full)) / step
+    return float(np.sum(incr[:n_full]) + frac * incr[n_full])
+
+
+def test_value_matches_numpy_reference_sum(cfg, box_rng):
+    for _ in range(200):
+        args = _args(random_box_op(box_rng), cfg)
+        soi = random_box_soi(box_rng)
+        theta_end = soi + box_rng.uniform(0.0, 30.0)
+        got = _kernels.value(theta_end, soi, cfg.quad_step, *args)
+        expected = _numpy_value(theta_end, soi, cfg.quad_step, *args)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)

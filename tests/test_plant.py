@@ -90,8 +90,7 @@ class TestKnockIntegralSoc:
                         **{k: st.floats(lo, hi) for k, (lo, hi) in BOX.items()}),
            commands=st.lists(st.floats(*SOI_BOX), min_size=2, max_size=8))
     def test_soc_non_decreasing_on_actuator_grid(self, op, commands):
-        # quantized angles repeat, so the numpy march serves many of these
-        # from its grid cache; equal angles must give equal SOCs
+        # quantized angles repeat; equal angles must give equal SOCs
         cfg = df.PlantConfig(geom=df.default_geometry(),
                              coeffs=df.default_coefficients())
         sois = sorted(quantize_soi(c, cfg.soi_resolution) for c in commands)
