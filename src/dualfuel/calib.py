@@ -106,10 +106,7 @@ class CalibReport:
     rmse_history: list = field(default_factory=list)
     coeff_history: list = field(default_factory=list)  # dict per iteration
     stop_reason: str = ""   # "tol", "max_iters" or "no_improving_step"
-    soc_err_std: float = float("nan")
-    soc_err_max: float = float("nan")
-    ca50_err_std: float = float("nan")
-    ca50_err_max: float = float("nan")
+    train_stats: ValidationStats | None = None   # of the fitted coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +327,7 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
 
     coeffs = _unpack(initial, x)
     report.final_rmse = fx
-    stats = validate(coeffs, dataset, geom)
-    report.soc_err_std = stats.soc_err_std
-    report.soc_err_max = stats.soc_err_max
-    report.ca50_err_std = stats.ca50_err_std
-    report.ca50_err_max = stats.ca50_err_max
+    report.train_stats = validate(coeffs, dataset, geom)
     return report, coeffs
 
 
@@ -396,12 +389,13 @@ def write_report_csv(path, report: CalibReport):
 
 
 def write_report_summary(path, report: CalibReport):
+    stats = report.train_stats
     lines = [
         f"iterations          {report.iterations}",
         f"stop reason         {report.stop_reason}",
         f"final CA50 RMSE     {report.final_rmse:.6f} CAD",
-        f"SOC error std/max   {report.soc_err_std:.4f} / {report.soc_err_max:.4f} CAD",
-        f"CA50 error std/max  {report.ca50_err_std:.4f} / {report.ca50_err_max:.4f} CAD",
+        f"SOC error std/max   {stats.soc_err_std:.4f} / {stats.soc_err_max:.4f} CAD",
+        f"CA50 error std/max  {stats.ca50_err_std:.4f} / {stats.ca50_err_max:.4f} CAD",
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

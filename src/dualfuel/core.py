@@ -46,16 +46,13 @@ def _number(value, what):
 
 @dataclass(frozen=True)
 class EngineGeometry:
-    """Per-cylinder slider-crank geometry plus valve event angles (deg aTDC)."""
+    """Per-cylinder slider-crank geometry plus the IVC angle (deg aTDC)."""
 
     bore: float
     stroke: float
     rod_length: float
     compression_ratio: float
     ivc_angle: float
-    ivo_angle: float
-    evo_angle: float
-    evc_angle: float
 
     def __post_init__(self):
         if self.bore <= 0.0 or self.stroke <= 0.0 or self.rod_length <= 0.0:
@@ -96,9 +93,6 @@ def default_geometry() -> EngineGeometry:
         rod_length=0.251,
         compression_ratio=17.0,
         ivc_angle=-148.5,
-        ivo_angle=-363.5,
-        evo_angle=137.0,
-        evc_angle=389.0,
     )
 
 

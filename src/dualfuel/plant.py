@@ -2,8 +2,9 @@
 
 Plays the role of the high-fidelity reference: the autoignition integral is
 integrated over the full polytropic in-cylinder trace (no freezing at the
-injection point), the burn follows a Wiebe profile, and the actuator/sensor
-path adds injection quantization, intake transport lag and measurement noise.
+injection point), CA50 sits at the Wiebe profile's half-burn point, and the
+actuator/sensor path adds injection quantization, intake transport lag and
+measurement noise.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from .core import (
     ModelCoefficients,
     OperatingPoint,
     cylinder_volume,  # noqa: F401  (perfbench traces plant.cylinder_volume)
-    holds,
 )
-from .model import burn_duration, ca50_from_soc_bd, fuel_term, predict_soc
+from .model import burn_duration, ca50_from_soc_bd, fuel_term
 
 # combustion later than this is treated as a failed cycle
 MISFIRE_LIMIT = 60.0
@@ -120,26 +120,6 @@ def knock_integral_value(op: OperatingPoint, soi: float, theta_end: float,
     if theta_end < soi:
         raise DomainError("theta_end must not precede soi")
     return _kernels.value(theta_end, soi, cfg.quad_step, *_kernel_args(op, cfg))
-
-
-def wiebe_fraction(theta, soc, bd, coeffs: ModelCoefficients):
-    """Cumulative burned mass fraction of the Wiebe profile; 0 before SOC."""
-    if holds(bd <= 0.0, np.any):
-        raise DomainError("burn duration must be positive")
-    x = np.maximum((np.asarray(theta, dtype=float) - soc) / bd, 0.0)
-    return 1.0 - np.exp(-coeffs.wiebe_a * x ** coeffs.wiebe_b)
-
-
-def simplification_gap(op: OperatingPoint, soi: float, cfg: PlantConfig) -> float:
-    """SOC error introduced by freezing pressure/temperature at injection.
-
-    Full-quadrature SOC minus the frozen-state closed-form prediction.
-    With plant_poly_exp equal to the model's k_c the difference isolates
-    the freezing approximation; otherwise it also carries the polytrope
-    mismatch.
-    """
-    frozen = predict_soc(op, soi, cfg.coeffs, cfg.geom)
-    return knock_integral_soc(op, soi, cfg) - frozen
 
 
 def quantize_soi(command: float, resolution: float) -> float:

@@ -60,8 +60,7 @@ class TestGeometry:
 
     def test_invalid_geometry_rejected(self):
         good = dict(bore=0.126, stroke=0.166, rod_length=0.251,
-                    compression_ratio=17.0, ivc_angle=-148.5, ivo_angle=-363.5,
-                    evo_angle=137.0, evc_angle=389.0)
+                    compression_ratio=17.0, ivc_angle=-148.5)
         with pytest.raises(DomainError):
             df.EngineGeometry(**{**good, "compression_ratio": 1.0})
         with pytest.raises(DomainError):

@@ -116,6 +116,12 @@ class TestCa50Composition:
         unit = coeffs.replace(wiebe_a=float(np.log(2.0)), wiebe_b=1.5)
         assert df.ca50_from_soc_bd(-7.0, 6.0, unit) == pytest.approx(-1.0, rel=1e-12)
 
+    def test_half_burn_fraction_is_wiebe_half_point(self, coeffs):
+        # the Wiebe profile 1 - exp(-a * f**b) burns half the mass at f
+        f = coeffs.half_burn_fraction
+        assert 1.0 - np.exp(-coeffs.wiebe_a * f ** coeffs.wiebe_b) == pytest.approx(
+            0.5, rel=1e-12)
+
     def test_linear_in_bd(self, coeffs, box_rng):
         for _ in range(50):
             soc = box_rng.uniform(-15.0, 0.0)

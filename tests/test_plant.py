@@ -1,5 +1,5 @@
-"""Plant behaviour: quadrature SOC, Wiebe burn, cycle stepping, actuator and
-transport imperfections."""
+"""Plant behaviour: quadrature SOC, the frozen-state gap, cycle stepping,
+actuator and transport imperfections."""
 
 import numpy as np
 import pytest
@@ -44,8 +44,7 @@ def _constant_volume_geometry():
     # trace) is constant to ~1e-6 over the whole window, so freezing the
     # charge state at injection is exact
     return df.EngineGeometry(bore=0.126, stroke=0.166, rod_length=0.251,
-                             compression_ratio=1.0 + 1e-6, ivc_angle=-148.5,
-                             ivo_angle=-363.5, evo_angle=137.0, evc_angle=389.0)
+                             compression_ratio=1.0 + 1e-6, ivc_angle=-148.5)
 
 
 class TestKnockIntegralSoc:
@@ -109,29 +108,10 @@ class TestKnockIntegralSoc:
             df.knock_integral_soc(op, -15.0, cfg)
 
 
-class TestWiebe:
-    def test_zero_at_soc(self, coeffs):
-        assert df.wiebe_fraction(-5.0, -5.0, 20.0, coeffs) == 0.0
-        assert df.wiebe_fraction(-10.0, -5.0, 20.0, coeffs) == 0.0
-
-    def test_half_burn_point(self, coeffs):
-        soc, bd = -5.0, 20.0
-        theta_half = soc + coeffs.half_burn_fraction * bd
-        assert df.wiebe_fraction(theta_half, soc, bd, coeffs) == pytest.approx(
-            0.5, rel=1e-12)
-
-    def test_monotone_to_one(self, coeffs):
-        theta = np.linspace(-5.0, 120.0, 500)
-        x = df.wiebe_fraction(theta, -5.0, 25.0, coeffs)
-        assert np.all(np.diff(x) >= 0.0)
-        assert x[-1] == pytest.approx(1.0, abs=1e-6)
-        assert np.all(x <= 1.0)
-        # strictly below 1 until the profile saturates float precision
-        assert np.all(x[theta < 15.0] < 1.0)
-
-    def test_positive_bd_required(self, coeffs):
-        with pytest.raises(DomainError):
-            df.wiebe_fraction(0.0, -5.0, 0.0, coeffs)
+def frozen_state_gap(op, soi, cfg):
+    """Quadrature SOC minus the closed form that freezes the state at injection."""
+    frozen = df.predict_soc(op, soi, cfg.coeffs, cfg.geom)
+    return df.knock_integral_soc(op, soi, cfg) - frozen
 
 
 class TestSimplificationGap:
@@ -141,7 +121,7 @@ class TestSimplificationGap:
         geom_cv = _constant_volume_geometry()
         cfg0 = df.PlantConfig(geom=geom_cv, coeffs=coeffs,
                               plant_poly_exp=coeffs.k_c)
-        assert df.simplification_gap(HOT_OP, -15.0, cfg0) == pytest.approx(
+        assert frozen_state_gap(HOT_OP, -15.0, cfg0) == pytest.approx(
             0.0, abs=1e-4)
 
     def test_gap_bounded_in_validity_region(self, cfg_matched, coeffs, box_rng):
@@ -154,7 +134,7 @@ class TestSimplificationGap:
             op = random_box_op(box_rng)
             soi = random_box_soi(box_rng)
             delay = df.predict_soc(op, soi, coeffs, cfg_matched.geom) - soi
-            gaps.append(abs(df.simplification_gap(op, soi, cfg_matched)))
+            gaps.append(abs(frozen_state_gap(op, soi, cfg_matched)))
             delays.append(delay)
         gaps = np.array(gaps)
         delays = np.array(delays)
@@ -164,7 +144,7 @@ class TestSimplificationGap:
         assert np.all(gaps <= 3.5)
 
     def test_gap_shrinks_toward_tdc(self, cfg_matched, mid_op):
-        gaps = [abs(df.simplification_gap(mid_op, soi, cfg_matched))
+        gaps = [abs(frozen_state_gap(mid_op, soi, cfg_matched))
                 for soi in np.arange(-20.0, -9.5, 1.0)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
