@@ -111,8 +111,10 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
     one. The controller sees the scheduled (commanded) operating point; the
     plant applies its own intake lag. The optional first-order measurement
     filter (time constant in cycles, finite and non-negative; 0, the
-    default, is off) smooths the CA50 fed to the observer. A misfire aborts with the partial stream and the summary
-    flagged.
+    default, is off) smooths the CA50 fed to the observer. The observer
+    takes its error against the command the actuator limits let through,
+    so it recovers once saturation ends. A misfire aborts with the partial
+    stream and the summary flagged.
     """
     if not (math.isfinite(measurement_filter_cycles) and measurement_filter_cycles >= 0.0):
         raise ValueError("measurement_filter_cycles must be finite and non-negative, "
@@ -136,10 +138,10 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
         op = _op_at(scenario, t)
         if adaptive:
             states = compute_states(op, ctrl_coeffs)
-            command = adaptive_soi(ref, states, ctrl)
+            unclamped = adaptive_soi(ref, states, ctrl)
         else:
-            command, ctrl = feedforward_soi(ref, op, ctrl_coeffs, geom, ctrl)
-        command = min(max(command, soi_min), SOI_CMD_MAX)
+            unclamped, ctrl = feedforward_soi(ref, op, ctrl_coeffs, geom, ctrl)
+        command = min(max(unclamped, soi_min), SOI_CMD_MAX)
         try:
             rec = plant.step_cycle(
                 command, op, ca50_ref=ref,
@@ -152,7 +154,9 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
         if adaptive and rec.cycle_index >= WARMUP_CYCLES:
             filtered = smooth_measurement(filtered, rec.ca50_measured,
                                           measurement_filter_cycles)
-            ctrl = adaptive_update(filtered, ref, states, ctrl)
+            # error against the applied command, so a clamp cannot wind up
+            # the observer (the tracking form of anti-windup)
+            ctrl = adaptive_update(filtered, ref + (command - unclamped), states, ctrl)
 
     summary = summarize_records(records, scenario)
     summary.misfired = misfired

@@ -14,6 +14,7 @@ from dualfuel.calib import DATASET_COLUMNS
 from dualfuel.harness import (
     DEFAULT_PERTURBATIONS,
     RECORD_COLUMNS,
+    SOI_CMD_MAX,
     _op_at,
     read_records_csv,
     run_sensitivity,
@@ -88,6 +89,19 @@ class TestRunScenario:
         _, records, _ = case1_run
         assert all(r.alpha_hat is not None for r in records)
         assert records[-1].alpha_hat != 0.0
+
+    def test_adaptive_loop_recovers_after_saturation(self):
+        # an unreachable reference (40 CAD) pins the command at SOI_CMD_MAX
+        # for 2 s; once it returns to 8 CAD the observer must not stay wound up
+        sc = builtin_case(1)
+        sc = replace(sc, reference=[Breakpoint(0.0, 8.0), Breakpoint(3.0, 40.0),
+                                    Breakpoint(5.0, 8.0)])
+        records, summary = df.run_scenario(sc)
+        after = [r for r in records if r.time_s >= 5.0]
+        assert sum(r.soi_commanded == SOI_CMD_MAX for r in after) <= 2
+        assert abs(records[-1].alpha_hat) < 0.01
+        last = summary.segments[-1]
+        assert max(abs(last.err_min), abs(last.err_max)) < 0.05
 
     def test_misfire_aborts_with_partial_stream(self):
         sc = builtin_case(1)
