@@ -97,6 +97,9 @@ def cmd_simulate(args):
         scenario = scenarios.load_scenario(args.scenario)
         name = Path(args.scenario).stem
     records, summary = harness.run_scenario(scenario, ctrl_coeffs=_coeffs(args))
+    if not (summary.segments or summary.misfired):
+        raise ValueError(f"no fired cycle (cycles run: {len(records)}, the first "
+                         f"{harness.WARMUP_CYCLES} are motored); no output written")
     out = _outdir(args)
     harness.write_records_csv(out / f"{name}_records.csv", records)
     harness.write_summary_txt(out / f"{name}_summary.txt", summary)

@@ -154,8 +154,8 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
         if adaptive and rec.cycle_index >= WARMUP_CYCLES:
             filtered = smooth_measurement(filtered, rec.ca50_measured,
                                           measurement_filter_cycles)
-            # error against the applied command, so a clamp cannot wind up
-            # the observer (the tracking form of anti-windup)
+            # tracking anti-windup: the clamp's share of the error is not
+            # the model's, so the observer does not learn it
             ctrl = adaptive_update(filtered, ref + (command - unclamped), states, ctrl)
 
     summary = summarize_records(records, scenario)

@@ -10,6 +10,7 @@ measurement noise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +52,24 @@ class PlantConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("plant_poly_exp", "quad_step", "soi_resolution",
+                     "egr_lag_cycles", "ca50_noise_halfwidth"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+        if self.plant_poly_exp <= 1.0:
+            raise DomainError("polytropic exponent plant_poly_exp must exceed 1")
         if not (0.0 < self.quad_step <= 0.5):
             raise DomainError("quad_step must lie in (0, 0.5] CAD")
         if self.soi_resolution <= 0.0:
             raise DomainError("soi_resolution must be positive")
         if self.egr_lag_cycles < 0:
             raise DomainError("egr_lag_cycles must be non-negative")
-        if not (math.isfinite(self.ca50_noise_halfwidth) and self.ca50_noise_halfwidth >= 0.0):
+        if self.ca50_noise_halfwidth < 0.0:
             raise DomainError("ca50_noise_halfwidth must be finite and non-negative")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise DomainError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)

@@ -351,6 +351,31 @@ class TestCliRejectsBadInput:
         path = _scenario_json(tmp_path, edit)
         self._rejects(["simulate", path], tmp_path, capsys, "value must be finite")
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("rng_seed", 1.5, "rng_seed must be a non-negative integer"),
+        ("rng_seed", 1e30, "rng_seed must be a non-negative integer"),
+        ("plant_poly_exp", float("nan"), "plant_poly_exp must be finite"),
+        ("plant_poly_exp", -2.0, "plant_poly_exp must exceed 1"),
+        ("soi_resolution", float("inf"), "soi_resolution must be finite"),
+        ("egr_lag_cycles", float("inf"), "egr_lag_cycles must be finite"),
+        ("egr_lag_cycles", float("nan"), "egr_lag_cycles must be finite"),
+    ])
+    def test_bad_plant_override(self, tmp_path, capsys, key, value, expected):
+        path = _scenario_json(tmp_path, lambda d: d["plant"].update({key: value}))
+        self._rejects(["simulate", path], tmp_path, capsys, expected)
+
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param(lambda d: d.update(duration_s=0.0), "no fired cycle (cycles run: 0,",
+                     id="zero-duration"),
+        pytest.param(lambda d: d.update(duration_s=0.05), "no fired cycle (cycles run: 1,",
+                     id="one-motored-cycle"),
+        pytest.param(lambda d: d["schedules"]["speed"][0].update(value=1e-3),
+                     "no fired cycle (cycles run: 1,", id="crawling-speed"),
+    ])
+    def test_simulate_without_fired_cycle(self, tmp_path, capsys, edit, expected):
+        path = _scenario_json(tmp_path, edit)
+        self._rejects(["simulate", path], tmp_path, capsys, expected)
+
     def test_missing_top_level_key(self, tmp_path, capsys):
         path = _scenario_json(tmp_path, lambda d: d.pop("duration_s"))
         self._rejects(["simulate", path], tmp_path, capsys, "'duration_s'")

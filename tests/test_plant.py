@@ -29,6 +29,11 @@ class TestPlantConfig:
         dict(quad_step=0.0), dict(quad_step=0.6), dict(soi_resolution=0.0),
         dict(egr_lag_cycles=-1), dict(ca50_noise_halfwidth=-1.0),
         dict(ca50_noise_halfwidth=float("nan")), dict(ca50_noise_halfwidth=float("inf")),
+        dict(plant_poly_exp=float("nan")), dict(plant_poly_exp=-2.0),
+        dict(plant_poly_exp=1.0), dict(quad_step=float("nan")),
+        dict(soi_resolution=float("inf")), dict(soi_resolution=float("nan")),
+        dict(egr_lag_cycles=float("inf")), dict(egr_lag_cycles=float("nan")),
+        dict(rng_seed=1.5), dict(rng_seed=1e30), dict(rng_seed=-1), dict(rng_seed=True),
     ])
     def test_invalid_config_rejected(self, geom, coeffs, bad):
         with pytest.raises(DomainError):
