@@ -106,7 +106,7 @@ class CalibReport:
     rmse_history: list = field(default_factory=list)
     coeff_history: list = field(default_factory=list)  # dict per iteration
     stop_reason: str = ""   # "tol", "max_iters" or "no_improving_step"
-    train_stats: ValidationStats | None = None   # of the fitted coefficients
+    train_stats: ValidationStats | None = None   # training set, set by calibrate
 
 
 # ---------------------------------------------------------------------------
