@@ -131,13 +131,11 @@ def generate_dataset(ranges: SampleRanges | None, n_samples: int,
     names = [f.name for f in fields(SampleRanges)]
     rng = np.random.default_rng(seed)
     u = _latin_hypercube(n_samples, len(names), rng)
+    lo, hi = np.array([getattr(ranges, name) for name in names], dtype=float).T
     samples = []
     misfires = 0
-    for row in u:
-        vals = {}
-        for j, name in enumerate(names):
-            lo, hi = getattr(ranges, name)
-            vals[name] = float(lo + (hi - lo) * row[j])
+    for row in (lo + (hi - lo) * u).tolist():
+        vals = dict(zip(names, row))
         soi = vals.pop("soi")
         op = OperatingPoint(**vals)
         try:
@@ -273,8 +271,9 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
     when the improvement of an accepted step drops below tol ("tol"), when
     no step improves before the damping exceeds LM_DAMPING_MAX
     ("no_improving_step"), or after max_iters accepted steps ("max_iters").
-    The shipped coefficient set is the default starting point. Returns
-    (report, coefficients).
+    A starting RMSE above DIVERGENCE_RMSE raises CalibrationDiverged; no
+    accepted step can exceed it later. The shipped coefficient set is the
+    default starting point. Returns (report, coefficients).
     """
     if initial is None:
         initial = default_coefficients()
@@ -317,10 +316,6 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
         report.iterations += 1
         report.rmse_history.append(fx)
         report.coeff_history.append(dict(zip(CALIBRATED_FIELDS, x.tolist())))
-        if fx > DIVERGENCE_RMSE:
-            report.final_rmse = fx
-            raise CalibrationDiverged(f"RMSE {fx:.3g} CAD exceeds "
-                                      f"{DIVERGENCE_RMSE:g}", report)
         if improvement < options.tol:
             report.stop_reason = "tol"
             break

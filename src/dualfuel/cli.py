@@ -20,9 +20,11 @@ from .core import (
 from .plant import PlantConfig
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=Path("."), help="output directory")
+def _add_common(p, seed=True, out=True):
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if out:
+        p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--coeffs", type=Path, default=None,
                    help="model coefficient JSON (default: shipped calibration)")
 
@@ -158,7 +160,7 @@ def main(argv=None):
 
     p = sub.add_parser("validate", help="prediction-error statistics on a dataset")
     p.add_argument("--data", type=Path, required=True, help="dataset CSV")
-    _add_common(p)
+    _add_common(p, seed=False, out=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", help="closed-loop scenario run")
@@ -172,7 +174,7 @@ def main(argv=None):
 
     p = sub.add_parser("sensitivity", help="one-at-a-time input perturbation study")
     p.add_argument("--data", type=Path, required=True, help="dataset CSV")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("noise-study", help="adaptive loop under CA50 measurement noise")

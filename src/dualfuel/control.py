@@ -23,8 +23,8 @@ from .model import fuel_term, phasing_terms
 # in place of the unmeasurable per-cycle value
 MEAN_RESIDUAL_FRACTION = 0.0329
 
-# neutral injection angle whose volume seeds the open-loop law on the first
-# cycle, before a previous-cycle volume exists
+# neutral injection angle that seeds the open-loop law on the first cycle,
+# before a previous cycle's injection exists
 FEEDFORWARD_SEED_SOI = -15.0
 
 
@@ -40,7 +40,6 @@ class AdaptiveStates:
 class ControllerState:
     alpha_hat: float = 0.0
     beta_hat: float = 0.0
-    last_v_soi: float | None = None   # previous cycle's injection volume [m^3]
 
 
 def compute_states(op: OperatingPoint, coeffs: ModelCoefficients) -> AdaptiveStates:
@@ -89,28 +88,21 @@ def adaptive_update(measured_ca50: float, ref_ca50: float,
     return ControllerState(
         alpha_hat=ctrl.alpha_hat + eta * states.x1 * err,
         beta_hat=ctrl.beta_hat + eta * states.x2 * err,
-        last_v_soi=ctrl.last_v_soi,
     )
 
 
 def feedforward_soi(ref_ca50: float, op: OperatingPoint,
                     coeffs: ModelCoefficients, geom: EngineGeometry,
-                    ctrl: ControllerState) -> tuple[float, ControllerState]:
+                    prev_soi: float = FEEDFORWARD_SEED_SOI) -> float:
     """Open-loop injection command by inverting the CA50 model.
 
-    The injection-point state uses the previous cycle's injection volume
-    (seeded at the neutral angle on the first call) and the long-run mean
-    residual fraction stands in for the true per-cycle value. Returns the
-    command and the state updated with the newly issued command's volume.
+    The injection-point state uses the volume at prev_soi, the previous
+    cycle's applied injection angle (the neutral angle on the first cycle),
+    and the long-run mean residual fraction stands in for the true
+    per-cycle value.
     """
-    if ctrl.last_v_soi is not None:
-        v_soi = ctrl.last_v_soi
-    else:
-        v_soi = cylinder_volume(FEEDFORWARD_SEED_SOI, geom)
-    delay, half_burn = phasing_terms(v_soi, op.speed, op.phi_ng, op.phi_di, op.egr,
+    delay, half_burn = phasing_terms(cylinder_volume(prev_soi, geom), op.speed,
+                                     op.phi_ng, op.phi_di, op.egr,
                                      MEAN_RESIDUAL_FRACTION, op.p_ivc, op.t_ivc,
                                      coeffs, geom)
-    command = ref_ca50 - delay - half_burn
-    new_state = ControllerState(alpha_hat=ctrl.alpha_hat, beta_hat=ctrl.beta_hat,
-                                last_v_soi=cylinder_volume(command, geom))
-    return command, new_state
+    return ref_ca50 - delay - half_burn

@@ -15,6 +15,7 @@ import numpy as np
 
 from .calib import _columns
 from .control import (
+    FEEDFORWARD_SEED_SOI,
     ControllerState,
     MEAN_RESIDUAL_FRACTION,
     adaptive_soi,
@@ -33,7 +34,7 @@ from .core import (
 )
 from .model import _check_soi, phasing_terms
 from .model import half_burn_angle, ignition_delay  # noqa: F401  (perfbench traces them)
-from .plant import CycleRecord, EnginePlant, Misfire, PlantConfig
+from .plant import MOTORED_CYCLES, CycleRecord, EnginePlant, Misfire, PlantConfig
 from .scenarios import (
     IVC_PRESSURE_GAIN,
     IVC_TEMP_OFFSET,
@@ -49,7 +50,7 @@ RECORD_COLUMNS = ("cycle", "time_s", "speed", "phi_di", "phi_ng", "egr",
 
 SETTLING_BAND = 0.15        # CAD around the segment's final value
 STEADY_WINDOW = 20          # cycles used for steady-state statistics
-WARMUP_CYCLES = 2           # motored cycles excluded from all statistics
+WARMUP_CYCLES = MOTORED_CYCLES   # excluded from all statistics
 
 # actuator authority: injection no earlier than shortly after IVC, no later
 # than just past TDC
@@ -111,10 +112,11 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
     one. The controller sees the scheduled (commanded) operating point; the
     plant applies its own intake lag. The optional first-order measurement
     filter (time constant in cycles, finite and non-negative; 0, the
-    default, is off) smooths the CA50 fed to the observer. The observer
-    takes its error against the command the actuator limits let through,
-    so it recovers once saturation ends. A misfire aborts with the partial
-    stream and the summary flagged.
+    default, is off) smooths the CA50 fed to the observer. Both controllers
+    learn from the command the actuator limits let through: the observer
+    takes its error against it and the feedforward law inverts the model
+    at it, so each recovers once saturation ends. A misfire aborts with the
+    partial stream and the summary flagged.
     """
     if not (math.isfinite(measurement_filter_cycles) and measurement_filter_cycles >= 0.0):
         raise ValueError("measurement_filter_cycles must be finite and non-negative, "
@@ -125,6 +127,7 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
     plant = EnginePlant(cfg)
     adaptive = scenario.controller == "adaptive"
     ctrl = ControllerState()
+    prev_soi = FEEDFORWARD_SEED_SOI
 
     records: list[CycleRecord] = []
     misfired = False
@@ -140,8 +143,8 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
             states = compute_states(op, ctrl_coeffs)
             unclamped = adaptive_soi(ref, states, ctrl)
         else:
-            unclamped, ctrl = feedforward_soi(ref, op, ctrl_coeffs, geom, ctrl)
-        command = min(max(unclamped, soi_min), SOI_CMD_MAX)
+            unclamped = feedforward_soi(ref, op, ctrl_coeffs, geom, prev_soi)
+        command = prev_soi = min(max(unclamped, soi_min), SOI_CMD_MAX)
         try:
             rec = plant.step_cycle(
                 command, op, ca50_ref=ref,

@@ -28,6 +28,9 @@ from .model import burn_duration, ca50_from_soc_bd, fuel_term
 # combustion later than this is treated as a failed cycle
 MISFIRE_LIMIT = 60.0
 
+# start-up cycles run without fuel before the first fired cycle
+MOTORED_CYCLES = 2
+
 
 class Misfire(RuntimeError):
     """The autoignition integral never reached 1 before the misfire limit."""
@@ -91,7 +94,7 @@ class CycleRecord:
 
     def __post_init__(self):
         # ordering holds for fired cycles; motored start-up cycles carry zeros
-        if self.cycle_index >= 2:
+        if self.cycle_index >= MOTORED_CYCLES:
             if self.soc < self.soi_applied - 1e-9:
                 raise DomainError("combustion cannot precede injection")
             if self.ca50_actual < self.soc - 1e-9:
@@ -142,10 +145,10 @@ def quantize_soi(command: float, resolution: float) -> float:
 class EnginePlant:
     """Mutable single-cylinder plant advanced one cycle at a time.
 
-    The first two cycles are motored (no fuel): phasing outputs are zero.
-    The cylinder sees a first-order-lagged EGR fraction; everything else in
-    the commanded operating point applies within the cycle. Deterministic
-    for a fixed config (seeded measurement noise).
+    The first MOTORED_CYCLES cycles run without fuel: phasing outputs are
+    zero. The cylinder sees a first-order-lagged EGR fraction; everything
+    else in the commanded operating point applies within the cycle.
+    Deterministic for a fixed config (seeded measurement noise).
     """
 
     def __init__(self, cfg: PlantConfig):
@@ -174,7 +177,7 @@ class EnginePlant:
 
         soi_applied = quantize_soi(soi_command, cfg.soi_resolution)
 
-        if self.cycle_index < 2:
+        if self.cycle_index < MOTORED_CYCLES:
             soc = bd = ca50 = ca50_meas = 0.0   # motored start-up cycles
         else:
             soc = knock_integral_soc(op_seen, soi_applied, cfg)

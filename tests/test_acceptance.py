@@ -115,10 +115,10 @@ def test_criterion2_feedforward_inversion(geom, coeffs):
                                x_r=df.MEAN_RESIDUAL_FRACTION,
                                p_ivc=base.p_ivc, t_ivc=base.t_ivc)
         ref = rng.uniform(4.0, 12.0)
-        v_prev = df.cylinder_volume(rng.uniform(-20.0, -10.0), geom)
-        ctrl = df.ControllerState(last_v_soi=v_prev)
-        cmd, _ = df.feedforward_soi(ref, op, coeffs, geom, ctrl)
-        achieved = df.predict_ca50(op, cmd, coeffs, geom, v_soi=v_prev)
+        prev_soi = rng.uniform(-20.0, -10.0)
+        cmd = df.feedforward_soi(ref, op, coeffs, geom, prev_soi)
+        achieved = df.predict_ca50(op, cmd, coeffs, geom,
+                                   v_soi=df.cylinder_volume(prev_soi, geom))
         worst = max(worst, abs(achieved - ref))
     ok = worst <= 1e-9
     assert report("C2 feedforward inversion", ok, f"worst defect {worst:.2e}")

@@ -17,6 +17,7 @@ from dualfuel.calib import (
     write_report_csv,
     write_report_summary,
     _columns,
+    _latin_hypercube,
 )
 from dualfuel.model import ca50_jacobian
 
@@ -76,6 +77,17 @@ class TestGenerateDataset:
             assert r.egr[0] <= s.op.egr <= r.egr[1]
             assert r.soi[0] <= s.soi <= r.soi[1]
             assert r.x_r[0] <= s.op.x_r <= r.x_r[1]
+
+    def test_box_scaling_matches_per_element_formula(self, plant_cfg):
+        # the whole-array scaling of the draws is exact, element by element
+        samples, misfires = df.generate_dataset(None, 64, plant_cfg, seed=9)
+        u = _latin_hypercube(64, 8, np.random.default_rng(9))
+        bounds = dataclasses.asdict(df.SampleRanges())
+        expected = [{name: float(lo + (hi - lo) * x)
+                     for (name, (lo, hi)), x in zip(bounds.items(), row)}
+                    for row in u]
+        got = [{**dataclasses.asdict(s.op), "soi": s.soi} for s in samples]
+        assert misfires == 0 and got == expected
 
     def test_requires_at_least_one_sample(self, plant_cfg):
         with pytest.raises(df.DomainError):

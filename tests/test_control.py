@@ -160,38 +160,28 @@ class TestFeedforward:
                                    x_r=MEAN_RESIDUAL_FRACTION,
                                    p_ivc=op.p_ivc, t_ivc=op.t_ivc)
             ref = box_rng.uniform(4.0, 12.0)
-            v_prev = df.cylinder_volume(box_rng.uniform(-20.0, -10.0), geom)
-            ctrl = df.ControllerState(last_v_soi=v_prev)
-            cmd, _ = df.feedforward_soi(ref, op, coeffs, geom, ctrl)
-            achieved = df.predict_ca50(op, cmd, coeffs, geom, v_soi=v_prev)
+            prev_soi = box_rng.uniform(-20.0, -10.0)
+            cmd = df.feedforward_soi(ref, op, coeffs, geom, prev_soi)
+            achieved = df.predict_ca50(op, cmd, coeffs, geom,
+                                       v_soi=df.cylinder_volume(prev_soi, geom))
             assert achieved == pytest.approx(ref, abs=1e-9)
 
     def test_uses_mean_residual_not_actual(self, coeffs, geom, mid_op):
         # the open-loop law cannot see the true residual fraction
         other = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4,
                                   egr=0.25, x_r=0.08, p_ivc=3.5, t_ivc=390.0)
-        ctrl = df.ControllerState(last_v_soi=df.cylinder_volume(-15.0, geom))
-        cmd_a, _ = df.feedforward_soi(8.0, mid_op, coeffs, geom, ctrl)
-        cmd_b, _ = df.feedforward_soi(8.0, other, coeffs, geom, ctrl)
+        cmd_a = df.feedforward_soi(8.0, mid_op, coeffs, geom, -15.0)
+        cmd_b = df.feedforward_soi(8.0, other, coeffs, geom, -15.0)
         assert cmd_a == cmd_b
 
     def test_seed_volume_on_first_cycle(self, coeffs, geom, mid_op):
-        cmd_seeded, _ = df.feedforward_soi(8.0, mid_op, coeffs, geom,
-                                           df.ControllerState())
-        ctrl = df.ControllerState(last_v_soi=df.cylinder_volume(FEEDFORWARD_SEED_SOI, geom))
-        cmd_explicit, _ = df.feedforward_soi(8.0, mid_op, coeffs, geom, ctrl)
+        cmd_seeded = df.feedforward_soi(8.0, mid_op, coeffs, geom)
+        cmd_explicit = df.feedforward_soi(8.0, mid_op, coeffs, geom, FEEDFORWARD_SEED_SOI)
         assert cmd_seeded == cmd_explicit
 
-    def test_tracks_issued_command_volume(self, coeffs, geom, mid_op):
-        cmd, after = df.feedforward_soi(8.0, mid_op, coeffs, geom,
-                                        df.ControllerState())
-        assert after.last_v_soi == df.cylinder_volume(cmd, geom)
-
     def test_fixed_point_under_constant_conditions(self, coeffs, geom, mid_op):
-        # iterating the previous-cycle volume converges to a fixed command
-        ctrl = df.ControllerState()
-        commands = []
+        # iterating the previous-cycle angle converges to a fixed command
+        commands = [FEEDFORWARD_SEED_SOI]
         for _ in range(8):
-            cmd, ctrl = df.feedforward_soi(8.0, mid_op, coeffs, geom, ctrl)
-            commands.append(cmd)
+            commands.append(df.feedforward_soi(8.0, mid_op, coeffs, geom, commands[-1]))
         assert abs(commands[-1] - commands[-2]) < 1e-9

@@ -3,7 +3,9 @@ studies, and the CLI."""
 
 import csv
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,15 @@ class TestRunScenario:
         assert abs(records[-1].alpha_hat) < 0.01
         last = summary.segments[-1]
         assert max(abs(last.err_min), abs(last.err_max)) < 0.05
+
+    def test_feedforward_loop_recovers_after_saturation(self):
+        # the same pinned stretch; the first inversion after it must use the
+        # angle that was applied, not the unreachable one that was asked for
+        sc = builtin_case(1, controller="feedforward")
+        sc = replace(sc, reference=[Breakpoint(0.0, 8.0), Breakpoint(3.0, 40.0),
+                                    Breakpoint(5.0, 8.0)])
+        _, summary = df.run_scenario(sc)
+        assert summary.segments[-1].overshoot <= 0.5
 
     def test_misfire_aborts_with_partial_stream(self):
         sc = builtin_case(1)
@@ -264,6 +275,20 @@ class TestCli:
                          str(coeffs_file), "--out", str(out)]) == 0
         assert (out / "noise_records.csv").exists()
 
+    def test_readme_examples_run(self, tmp_path, monkeypatch):
+        # every command of README's CLI block, with its scenario JSON block
+        # saved as the my_scenario.json that the block refers to
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        commands = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        scenario = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "my_scenario.json").write_text(scenario)
+        monkeypatch.chdir(tmp_path)
+        lines = [line for line in commands.splitlines() if line.startswith("dualfuel ")]
+        assert len(lines) == 7
+        for line in lines:
+            assert cli.main(shlex.split(line)[1:]) == 0, line
+        assert (tmp_path / "work" / "my_scenario_summary.txt").exists()
+
     def test_simulate_accepts_scenario_file(self, tmp_path):
         sc = builtin_case(2, controller="feedforward")
         path = tmp_path / "my_case.json"
@@ -331,7 +356,9 @@ class TestCliRejectsBadInput:
 
     def _rejects(self, argv, tmp_path, capsys, expected):
         out = tmp_path / "out"
-        assert cli.main([*argv, "--out", str(out)]) == 2
+        if argv[0] != "validate":   # the one command that writes no file
+            argv = [*argv, "--out", str(out)]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and expected in err
         assert "Traceback" not in err
@@ -454,6 +481,16 @@ class TestCliRejectsBadInput:
         assert "unrecognized arguments: --learn-rate" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, option", [
+        ("validate", "--seed"), ("validate", "--out"), ("sensitivity", "--seed"),
+    ])
+    def test_option_without_effect_rejected(self, tmp_path, capsys, command, option):
+        # neither command draws random numbers, and validate writes no file
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--data", str(tmp_path / "dataset.csv"), option, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
     def test_gen_data_all_misfire(self, tmp_path, capsys):
         # c6 = 50 freezes the charge: every sample misfires

@@ -201,7 +201,7 @@ class TestFuelTerm:
         lambda op, c, g: df.predict_soc(op, -15.0, c, g),
         lambda op, c, g: df.predict_ca50(op, -15.0, c, g),
         lambda op, c, g: ca50_jacobian(op, -15.0, c, g),
-        lambda op, c, g: df.feedforward_soi(8.0, op, c, g, df.ControllerState()),
+        lambda op, c, g: df.feedforward_soi(8.0, op, c, g),
         lambda op, c, g: df.knock_integral_soc(op, -15.0, df.PlantConfig(geom=g, coeffs=c)),
     ], ids=["predict_soc", "predict_ca50", "ca50_jacobian", "feedforward_soi",
             "knock_integral_soc"])
