@@ -12,7 +12,8 @@ the slider crank. Folding the polytrope into the exponent gives
 
 so a node costs one cos (sin^2 = 1 - cos^2), one sqrt, one power r^e, one
 multiply by a, one exp and one divide. ``_folded_exponent`` returns (a, e)
-for a state and ``_node`` the integrand at one angle in plain ``math``.
+for a state and ``_node`` the integrand, written once for both marches: with
+``m = math`` at one angle, with ``m = numpy`` on a whole grid.
 
 ``march`` is the kernel the package runs: ``_march_scalar`` takes the nodes
 one at a time and stops at the crossing: about 11 nodes for a firing point
@@ -22,12 +23,14 @@ integrates up to a given angle with the same nodes and the same sum, for the
 quadrature checks.
 
 ``march_numpy`` is the reference march: it evaluates the whole grid at once
-with the numpy helpers ``_ratio_power`` and ``_integrand_numpy``, written
-apart from the scalar loop so that a slip in one does not hide in both.
-The tests hold ``march`` to it within 1e-12 CAD, and the benchmark's node
-counts and backend label read it by name. numpy's vectorised cos, sqrt and
-power round differently from libm in the last bit now and then, so a few SOCs
-differ from the reference by about 1e-15 CAD, not bit for bit.
+through ``_integrand_numpy`` and finds the crossing with numpy's cumsum and
+searchsorted, so it checks the scalar loop's summation and crossing apart
+from that loop; the tests check the integrand itself against the model's
+unfolded formula. The tests hold ``march`` to it within 1e-12 CAD, and the
+benchmark's node counts and backend label read it by name. numpy's
+vectorised cos, sqrt and power round differently from libm in the last bit
+now and then, so a few SOCs differ from the reference by about 1e-15 CAD,
+not bit for bit.
 """
 
 from __future__ import annotations
@@ -45,22 +48,27 @@ def _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp):
 
 
 # ---------------------------------------------------------------------------
-# the kernel: plain-math march with an early exit at the crossing
+# the integrand
 
-def _node(theta, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len):
-    """Integrand exp(a * r^e) / denom at one crank angle theta [deg aTDC]."""
-    c = math.cos(theta * _DEG)
-    s = crank_r * (1.0 - c) + rod_len - math.sqrt(
+def _node(theta, m, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len):
+    """Integrand exp(a * r^e) / denom at crank angle(s) theta [deg aTDC],
+    where r is the compression ratio V_ivc / V(theta) of the slider crank;
+    m is the module that evaluates it, ``math`` or ``numpy``."""
+    c = m.cos(theta * _DEG)
+    s = crank_r * (1.0 - c) + rod_len - m.sqrt(
         rod_len * rod_len - crank_r * crank_r * (1.0 - c * c))
-    return math.exp(a * (v_ivc / (v_clear + area * s)) ** e) / denom
+    return m.exp(a * (v_ivc / (v_clear + area * s)) ** e) / denom
 
+
+# ---------------------------------------------------------------------------
+# the kernel: plain-math march with an early exit at the crossing
 
 def _march_scalar(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
                   c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
     """Returns (soc, integral_reached). soc is NaN when the integral never
     reaches 1 before theta_max (misfire)."""
     a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
-    geo = (a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
+    geo = (math, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
     th = soi
     f0 = _node(th, *geo)
     total = 0.0
@@ -87,7 +95,7 @@ def value(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
     """Accumulated integral up to theta_end, linearly interpolated within
     the final grid step (the same convention the march inverts)."""
     a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
-    geo = (a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
+    geo = (math, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
     n_full = int(math.floor((theta_end - soi) / step))
     f = [_node(soi + step * i, *geo) for i in range(n_full + 2)]
     total = 0.0
@@ -100,18 +108,9 @@ def value(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
 # ---------------------------------------------------------------------------
 # vectorised numpy reference march over the whole grid
 
-def _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len):
-    """r^e at crank angle(s) theta [deg aTDC], where r is the compression
-    ratio V_ivc / V(theta) of the slider crank."""
-    c = np.cos(theta * _DEG)
-    s = crank_r * (1.0 - c) + rod_len - np.sqrt(
-        rod_len * rod_len - crank_r * crank_r * (1.0 - c * c))
-    return (v_ivc / (v_clear + area * s)) ** e
-
-
-def _integrand_numpy(theta, r_e, a, denom):
-    """Integrand at the nodes theta, given r^e taken on those nodes."""
-    return np.exp(a * r_e) / denom
+def _integrand_numpy(theta, *geo):
+    """``_node`` on the whole grid theta at once."""
+    return _node(theta, np, *geo)
 
 
 def march_numpy(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
@@ -119,8 +118,7 @@ def march_numpy(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
     a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
     n = int(math.ceil((theta_max - soi) / step))
     theta = soi + step * np.arange(n + 1)
-    r_e = _ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
-    f = _integrand_numpy(theta, r_e, a, denom)
+    f = _integrand_numpy(theta, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
     cum = np.cumsum(0.5 * step * (f[:-1] + f[1:]))
     idx = int(np.searchsorted(cum, 1.0))
     if idx == len(cum):

@@ -93,9 +93,6 @@ def cmd_simulate(args):
                                           seed=args.seed)
         name = f"case{args.case}_{args.controller}"
     else:
-        if args.scenario is None:
-            print("error: give a scenario JSON or --case N", file=sys.stderr)
-            return 2
         scenario = scenarios.load_scenario(args.scenario)
         name = Path(args.scenario).stem
     records, summary = harness.run_scenario(scenario, ctrl_coeffs=_coeffs(args))
@@ -164,9 +161,10 @@ def main(argv=None):
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", help="closed-loop scenario run")
-    p.add_argument("scenario", nargs="?", default=None, help="scenario JSON")
-    p.add_argument("--case", type=int, choices=range(1, 7), default=None,
-                   help="built-in benchmark transient")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("scenario", nargs="?", default=None, help="scenario JSON")
+    source.add_argument("--case", type=int, choices=range(1, 7), default=None,
+                        help="built-in benchmark transient")
     p.add_argument("--controller", choices=scenarios.CONTROLLERS,
                    default="adaptive", help="controller for --case runs")
     _add_common(p)

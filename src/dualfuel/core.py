@@ -205,6 +205,10 @@ class ModelCoefficients:
     def from_dict(cls, d: dict) -> "ModelCoefficients":
         if not isinstance(d, dict):
             raise ValueError(f"coefficients must be a JSON object, got {type(d).__name__}")
+        known = {f.name for f in fields(cls)} | {"c7"}
+        for key in d:
+            if key not in known:
+                raise ValueError(f"unknown coefficient {key!r}")
         kwargs = {}
         for f in fields(cls):
             if f.name in d:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -351,20 +351,12 @@ class NoiseStudyResult:
 
 def run_noise_study(halfwidth: float, ctrl_coeffs: ModelCoefficients | None = None,
                     geom: EngineGeometry | None = None, seed: int = 0,
-                    duration_s: float = 10.0,
                     measurement_filter_cycles: float = 0.0):
     """Adaptive loop at the first benchmark condition with uniform CA50
     measurement noise; statistics are of the actual (noise-free) CA50 error."""
-    scenario = builtin_case(1, controller="adaptive", duration_s=duration_s,
-                            seed=seed)
-    scenario = Scenario(
-        duration_s=scenario.duration_s,
-        controller="adaptive",
-        schedules=scenario.schedules,
-        reference=scenario.reference[:1],   # hold the first condition
-        plant={**scenario.plant, "ca50_noise_halfwidth": halfwidth,
-               "rng_seed": seed},
-    )
+    case = builtin_case(1, seed=seed)
+    scenario = replace(case, reference=case.reference[:1],   # hold the first condition
+                       plant={**case.plant, "ca50_noise_halfwidth": halfwidth})
     records, summary = run_scenario(
         scenario, ctrl_coeffs=ctrl_coeffs, geom=geom,
         measurement_filter_cycles=measurement_filter_cycles)

@@ -35,16 +35,18 @@ def arrhenius_exponent(p, t, coeffs: ModelCoefficients):
     return coeffs.c5 * p ** coeffs.c6 / t
 
 
-def ignition_delay(egr, speed, phi_ng, phi_di, p_soi, t_soi, coeffs: ModelCoefficients):
-    """Ignition delay [CAD] between injection and start of combustion.
+def delay_scale(egr, speed, phi_ng, phi_di, coeffs: ModelCoefficients):
+    """(c1*EGR + c2) * N * (phi_ng^c3 + phi_di^c4): the ignition delay without
+    its Arrhenius factor, shared by the model and the plant's integrand."""
+    return (coeffs.c1 * egr + coeffs.c2) * speed * fuel_term(
+        phi_ng, phi_di, coeffs.c3, coeffs.c4)
 
-    (c1*EGR + c2) * N * (phi_ng^c3 + phi_di^c4) * exp(c5 * P_SOI^c6 / T_SOI),
-    with P in bar and T in K.
-    """
-    mixture = fuel_term(phi_ng, phi_di, coeffs.c3, coeffs.c4)
-    return (coeffs.c1 * egr + coeffs.c2) * speed * mixture * np.exp(
-        arrhenius_exponent(p_soi, t_soi, coeffs)
-    )
+
+def ignition_delay(egr, speed, phi_ng, phi_di, p_soi, t_soi, coeffs: ModelCoefficients):
+    """Ignition delay [CAD] between injection and start of combustion:
+    delay_scale * exp(c5 * P_SOI^c6 / T_SOI), with P in bar and T in K."""
+    return delay_scale(egr, speed, phi_ng, phi_di, coeffs) * np.exp(
+        arrhenius_exponent(p_soi, t_soi, coeffs))
 
 
 def burn_duration(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):

@@ -23,7 +23,7 @@ from .core import (
     OperatingPoint,
     cylinder_volume,  # noqa: F401  (perfbench traces plant.cylinder_volume)
 )
-from .model import burn_duration, ca50_from_soc_bd, fuel_term
+from .model import burn_duration, ca50_from_soc_bd, delay_scale
 
 # combustion later than this is treated as a failed cycle
 MISFIRE_LIMIT = 60.0
@@ -103,8 +103,7 @@ class CycleRecord:
 
 def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
     geom, coeffs = cfg.geom, cfg.coeffs
-    denom = (coeffs.c1 * op.egr + coeffs.c2) * op.speed * fuel_term(
-        op.phi_ng, op.phi_di, coeffs.c3, coeffs.c4)
+    denom = delay_scale(op.egr, op.speed, op.phi_ng, op.phi_di, coeffs)
     return (op.p_ivc, op.t_ivc, geom.ivc_volume, denom, coeffs.c5, coeffs.c6,
             cfg.plant_poly_exp, geom.piston_area, geom.clearance_volume,
             geom.crank_radius, geom.rod_length)

@@ -90,6 +90,9 @@ class Scenario:
         return sorted(times)
 
 
+_SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
+
+
 def _check_breakpoints(name, bps):
     if not bps:
         raise ValueError(f"schedule {name!r} has no breakpoints")
@@ -113,16 +116,6 @@ def schedule_value(bps, t: float) -> float:
 
 # ---------------------------------------------------------------------------
 # JSON round trip
-
-def scenario_to_dict(s: Scenario) -> dict:
-    return {
-        "duration_s": s.duration_s,
-        "controller": s.controller,
-        "plant": dict(s.plant),
-        "schedules": {k: [asdict(bp) for bp in bps] for k, bps in s.schedules.items()},
-        "reference": [asdict(bp) for bp in s.reference],
-    }
-
 
 def _expect(value, kind, what):
     """value if it has the JSON type kind (dict or list), else ValueError."""
@@ -150,6 +143,9 @@ def _breakpoint_from_dict(name, d) -> Breakpoint:
 
 def scenario_from_dict(d: dict) -> Scenario:
     _expect(d, dict, "scenario")
+    for key in d:
+        if key not in _SCENARIO_KEYS:
+            raise ValueError(f"unknown scenario key {key!r}")
     for key in ("duration_s", "controller", "schedules", "reference"):
         if key not in d:
             raise ValueError(f"scenario is missing key {key!r}")
@@ -165,7 +161,7 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 def save_scenario(path, s: Scenario):
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(s), fh, indent=2, sort_keys=True)
+        json.dump(asdict(s), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -185,9 +181,8 @@ def _step(v0, v1, t=5.0, ramp_s=0.0):
     return [Breakpoint(t=0.0, value=v0), Breakpoint(t=t, value=v1, ramp_s=ramp_s)]
 
 
-def builtin_case(n: int, controller: str = "adaptive",
-                 duration_s: float = 10.0, seed: int = 0) -> Scenario:
-    """Six benchmark transients at 1200 RPM base, manifold 2 bar / 300 K,
+def builtin_case(n: int, controller: str = "adaptive", seed: int = 0) -> Scenario:
+    """Six 10 s benchmark transients at 1200 RPM base, manifold 2 bar / 300 K,
     second condition applied at t = 5 s (ramped over 0.5 s where the change
     is a plant quantity):
 
@@ -223,5 +218,5 @@ def builtin_case(n: int, controller: str = "adaptive",
         base["egr"] = _step(0.0, 0.5, ramp_s=0.5)
     # benchmark runs are noise-free; the measurement-noise study adds it back
     plant = {"ca50_noise_halfwidth": 0.0, "rng_seed": seed}
-    return Scenario(duration_s=duration_s, controller=controller,
+    return Scenario(duration_s=10.0, controller=controller,
                     schedules=base, reference=reference, plant=plant)

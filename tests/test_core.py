@@ -163,6 +163,8 @@ class TestModelCoefficients:
     @pytest.mark.parametrize("edit, expected", [
         pytest.param(lambda d: d.update(c3=None), "'c3' must be a number", id="null"),
         pytest.param(lambda d: d.update(c7="x"), "'c7' must be a number", id="c7-string"),
+        pytest.param(lambda d: d.update(wiebe_A=5), "unknown coefficient 'wiebe_A'",
+                     id="unknown-key"),
     ])
     def test_from_dict_rejects_non_number(self, coeffs, edit, expected):
         d = coeffs.to_dict()

@@ -4,7 +4,7 @@ studies, and the CLI."""
 import csv
 import json
 import shlex
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from dualfuel.harness import (
     summarize_rows,
     write_records_csv,
 )
-from dualfuel.scenarios import Breakpoint, builtin_case, scenario_to_dict
+from dualfuel.scenarios import Breakpoint, builtin_case
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +298,11 @@ class TestCli:
         assert (tmp_path / "my_case_summary.txt").exists()
 
     def test_simulate_requires_scenario(self, capsys):
-        assert cli.main(["simulate"]) == 2
+        # argparse's usage error, like every other missing argument
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate"])
+        assert exc.value.code == 2
+        assert "one of the arguments scenario --case is required" in capsys.readouterr().err
 
     def test_calibrate_reports_stop_reason(self, tmp_path, capsys):
         data = _dataset_csv(tmp_path)
@@ -343,7 +347,7 @@ def _edited_dataset_csv(tmp_path, line, edit):
 
 
 def _scenario_json(tmp_path, edit):
-    d = scenario_to_dict(builtin_case(1))
+    d = asdict(builtin_case(1))
     edit(d)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(d))
@@ -407,6 +411,12 @@ class TestCliRejectsBadInput:
         path = _scenario_json(tmp_path, lambda d: d.pop("duration_s"))
         self._rejects(["simulate", path], tmp_path, capsys, "'duration_s'")
 
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        # a misspelt block must not leave the run on the default plant
+        path = _scenario_json(tmp_path,
+                              lambda d: d.update(plnt={"ca50_noise_halfwidth": 0.0}))
+        self._rejects(["simulate", path], tmp_path, capsys, "unknown scenario key 'plnt'")
+
     def test_unknown_breakpoint_key(self, tmp_path, capsys):
         def edit(d):
             d["reference"][0]["slope"] = 1.0
@@ -440,6 +450,10 @@ class TestCliRejectsBadInput:
                      id="negative-delay-scale"),
         pytest.param(lambda d: {**d, "c2": 0.0}, "c1*egr + c2 must be positive",
                      id="zero-c2"),
+        pytest.param(lambda d: {**d, "wiebe_A": 5}, "unknown coefficient 'wiebe_A'",
+                     id="unknown-wiebe_A"),
+        pytest.param(lambda d: {**d, "c12": 1}, "unknown coefficient 'c12'",
+                     id="unknown-c12"),
     ])
     def test_bad_coefficients_file(self, tmp_path, capsys, document, expected):
         path = tmp_path / "bad.json"
@@ -491,6 +505,17 @@ class TestCliRejectsBadInput:
             cli.main([command, "--data", str(tmp_path / "dataset.csv"), option, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+    def test_simulate_rejects_file_and_case(self, tmp_path, capsys):
+        # one scenario source only; the file here does not even exist
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", str(tmp_path / "missing.json"), "--case", "1",
+                      "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --case: not allowed with argument scenario" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_gen_data_all_misfire(self, tmp_path, capsys):
         # c6 = 50 freezes the charge: every sample misfires

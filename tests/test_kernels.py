@@ -1,6 +1,7 @@
 """The plain-math march against the numpy reference march, its early exit,
-the integrand against its unfolded formula, and the integral value against
-the march's crossing and a numpy reference sum."""
+the integrand against the model's ignition delay along the compression
+trace, and the integral value against the march's crossing and a numpy
+reference sum."""
 
 import math
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import pytest
 
 import dualfuel as df
 from dualfuel import _kernels
+from dualfuel.model import ignition_delay
 from dualfuel.plant import MISFIRE_LIMIT, _kernel_args
 
 from conftest import random_box_op, random_box_soi
@@ -25,8 +27,9 @@ def cfg(geom, coeffs):
 
 
 def test_integrand_matches_reference_formula(cfg, geom, coeffs, box_rng):
-    # the folded exponent a * r^e must reproduce the unfolded chain of the
-    # public building blocks: volume -> polytropic state -> Arrhenius
+    # the folded exponent a * r^e must reproduce the reciprocal of the
+    # model's ignition delay at the instantaneous polytropic state: volume ->
+    # polytropic state -> ignition_delay, on a grid and one angle at a time
     theta = np.linspace(-20.0, 10.0, 61)
     vol = df.cylinder_volume(theta, geom)
     for _ in range(25):
@@ -34,14 +37,14 @@ def test_integrand_matches_reference_formula(cfg, geom, coeffs, box_rng):
         p_ivc, t_ivc, v_ivc, denom, c5, c6, poly, area, v_clear, crank_r, rod_len = \
             _args(op, cfg)
         p, t = df.polytropic_state_at_soi(op.p_ivc, op.t_ivc, v_ivc, vol, poly)
-        expected = np.exp(-coeffs.c5 * p ** coeffs.c6 / t) / denom
+        expected = 1.0 / ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di, p, t,
+                                        coeffs)
         a, e = _kernels._folded_exponent(p_ivc, t_ivc, c5, c6, poly)
-        r_e = _kernels._ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
-        got = _kernels._integrand_numpy(theta, r_e, a, denom)
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        geo = (a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
+        np.testing.assert_allclose(_kernels._integrand_numpy(theta, *geo), expected,
+                                   rtol=1e-12)
         # the plain-math node of the march, one angle at a time
-        scalar = [_kernels._node(th, a, denom, v_ivc, e, area, v_clear, crank_r,
-                                 rod_len) for th in theta]
+        scalar = [_kernels._node(th, math, *geo) for th in theta]
         np.testing.assert_allclose(scalar, expected, rtol=1e-12)
 
 
@@ -112,8 +115,8 @@ def _numpy_value(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
     a, e = _kernels._folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
     n_full = int(math.floor((theta_end - soi) / step))
     theta = soi + step * np.arange(n_full + 2)
-    r_e = _kernels._ratio_power(theta, v_ivc, e, area, v_clear, crank_r, rod_len)
-    f = _kernels._integrand_numpy(theta, r_e, a, denom)
+    f = _kernels._integrand_numpy(theta, a, denom, v_ivc, e, area, v_clear, crank_r,
+                                  rod_len)
     incr = 0.5 * step * (f[:-1] + f[1:])
     frac = (theta_end - (soi + step * n_full)) / step
     return float(np.sum(incr[:n_full]) + frac * incr[n_full])

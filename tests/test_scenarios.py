@@ -1,5 +1,7 @@
 """Schedule evaluation semantics and scenario JSON round trips."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,6 @@ from dualfuel.scenarios import (
     Breakpoint,
     builtin_case,
     scenario_from_dict,
-    scenario_to_dict,
     schedule_value,
 )
 
@@ -75,7 +76,7 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize("duration_s", [float("nan"), float("inf"), -1.0])
     def test_bad_duration_rejected(self, duration_s):
-        d = scenario_to_dict(builtin_case(1))
+        d = asdict(builtin_case(1))
         d["duration_s"] = duration_s
         with pytest.raises(ValueError, match="duration_s"):
             scenario_from_dict(d)
@@ -87,7 +88,7 @@ class TestScenarioValidation:
             Breakpoint(**{"t": 1.0, "value": 2.0, "ramp_s": 0.5, field: value})
 
     def test_unknown_plant_key_rejected(self):
-        d = scenario_to_dict(builtin_case(1))
+        d = asdict(builtin_case(1))
         d["plant"]["noise"] = 0.5
         with pytest.raises(ValueError, match="'noise'"):
             scenario_from_dict(d)
@@ -107,11 +108,11 @@ class TestJsonRoundTrip:
         loaded = df.load_scenario(path)
         assert loaded == sc
         # serialised forms are identical too
-        assert scenario_to_dict(loaded) == scenario_to_dict(sc)
+        assert asdict(loaded) == asdict(sc)
 
     def test_dict_round_trip(self):
         sc = builtin_case(4, controller="feedforward")
-        assert scenario_from_dict(scenario_to_dict(sc)) == sc
+        assert scenario_from_dict(asdict(sc)) == sc
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda d: d.pop("controller"), "missing key 'controller'",
@@ -136,19 +137,21 @@ class TestJsonRoundTrip:
                      "breakpoint value must be a number, got bool", id="bool-value"),
         pytest.param(lambda d: d.update(duration_s=[10.0]),
                      "'duration_s' must be a number, got list", id="list-duration"),
+        pytest.param(lambda d: d.update(plnt={"ca50_noise_halfwidth": 0.0}),
+                     "unknown scenario key 'plnt'", id="unknown-top-level-key"),
         pytest.param(lambda d: d["plant"].update(soi_resolution="0.1"),
                      "plant key 'soi_resolution' must be a number, got str",
                      id="string-plant-value"),
     ])
     def test_malformed_dict_rejected(self, edit, message):
-        d = scenario_to_dict(builtin_case(1))
+        d = asdict(builtin_case(1))
         edit(d)
         with pytest.raises(ValueError, match=message):
             scenario_from_dict(d)
 
     def test_non_object_scenario_rejected(self):
         with pytest.raises(ValueError, match="scenario must be an object"):
-            scenario_from_dict([scenario_to_dict(builtin_case(1))])
+            scenario_from_dict([asdict(builtin_case(1))])
 
 
 class TestBuiltinCases:
