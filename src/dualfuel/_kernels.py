@@ -12,8 +12,12 @@ the slider crank. Folding the polytrope into the exponent gives
 
 so a node costs one cos (sin^2 = 1 - cos^2), one sqrt, one power r^e, one
 multiply by a, one exp and one divide. ``_folded_exponent`` returns (a, e)
-for a state and ``_node`` the integrand, written once for both marches: with
-``m = math`` at one angle, with ``m = numpy`` on a whole grid.
+for a state. The integrand is written once for both marches, in the factory
+``_integrand(m, a, denom, ...)``: called once per march, it binds that
+march's constants and the module ``m``'s functions and returns
+``node(theta)``, which evaluates one angle with ``m = math`` or a whole
+grid with ``m = numpy``. The march looks ``math`` up each time it builds
+its node, not when the module loads.
 
 ``march`` is the kernel the package runs: ``_march_scalar`` takes the nodes
 one at a time and stops at the crossing: about 11 nodes for a firing point
@@ -50,14 +54,19 @@ def _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp):
 # ---------------------------------------------------------------------------
 # the integrand
 
-def _node(theta, m, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len):
-    """Integrand exp(a * r^e) / denom at crank angle(s) theta [deg aTDC],
-    where r is the compression ratio V_ivc / V(theta) of the slider crank;
-    m is the module that evaluates it, ``math`` or ``numpy``."""
-    c = m.cos(theta * _DEG)
-    s = crank_r * (1.0 - c) + rod_len - m.sqrt(
-        rod_len * rod_len - crank_r * crank_r * (1.0 - c * c))
-    return m.exp(a * (v_ivc / (v_clear + area * s)) ** e) / denom
+def _integrand(m, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len):
+    """node(theta): the integrand exp(a * r^e) / denom at crank angle(s)
+    theta [deg aTDC], where r is the compression ratio V_ivc / V(theta) of
+    the slider crank; m is the module that evaluates it, ``math`` or
+    ``numpy``. One march's constants are bound here, once."""
+    cos, sqrt, exp = m.cos, m.sqrt, m.exp
+    rod2, crank2 = rod_len * rod_len, crank_r * crank_r
+
+    def node(theta):
+        c = cos(theta * _DEG)
+        s = crank_r * (1.0 - c) + rod_len - sqrt(rod2 - crank2 * (1.0 - c * c))
+        return exp(a * (v_ivc / (v_clear + area * s)) ** e) / denom
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -68,15 +77,15 @@ def _march_scalar(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
     """Returns (soc, integral_reached). soc is NaN when the integral never
     reaches 1 before theta_max (misfire)."""
     a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
-    geo = (math, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
+    node = _integrand(math, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
     th = soi
-    f0 = _node(th, *geo)
+    f0 = node(th)
     total = 0.0
     i = 0
     while th < theta_max:
         i += 1
         th1 = soi + step * i
-        f1 = _node(th1, *geo)
+        f1 = node(th1)
         new_total = total + 0.5 * step * (f0 + f1)
         if new_total >= 1.0:
             frac = (1.0 - total) / (new_total - total)
@@ -95,9 +104,9 @@ def value(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
     """Accumulated integral up to theta_end, linearly interpolated within
     the final grid step (the same convention the march inverts)."""
     a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
-    geo = (math, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
+    node = _integrand(math, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
     n_full = int(math.floor((theta_end - soi) / step))
-    f = [_node(soi + step * i, *geo) for i in range(n_full + 2)]
+    f = [node(soi + step * i) for i in range(n_full + 2)]
     total = 0.0
     for i in range(n_full):
         total += 0.5 * step * (f[i] + f[i + 1])
@@ -109,8 +118,8 @@ def value(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
 # vectorised numpy reference march over the whole grid
 
 def _integrand_numpy(theta, *geo):
-    """``_node`` on the whole grid theta at once."""
-    return _node(theta, np, *geo)
+    """The integrand on the whole grid theta at once."""
+    return _integrand(np, *geo)(theta)
 
 
 def march_numpy(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,

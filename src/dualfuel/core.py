@@ -63,19 +63,20 @@ class EngineGeometry:
         if self.rod_length <= self.stroke / 2.0:
             raise DomainError("rod length must exceed crank radius")
 
-    @property
+    # derived once per instance: the per-cycle path reads them every cycle
+    @cached_property
     def crank_radius(self) -> float:
         return self.stroke / 2.0
 
-    @property
+    @cached_property
     def piston_area(self) -> float:
         return np.pi * self.bore ** 2 / 4.0
 
-    @property
+    @cached_property
     def displaced_volume(self) -> float:
         return self.piston_area * self.stroke
 
-    @property
+    @cached_property
     def clearance_volume(self) -> float:
         return self.displaced_volume / (self.compression_ratio - 1.0)
 
@@ -125,6 +126,16 @@ class OperatingPoint:
     t_ivc: float      # temperature at IVC [K]
 
     def __post_init__(self):
+        # one combined test for a valid point; a failing point, or columns,
+        # whose comparisons have no single truth value, take the per-field
+        # checks below, which name the field
+        try:
+            if (self.speed > 0.0 and 0.0 <= self.egr < 1.0 and 0.0 <= self.x_r < 1.0
+                    and self.phi_ng >= 0.0 and self.phi_di > 0.0 and self.p_ivc > 0.0
+                    and self.t_ivc > 0.0):
+                return
+        except ValueError:
+            pass
         if not holds(self.speed > 0.0):
             raise DomainError("engine speed must be positive")
         if not (holds(self.egr >= 0.0) and holds(self.egr < 1.0)):
@@ -186,12 +197,12 @@ class ModelCoefficients:
         if self.wiebe_a <= 0.0 or self.wiebe_b <= 0.0:
             raise DomainError("Wiebe shape parameters must be positive")
 
-    @property
+    @cached_property
     def half_burn_fraction(self) -> float:
         """Fraction of the burn duration elapsed at 50 % mass burned."""
         return float((np.log(2.0) / self.wiebe_a) ** (1.0 / self.wiebe_b))
 
-    @property
+    @cached_property
     def c7(self) -> float:
         """Plant burn-duration scale [CAD], derived from c11 and the Wiebe shape."""
         return self.c11 / self.half_burn_fraction

@@ -77,29 +77,50 @@ class ScenarioSummary:
     misfired: bool = False
 
 
-def _op_at(scenario: Scenario, t: float) -> OperatingPoint:
-    sched = scenario.schedules
+def _fixed_value(bps):
+    """The value of a schedule that never changes (one breakpoint, no ramp),
+    else None."""
+    if len(bps) == 1 and bps[0].ramp_s == 0.0:
+        return bps[0].value
+    return None
 
-    def get(key, default=None):
-        if key in sched:
-            return schedule_value(sched[key], t)
-        return default
 
-    p_ivc = get("p_ivc")
-    if p_ivc is None:
-        p_ivc = IVC_PRESSURE_GAIN * get("p_man")
-    t_ivc = get("t_ivc")
-    if t_ivc is None:
-        t_ivc = get("t_man") + IVC_TEMP_OFFSET
-    return OperatingPoint(
-        speed=get("speed"),
-        phi_di=get("phi_di"),
-        phi_ng=get("phi_ng"),
-        egr=get("egr", 0.0),
-        x_r=get("x_r", MEAN_RESIDUAL_FRACTION),
-        p_ivc=p_ivc,
-        t_ivc=t_ivc,
-    )
+def _op_lookup(scenario: Scenario):
+    """op_at(t): the scenario's scheduled OperatingPoint at time t, for one
+    run. Schedules that never change are read once; the others are
+    evaluated per call, and while none of their values changes op_at
+    returns the point it built last, so a constant stretch validates one
+    point."""
+    values = {"egr": 0.0, "x_r": MEAN_RESIDUAL_FRACTION}
+    varying = {}
+    for key, bps in scenario.schedules.items():
+        fixed = _fixed_value(bps)
+        if fixed is None:
+            varying[key] = bps
+        else:
+            values[key] = fixed
+    last = None, None   # values of the varying schedules, the point built from them
+
+    def op_at(t):
+        nonlocal last
+        now = [schedule_value(bps, t) for bps in varying.values()]
+        if now == last[0]:
+            return last[1]
+        values.update(zip(varying, now))
+        op = OperatingPoint(
+            speed=values["speed"],
+            phi_di=values["phi_di"],
+            phi_ng=values["phi_ng"],
+            egr=values["egr"],
+            x_r=values["x_r"],
+            p_ivc=(values["p_ivc"] if "p_ivc" in values
+                   else IVC_PRESSURE_GAIN * values["p_man"]),
+            t_ivc=(values["t_ivc"] if "t_ivc" in values
+                   else values["t_man"] + IVC_TEMP_OFFSET),
+        )
+        last = now, op
+        return op
+    return op_at
 
 
 def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = None,
@@ -132,13 +153,16 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
     records: list[CycleRecord] = []
     misfired = False
     filtered: float | None = None
+    op_at = _op_lookup(scenario)
+    ref_varies = _fixed_value(scenario.reference) is None
     pending_ref = schedule_value(scenario.reference, 0.0)
     soi_min = geom.ivc_angle + SOI_CMD_MARGIN
     while plant.time_s < scenario.duration_s - 1e-12:
         t = plant.time_s
         ref = pending_ref
-        pending_ref = schedule_value(scenario.reference, t)
-        op = _op_at(scenario, t)
+        if ref_varies:
+            pending_ref = schedule_value(scenario.reference, t)
+        op = op_at(t)
         if adaptive:
             states = compute_states(op, ctrl_coeffs)
             unclamped = adaptive_soi(ref, states, ctrl)

@@ -170,9 +170,12 @@ class EnginePlant:
             self.egr_seen = op.egr   # plant starts in equilibrium with the schedule
         else:
             self.egr_seen += self._lag_gain * (op.egr - self.egr_seen)
-        op_seen = OperatingPoint(speed=op.speed, phi_ng=op.phi_ng, phi_di=op.phi_di,
-                                 egr=self.egr_seen, x_r=op.x_r, p_ivc=op.p_ivc,
-                                 t_ivc=op.t_ivc)
+        if self.egr_seen == op.egr:
+            op_seen = op   # the lag has settled: the cylinder sees the command
+        else:
+            op_seen = OperatingPoint(speed=op.speed, phi_ng=op.phi_ng, phi_di=op.phi_di,
+                                     egr=self.egr_seen, x_r=op.x_r, p_ivc=op.p_ivc,
+                                     t_ivc=op.t_ivc)
 
         soi_applied = quantize_soi(soi_command, cfg.soi_resolution)
 

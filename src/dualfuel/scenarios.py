@@ -96,9 +96,15 @@ _SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
 def _check_breakpoints(name, bps):
     if not bps:
         raise ValueError(f"schedule {name!r} has no breakpoints")
-    ts = [bp.t for bp in bps]
-    if ts != sorted(ts):
-        raise ValueError(f"schedule {name!r} breakpoints must be time-ordered")
+    for prev, bp in zip(bps, bps[1:]):
+        if bp.t < prev.t:
+            raise ValueError(f"schedule {name!r} breakpoints must be time-ordered")
+        # schedule_value would skip a breakpoint inside the previous ramp
+        # until that ramp ends
+        if bp.t < prev.t + prev.ramp_s:
+            raise ValueError(
+                f"schedule {name!r} breakpoint at t={bp.t} falls inside the ramp "
+                f"of the one at t={prev.t}, which ends at t={prev.t + prev.ramp_s}")
 
 
 def schedule_value(bps, t: float) -> float:

@@ -7,6 +7,8 @@ the frozen literals stay auditable.
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,6 +60,16 @@ class TestGeometry:
     def test_ivc_volume_is_volume_at_ivc(self, geom):
         assert geom.ivc_volume == df.cylinder_volume(geom.ivc_angle, geom)
 
+    def test_replaced_geometry_recomputes_derived_values(self, geom):
+        # the derived volumes are cached per instance; a replaced geometry
+        # must not carry the old values
+        assert geom.clearance_volume > 0.0
+        wide = replace(geom, bore=0.14)
+        area = math.pi * 0.14 ** 2 / 4.0
+        assert wide.piston_area == area
+        assert wide.clearance_volume == area * geom.stroke / (geom.compression_ratio - 1.0)
+        assert wide.clearance_volume != geom.clearance_volume
+
     def test_invalid_geometry_rejected(self):
         good = dict(bore=0.126, stroke=0.166, rod_length=0.251,
                     compression_ratio=17.0, ivc_angle=-148.5)
@@ -71,6 +83,17 @@ class TestGeometry:
 
 BASE_POINT = dict(speed=1200, phi_ng=0.4, phi_di=0.4, egr=0.25, x_r=0.03,
                   p_ivc=3.0, t_ivc=390.0)
+
+
+POINT_MESSAGES = {
+    "speed": "engine speed must be positive",
+    "egr": "EGR fraction must lie in [0, 1)",
+    "x_r": "residual fraction must lie in [0, 1)",
+    "phi_ng": "phi_ng must be non-negative",
+    "phi_di": "phi_di must be positive",
+    "p_ivc": "p_ivc must be positive",
+    "t_ivc": "t_ivc must be positive",
+}
 
 
 def column_point(**bad):
@@ -87,19 +110,22 @@ class TestOperatingPoint:
                           x_r=0.03, p_ivc=3.0, t_ivc=390.0)
 
     @pytest.mark.parametrize("bad", [
-        dict(speed=0.0), dict(egr=-0.1), dict(egr=1.0), dict(x_r=1.0),
-        dict(phi_ng=-0.1), dict(phi_di=0.0), dict(p_ivc=0.0), dict(t_ivc=-1.0),
+        (dict(speed=0.0), "speed"), (dict(egr=-0.1), "egr"), (dict(egr=1.0), "egr"),
+        (dict(x_r=1.0), "x_r"), (dict(phi_ng=-0.1), "phi_ng"), (dict(phi_di=0.0), "phi_di"),
+        (dict(p_ivc=0.0), "p_ivc"), (dict(t_ivc=-1.0), "t_ivc"),
         # NaN fails every comparison, so each field rejects it
-        *[{name: float("nan")} for name in BASE_POINT],
+        *[({name: float("nan")}, name) for name in BASE_POINT],
         # numpy scalars and 0-d arrays take the scalar branch
-        dict(speed=np.float64(0.0)), dict(egr=np.float64(1.0)),
-        dict(phi_di=np.float64("nan")), dict(t_ivc=np.array(-1.0)),
+        (dict(speed=np.float64(0.0)), "speed"), (dict(egr=np.float64(1.0)), "egr"),
+        (dict(phi_di=np.float64("nan")), "phi_di"), (dict(t_ivc=np.array(-1.0)), "t_ivc"),
         # one bad element among good ones fails the whole column
-        column_point(speed=0.0), column_point(x_r=-0.01),
-        column_point(phi_ng=float("nan")), column_point(p_ivc=0.0),
+        (column_point(speed=0.0), "speed"), (column_point(x_r=-0.01), "x_r"),
+        (column_point(phi_ng=float("nan")), "phi_ng"), (column_point(p_ivc=0.0), "p_ivc"),
     ])
     def test_invalid_point_rejected(self, bad):
-        with pytest.raises(DomainError):
+        # the message names the bad field, whatever the kind of value
+        bad, field = bad
+        with pytest.raises(DomainError, match=re.escape(POINT_MESSAGES[field])):
             df.OperatingPoint(**{**BASE_POINT, **bad})
 
 
@@ -149,6 +175,16 @@ class TestModelCoefficients:
     def test_half_burn_identity(self, coeffs):
         assert coeffs.half_burn_fraction * coeffs.c7 == pytest.approx(
             coeffs.c11, rel=1e-12)
+
+    def test_replaced_coefficients_recompute_derived_values(self, coeffs):
+        # half_burn_fraction and c7 are cached per instance; a replaced
+        # Wiebe shape must not carry the old values
+        assert coeffs.c7 > 0.0
+        steep = coeffs.replace(wiebe_a=5.0)
+        fraction = (math.log(2.0) / 5.0) ** (1.0 / coeffs.wiebe_b)
+        assert steep.half_burn_fraction == fraction
+        assert steep.c7 == coeffs.c11 / fraction
+        assert steep.c7 != coeffs.c7
 
     @pytest.mark.parametrize("bad", [
         dict(c5=0.0), dict(c5=-1.0), dict(c11=0.0), dict(k_c=1.0),

@@ -17,13 +17,19 @@ from dualfuel.harness import (
     DEFAULT_PERTURBATIONS,
     RECORD_COLUMNS,
     SOI_CMD_MAX,
-    _op_at,
+    _op_lookup,
     read_records_csv,
     run_sensitivity,
     summarize_rows,
     write_records_csv,
 )
-from dualfuel.scenarios import Breakpoint, builtin_case
+from dualfuel.scenarios import (
+    IVC_PRESSURE_GAIN,
+    IVC_TEMP_OFFSET,
+    Breakpoint,
+    builtin_case,
+    schedule_value,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +38,29 @@ def case1_run():
     return scenario, *df.run_scenario(scenario)
 
 
+def _op_from_schedules(sc, t):
+    """The point at time t built from schedule_value of every schedule."""
+    v = {key: schedule_value(bps, t) for key, bps in sc.schedules.items()}
+    return df.OperatingPoint(
+        speed=v["speed"], phi_di=v["phi_di"], phi_ng=v["phi_ng"],
+        egr=v.get("egr", 0.0), x_r=v.get("x_r", df.MEAN_RESIDUAL_FRACTION),
+        p_ivc=v["p_ivc"] if "p_ivc" in v else IVC_PRESSURE_GAIN * v["p_man"],
+        t_ivc=v["t_ivc"] if "t_ivc" in v else v["t_man"] + IVC_TEMP_OFFSET)
+
+
+def _ramped_ivc_scenario():
+    sc = builtin_case(2)
+    schedules = {k: v for k, v in sc.schedules.items() if k not in ("p_man", "t_man")}
+    schedules["p_ivc"] = [Breakpoint(0.0, 2.9), Breakpoint(3.0, 3.3, ramp_s=1.0)]
+    schedules["t_ivc"] = [Breakpoint(0.0, 390.0), Breakpoint(4.0, 405.0, ramp_s=2.0),
+                          Breakpoint(7.0, 395.0)]
+    return replace(sc, schedules=schedules)
+
+
 class TestOpAt:
     def test_manifold_conditions_mapped_to_ivc(self):
         sc = builtin_case(1)
-        op = _op_at(sc, 0.0)
+        op = _op_lookup(sc)(0.0)
         assert op.p_ivc == pytest.approx(1.45 * 2.0)
         assert op.t_ivc == pytest.approx(300.0 + 90.0)
 
@@ -49,10 +74,34 @@ class TestOpAt:
                        "p_ivc": [Breakpoint(0.0, 3.1)],
                        "t_ivc": [Breakpoint(0.0, 395.0)]},
             reference=[Breakpoint(0.0, 8.0)])
-        op = _op_at(sc, 0.5)
+        op = _op_lookup(sc)(0.5)
         assert op.p_ivc == 3.1 and op.t_ivc == 395.0
         # unscheduled residual fraction falls back to the long-run mean
         assert op.x_r == df.MEAN_RESIDUAL_FRACTION
+
+    @pytest.mark.parametrize("make", [
+        *[pytest.param(lambda n=n: builtin_case(n), id=f"case{n}") for n in range(1, 7)],
+        pytest.param(_ramped_ivc_scenario, id="ramped-ivc"),
+    ])
+    def test_lookup_is_exact_at_every_cycle(self, make):
+        # the per-run lookup, called at each cycle's time in order, gives
+        # the point that every schedule's own value builds
+        sc = make()
+        records, _ = df.run_scenario(sc)
+        op_at = _op_lookup(sc)
+        for r in records:
+            assert op_at(r.time_s) == _op_from_schedules(sc, r.time_s)
+
+    def test_constant_schedules_validate_less_than_once_per_cycle(self, monkeypatch):
+        validations = [0]
+        validate = df.OperatingPoint.__post_init__
+
+        def counting(op):
+            validations[0] += 1
+            validate(op)
+        monkeypatch.setattr(df.OperatingPoint, "__post_init__", counting)
+        records, _ = df.run_scenario(builtin_case(1))
+        assert validations[0] < len(records)
 
 
 class TestRunScenario:
@@ -406,6 +455,15 @@ class TestCliRejectsBadInput:
     def test_simulate_without_fired_cycle(self, tmp_path, capsys, edit, expected):
         path = _scenario_json(tmp_path, edit)
         self._rejects(["simulate", path], tmp_path, capsys, expected)
+
+    def test_breakpoint_inside_ramp(self, tmp_path, capsys):
+        def edit(d):
+            d["schedules"]["speed"] = [{"t": 0.0, "value": 1200.0, "ramp_s": 0.0},
+                                       {"t": 5.0, "value": 1400.0, "ramp_s": 2.0},
+                                       {"t": 6.0, "value": 1500.0, "ramp_s": 0.0}]
+        path = _scenario_json(tmp_path, edit)
+        self._rejects(["simulate", path], tmp_path, capsys,
+                      "'speed' breakpoint at t=6.0 falls inside the ramp")
 
     def test_missing_top_level_key(self, tmp_path, capsys):
         path = _scenario_json(tmp_path, lambda d: d.pop("duration_s"))

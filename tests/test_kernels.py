@@ -44,7 +44,8 @@ def test_integrand_matches_reference_formula(cfg, geom, coeffs, box_rng):
         np.testing.assert_allclose(_kernels._integrand_numpy(theta, *geo), expected,
                                    rtol=1e-12)
         # the plain-math node of the march, one angle at a time
-        scalar = [_kernels._node(th, math, *geo) for th in theta]
+        node = _kernels._integrand(math, *geo)
+        scalar = [node(th) for th in theta]
         np.testing.assert_allclose(scalar, expected, rtol=1e-12)
 
 

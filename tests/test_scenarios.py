@@ -60,6 +60,21 @@ class TestScheduleValue:
         with pytest.raises(ValueError):
             Breakpoint(t=0.0, value=1.0, ramp_s=-0.1)
 
+    def test_breakpoint_inside_previous_ramp_rejected(self):
+        # schedule_value would give 0.75 at 6.5 s and ignore the t = 6
+        # breakpoint until the ramp ends at 7 s
+        ramp = [Breakpoint(t=0.0, value=0.0), Breakpoint(t=5.0, value=1.0, ramp_s=2.0)]
+        base = asdict(builtin_case(1))
+        base["schedules"]["egr"] = [asdict(bp) for bp in ramp]
+        scenario_from_dict(base)
+        base["schedules"]["egr"].append(asdict(Breakpoint(t=6.0, value=2.0)))
+        with pytest.raises(ValueError, match="'egr' breakpoint at t=6.0 falls inside "
+                                             "the ramp of the one at t=5.0"):
+            scenario_from_dict(base)
+        # the next breakpoint may start where the ramp ends
+        base["schedules"]["egr"][-1]["t"] = 7.0
+        scenario_from_dict(base)
+
 
 class TestScenarioValidation:
     def test_unknown_schedule_key_rejected(self):
