@@ -327,17 +327,17 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
 
 
 # ---------------------------------------------------------------------------
-# CSV round trips (floats written with repr for exact reload)
+# CSV round trips (csv writes a float as str(), which equals repr(), so
+# every value reloads exactly)
 
 def write_dataset(path, samples):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(DATASET_COLUMNS)
-        for s in samples:
-            row = (s.op.speed, s.op.t_ivc, s.op.p_ivc, s.op.phi_di,
-                   s.op.phi_ng, s.op.egr, s.op.x_r, s.soi, s.soc_ref,
-                   s.ca50_ref)
-            w.writerow([repr(float(v)) for v in row])
+        w.writerows(tuple(map(float, (s.op.speed, s.op.t_ivc, s.op.p_ivc, s.op.phi_di,
+                                      s.op.phi_ng, s.op.egr, s.op.x_r, s.soi,
+                                      s.soc_ref, s.ca50_ref)))
+                    for s in samples)
 
 
 def _read_sample(row, geom: EngineGeometry) -> CalibSample:

@@ -129,15 +129,22 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
     """Closed-loop run of one scenario. Returns (records, summary).
 
     The plant runs the shipped coefficients; ctrl_coeffs (default: the
-    same) is the controller's model. The CA50 reference is sampled once per cycle and applied on the next
-    one. The controller sees the scheduled (commanded) operating point; the
-    plant applies its own intake lag. The optional first-order measurement
-    filter (time constant in cycles, finite and non-negative; 0, the
-    default, is off) smooths the CA50 fed to the observer. Both controllers
-    learn from the command the actuator limits let through: the observer
-    takes its error against it and the feedforward law inverts the model
-    at it, so each recovers once saturation ends. A misfire aborts with the
-    partial stream and the summary flagged.
+    same) is the controller's model. The CA50 reference is sampled once per
+    cycle and applied on the next one. The controller sees the scheduled
+    (commanded) operating point; the plant applies its own intake lag. The
+    optional first-order measurement filter (time constant in cycles, finite
+    and non-negative; 0, the default, is off) smooths the CA50 fed to the
+    observer. Both controllers learn from the command the actuator limits
+    let through: the observer takes its error against it and the feedforward
+    law inverts the model at it, so each recovers once saturation ends. A
+    misfire aborts with the partial stream and the summary flagged.
+
+    Work that depends only on the commanded point is done once per point
+    that the run's op_at returns: the adaptive regressors are recomputed
+    when the point changes, and the feedforward command, a pure function of
+    the point, the reference and the previous command, when any of the
+    three does. The plant likewise keeps the march arguments and burn
+    duration of the point its cylinder sees.
     """
     if not (math.isfinite(measurement_filter_cycles) and measurement_filter_cycles >= 0.0):
         raise ValueError("measurement_filter_cycles must be finite and non-negative, "
@@ -157,6 +164,7 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
     ref_varies = _fixed_value(scenario.reference) is None
     pending_ref = schedule_value(scenario.reference, 0.0)
     soi_min = geom.ivc_angle + SOI_CMD_MARGIN
+    states_op = ff_inputs = None   # what states and unclamped were computed from
     while plant.time_s < scenario.duration_s - 1e-12:
         t = plant.time_s
         ref = pending_ref
@@ -164,10 +172,12 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
             pending_ref = schedule_value(scenario.reference, t)
         op = op_at(t)
         if adaptive:
-            states = compute_states(op, ctrl_coeffs)
+            if op is not states_op:
+                states, states_op = compute_states(op, ctrl_coeffs), op
             unclamped = adaptive_soi(ref, states, ctrl)
-        else:
+        elif (op, ref, prev_soi) != ff_inputs:
             unclamped = feedforward_soi(ref, op, ctrl_coeffs, geom, prev_soi)
+            ff_inputs = op, ref, prev_soi
         command = prev_soi = min(max(unclamped, soi_min), SOI_CMD_MAX)
         try:
             rec = plant.step_cycle(
@@ -257,17 +267,18 @@ def summarize_records(records, scenario: Scenario) -> ScenarioSummary:
 # record CSV
 
 def write_records_csv(path, records):
+    # csv writes a float as str(), which equals repr()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(RECORD_COLUMNS)
-        for r in records:
-            row = [r.cycle_index] + [repr(float(v)) for v in (
+        w.writerows(
+            (r.cycle_index, *map(float, (
                 r.time_s, r.op.speed, r.op.phi_di, r.op.phi_ng, r.op.egr,
                 r.op.p_ivc, r.op.t_ivc, r.ca50_ref, r.soi_commanded,
-                r.soi_applied, r.soc, r.bd, r.ca50_actual, r.ca50_measured)]
-            row.append("" if r.alpha_hat is None else repr(float(r.alpha_hat)))
-            row.append("" if r.beta_hat is None else repr(float(r.beta_hat)))
-            w.writerow(row)
+                r.soi_applied, r.soc, r.bd, r.ca50_actual, r.ca50_measured)),
+             "" if r.alpha_hat is None else float(r.alpha_hat),
+             "" if r.beta_hat is None else float(r.beta_hat))
+            for r in records)
 
 
 def read_records_csv(path):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,9 +76,13 @@ class PlantConfig:
             raise DomainError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
 
-@dataclass(frozen=True)
-class CycleRecord:
-    """One engine cycle as simulated: commands, applied actuation, outcome."""
+class CycleRecord(NamedTuple):
+    """One engine cycle as simulated: commands, applied actuation, outcome.
+
+    Immutable. Its ordering checks (combustion not before injection, CA50
+    not before combustion) run in EnginePlant.step_cycle on every fired
+    cycle; motored start-up cycles carry zeros.
+    """
 
     cycle_index: int
     time_s: float
@@ -92,14 +97,6 @@ class CycleRecord:
     alpha_hat: float | None = None   # observer values; None on open-loop runs
     beta_hat: float | None = None
 
-    def __post_init__(self):
-        # ordering holds for fired cycles; motored start-up cycles carry zeros
-        if self.cycle_index >= MOTORED_CYCLES:
-            if self.soc < self.soi_applied - 1e-9:
-                raise DomainError("combustion cannot precede injection")
-            if self.ca50_actual < self.soc - 1e-9:
-                raise DomainError("CA50 cannot precede start of combustion")
-
 
 def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
     geom, coeffs = cfg.geom, cfg.coeffs
@@ -109,6 +106,19 @@ def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
             geom.crank_radius, geom.rod_length)
 
 
+def _march_soc(op: OperatingPoint, soi: float, cfg: PlantConfig, args) -> float:
+    """knock_integral_soc with op's kernel arguments args already built."""
+    if soi < cfg.geom.ivc_angle:
+        raise DomainError("injection cannot precede IVC")
+    soc, reached = _kernels.march(soi, cfg.quad_step, MISFIRE_LIMIT, *args)
+    if math.isnan(soc):
+        raise Misfire(
+            f"integral reached {reached:.4f} < 1 by {MISFIRE_LIMIT} deg aTDC "
+            f"(soi={soi:.2f}, speed={op.speed:.0f})"
+        )
+    return soc
+
+
 def knock_integral_soc(op: OperatingPoint, soi: float, cfg: PlantConfig) -> float:
     """Start of combustion [deg aTDC] from the full autoignition integral.
 
@@ -116,15 +126,7 @@ def knock_integral_soc(op: OperatingPoint, soi: float, cfg: PlantConfig) -> floa
     polytropic trace until the accumulated integral crosses 1; the crossing
     is interpolated linearly within the final step.
     """
-    if soi < cfg.geom.ivc_angle:
-        raise DomainError("injection cannot precede IVC")
-    soc, reached = _kernels.march(soi, cfg.quad_step, MISFIRE_LIMIT, *_kernel_args(op, cfg))
-    if math.isnan(soc):
-        raise Misfire(
-            f"integral reached {reached:.4f} < 1 by {MISFIRE_LIMIT} deg aTDC "
-            f"(soi={soi:.2f}, speed={op.speed:.0f})"
-        )
-    return soc
+    return _march_soc(op, soi, cfg, _kernel_args(op, cfg))
 
 
 def knock_integral_value(op: OperatingPoint, soi: float, theta_end: float,
@@ -156,6 +158,8 @@ class EnginePlant:
         self.time_s = 0.0
         self.egr_seen: float | None = None
         self.rng = np.random.default_rng(cfg.rng_seed)
+        # (point the cylinder saw last, its march arguments, its burn duration)
+        self._seen: tuple | None = None
         if cfg.egr_lag_cycles > 0:
             self._lag_gain = 1.0 - math.exp(-1.0 / cfg.egr_lag_cycles)
         else:
@@ -182,30 +186,29 @@ class EnginePlant:
         if self.cycle_index < MOTORED_CYCLES:
             soc = bd = ca50 = ca50_meas = 0.0   # motored start-up cycles
         else:
-            soc = knock_integral_soc(op_seen, soi_applied, cfg)
-            bd = burn_duration(op_seen.egr + op_seen.x_r, op_seen.phi_ng,
-                               op_seen.phi_di, cfg.coeffs)
+            seen = self._seen
+            if seen is None or seen[0] is not op_seen:
+                # work that depends on the point alone, redone when it changes
+                seen = self._seen = (
+                    op_seen, _kernel_args(op_seen, cfg),
+                    burn_duration(op_seen.egr + op_seen.x_r, op_seen.phi_ng,
+                                  op_seen.phi_di, cfg.coeffs))
+            _, args, bd = seen
+            soc = _march_soc(op_seen, soi_applied, cfg, args)
             ca50 = ca50_from_soc_bd(soc, bd, cfg.coeffs)
+            if soc < soi_applied - 1e-9:
+                raise DomainError("combustion cannot precede injection")
+            if ca50 < soc - 1e-9:
+                raise DomainError("CA50 cannot precede start of combustion")
             if cfg.ca50_noise_halfwidth > 0.0:
                 ca50_meas = ca50 + self.rng.uniform(-cfg.ca50_noise_halfwidth,
                                                     cfg.ca50_noise_halfwidth)
             else:
                 ca50_meas = ca50
 
-        record = CycleRecord(
-            cycle_index=self.cycle_index,
-            time_s=self.time_s,
-            op=op_seen,
-            soi_commanded=soi_command,
-            soi_applied=soi_applied,
-            soc=soc,
-            bd=bd,
-            ca50_actual=ca50,
-            ca50_measured=ca50_meas,
-            ca50_ref=ca50_ref,
-            alpha_hat=alpha_hat,
-            beta_hat=beta_hat,
-        )
+        record = CycleRecord(self.cycle_index, self.time_s, op_seen, soi_command,
+                             soi_applied, soc, bd, ca50, ca50_meas, ca50_ref,
+                             alpha_hat, beta_hat)
         self.cycle_index += 1
         self.time_s += 120.0 / op.speed   # two revolutions per four-stroke cycle
         return record

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import dualfuel as df
-from dualfuel import calib, cli
+from dualfuel import calib, cli, harness
 from dualfuel.calib import DATASET_COLUMNS
+from dualfuel.control import FEEDFORWARD_SEED_SOI
 from dualfuel.harness import (
     DEFAULT_PERTURBATIONS,
     RECORD_COLUMNS,
+    SOI_CMD_MARGIN,
     SOI_CMD_MAX,
     _op_lookup,
     read_records_csv,
@@ -176,6 +178,75 @@ class TestRunScenario:
         assert 0 < len(records) < 40
 
 
+def _ramped_egr_noisy_scenario(controller):
+    # direct IVC ramps, an EGR ramp that keeps the plant's intake lag busy,
+    # and measurement noise that moves every adaptive command
+    sc = _ramped_ivc_scenario()
+    schedules = {**sc.schedules, "egr": [Breakpoint(0.0, 0.1),
+                                         Breakpoint(2.0, 0.4, ramp_s=1.5),
+                                         Breakpoint(6.5, 0.2)]}
+    return replace(sc, controller=controller, schedules=schedules,
+                   plant={**sc.plant, "ca50_noise_halfwidth": 0.5})
+
+
+class TestPerPointReuse:
+    @pytest.mark.parametrize("make", [
+        *[pytest.param(lambda n=n, c=c: builtin_case(n, controller=c), id=f"case{n}-{c}")
+          for n in range(1, 7) for c in ("adaptive", "feedforward")],
+        *[pytest.param(lambda c=c: _ramped_egr_noisy_scenario(c), id=f"ramped-egr-{c}")
+          for c in ("adaptive", "feedforward")],
+    ])
+    def test_no_stale_value_reused(self, make):
+        # every fired record equals what a from-scratch computation gives
+        # for its own inputs, and every command equals the controller law
+        # applied to the point the schedules give at its time
+        sc = make()
+        records, summary = df.run_scenario(sc)
+        assert not summary.misfired
+        geom, coeffs = df.default_geometry(), df.default_coefficients()
+        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, **sc.plant)
+        op_at = _op_lookup(sc)
+        prev_soi = FEEDFORWARD_SEED_SOI
+        for rec in records:
+            op = op_at(rec.time_s)
+            if sc.controller == "adaptive":
+                command = df.adaptive_soi(rec.ca50_ref, df.compute_states(op, coeffs),
+                                          df.ControllerState(rec.alpha_hat, rec.beta_hat))
+            else:
+                command = df.feedforward_soi(rec.ca50_ref, op, coeffs, geom, prev_soi)
+            assert rec.soi_commanded == min(max(command, geom.ivc_angle + SOI_CMD_MARGIN),
+                                            SOI_CMD_MAX)
+            prev_soi = rec.soi_commanded
+            if rec.cycle_index >= harness.WARMUP_CYCLES:
+                assert rec.soc == df.knock_integral_soc(rec.op, rec.soi_applied, cfg)
+                assert rec.bd == df.burn_duration(rec.op.egr + rec.op.x_r, rec.op.phi_ng,
+                                                  rec.op.phi_di, coeffs)
+
+    def test_adaptive_regressors_once_per_commanded_point(self, monkeypatch):
+        calls = []
+        compute_states = harness.compute_states
+
+        def counting(op, coeffs):
+            calls.append(op)
+            return compute_states(op, coeffs)
+        monkeypatch.setattr(harness, "compute_states", counting)
+        sc = builtin_case(1)
+        records, _ = df.run_scenario(sc)
+        op_at = _op_lookup(sc)
+        assert len(calls) <= len({op_at(r.time_s) for r in records})
+
+    def test_feedforward_command_reused_while_inputs_hold(self, monkeypatch):
+        calls = [0]
+        feedforward_soi = harness.feedforward_soi
+
+        def counting(*args):
+            calls[0] += 1
+            return feedforward_soi(*args)
+        monkeypatch.setattr(harness, "feedforward_soi", counting)
+        records, _ = df.run_scenario(builtin_case(1, controller="feedforward"))
+        assert calls[0] < len(records)
+
+
 class TestSummary:
     def test_csv_reduction_matches_in_process(self, tmp_path, case1_run):
         scenario, records, summary = case1_run
@@ -196,6 +267,19 @@ class TestSummary:
         write_records_csv(path, records)
         header = path.read_text().splitlines()[0]
         assert header == ",".join(RECORD_COLUMNS)
+
+    def test_integer_json_value_written_as_float(self, tmp_path):
+        # JSON keeps 1200 an integer; the CSV column holds floats
+        d = asdict(builtin_case(1))
+        d["schedules"]["speed"] = [{"t": 0, "value": 1200}]
+        (tmp_path / "sc.json").write_text(json.dumps(d))
+        records, _ = df.run_scenario(df.load_scenario(tmp_path / "sc.json"))
+        assert records[0].op.speed == 1200 and isinstance(records[0].op.speed, int)
+        path = tmp_path / "records.csv"
+        write_records_csv(path, records)
+        with open(path, newline="") as fh:
+            speeds = {row["speed"] for row in csv.DictReader(fh)}
+        assert speeds == {"1200.0"}
 
     def test_segments_split_at_events(self, case1_run):
         _, _, summary = case1_run

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import dualfuel as df
 from dualfuel.core import DomainError
-from dualfuel.plant import Misfire, quantize_soi
+from dualfuel.plant import MOTORED_CYCLES, CycleRecord, Misfire, quantize_soi
 
 from conftest import BOX, SOI_BOX, random_box_op, random_box_soi
 
@@ -244,3 +244,29 @@ class TestStepCycle:
         assert seen[0] == pytest.approx(low.egr + gain * (high.egr - low.egr), rel=1e-12)
         assert all(b > a for a, b in zip(seen[:10], seen[1:11]))
         assert seen[-1] == pytest.approx(high.egr, abs=1e-3)
+
+
+class TestCycleRecord:
+    def test_fields_fixed_and_read_only(self, cfg, mid_op):
+        assert CycleRecord._fields == (
+            "cycle_index", "time_s", "op", "soi_commanded", "soi_applied", "soc",
+            "bd", "ca50_actual", "ca50_measured", "ca50_ref", "alpha_hat", "beta_hat")
+        rec = df.EnginePlant(cfg).step_cycle(-15.0, mid_op)
+        with pytest.raises(AttributeError):
+            rec.soc = 1.0
+
+    def _fired_cycle(self, cfg, op):
+        engine = df.EnginePlant(cfg)
+        for _ in range(MOTORED_CYCLES):
+            engine.step_cycle(-15.0, op)   # motored cycles carry zeros, unchecked
+        return engine.step_cycle(-15.0, op)
+
+    def test_combustion_before_injection_rejected(self, cfg, mid_op, monkeypatch):
+        monkeypatch.setattr("dualfuel._kernels.march", lambda soi, *rest: (soi - 1.0, 1.0))
+        with pytest.raises(DomainError, match="^combustion cannot precede injection$"):
+            self._fired_cycle(cfg, mid_op)
+
+    def test_ca50_before_combustion_rejected(self, cfg, mid_op, monkeypatch):
+        monkeypatch.setattr("dualfuel.plant.ca50_from_soc_bd", lambda soc, bd, coeffs: soc - 1.0)
+        with pytest.raises(DomainError, match="^CA50 cannot precede start of combustion$"):
+            self._fired_cycle(cfg, mid_op)
