@@ -134,10 +134,8 @@ def generate_dataset(ranges: SampleRanges | None, n_samples: int,
     lo, hi = np.array([getattr(ranges, name) for name in names], dtype=float).T
     samples = []
     misfires = 0
-    for row in (lo + (hi - lo) * u).tolist():
-        vals = dict(zip(names, row))
-        soi = vals.pop("soi")
-        op = OperatingPoint(**vals)
+    for speed, t_ivc, p_ivc, phi_di, phi_ng, egr, x_r, soi in (lo + (hi - lo) * u).tolist():
+        op = OperatingPoint(speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc)
         try:
             soc = knock_integral_soc(op, soi, cfg)
         except Misfire:
@@ -327,17 +325,15 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
 
 
 # ---------------------------------------------------------------------------
-# CSV round trips (csv writes a float as str(), which equals repr(), so
-# every value reloads exactly)
+# CSV round trips (a float is written as its repr, so every value reloads
+# exactly; lines end in \r\n, as csv.writer's do)
 
 def write_dataset(path, samples):
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(DATASET_COLUMNS)
-        w.writerows(tuple(map(float, (s.op.speed, s.op.t_ivc, s.op.p_ivc, s.op.phi_di,
-                                      s.op.phi_ng, s.op.egr, s.op.x_r, s.soi,
-                                      s.soc_ref, s.ca50_ref)))
-                    for s in samples)
+        fh.write(",".join(DATASET_COLUMNS) + "\r\n")
+        fh.writelines(",".join(map(repr, map(float, (
+            s.op.speed, s.op.t_ivc, s.op.p_ivc, s.op.phi_di, s.op.phi_ng, s.op.egr,
+            s.op.x_r, s.soi, s.soc_ref, s.ca50_ref)))) + "\r\n" for s in samples)
 
 
 def _read_sample(row, geom: EngineGeometry) -> CalibSample:
@@ -355,9 +351,8 @@ def _read_sample(row, geom: EngineGeometry) -> CalibSample:
 def read_dataset(path):
     """Samples of a dataset CSV. A malformed, non-finite or out-of-domain row
     (SOI outside the reference geometry's window included) raises a
-    ValueError naming the file and line."""
+    ValueError naming the file and the line of the first such row."""
     geom = default_geometry()
-    samples = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
@@ -365,13 +360,29 @@ def read_dataset(path):
             raise ValueError(f"{path}: empty file, no dataset header")
         if tuple(header) != DATASET_COLUMNS:
             raise ValueError(f"{path}: unexpected dataset columns: {header}")
+        rows, lines = [], []
         for row in r:
-            try:
-                samples.append(_read_sample(row, geom))
-            except ValueError as exc:   # DomainError is a ValueError
-                raise ValueError(f"{path}:{r.line_num}: {exc}") from None
-    if not samples:
+            rows.append(row)
+            lines.append(r.line_num)
+    if not rows:
         raise ValueError(f"{path}: dataset has a header but no rows")
+    try:   # every row at once: numpy converts each cell by float()'s rules
+        data = np.array(rows, dtype=float)
+        if data.shape[1:] != (len(DATASET_COLUMNS),) or not np.isfinite(data).all():
+            raise ValueError("malformed dataset")
+        _check_soi(data[:, DATASET_COLUMNS.index("soi")], geom)
+        return [CalibSample(OperatingPoint(speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc),
+                            soi, soc_ref, ca50_ref)
+                for speed, t_ivc, p_ivc, phi_di, phi_ng, egr, x_r, soi, soc_ref, ca50_ref
+                in data.tolist()]
+    except ValueError:   # DomainError is a ValueError; the rows name the first bad one
+        pass
+    samples = []
+    for row, line in zip(rows, lines):
+        try:
+            samples.append(_read_sample(row, geom))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
     return samples
 
 

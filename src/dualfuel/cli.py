@@ -7,6 +7,7 @@ noise-study. All file outputs are CSV (plus small JSON/text sidecars).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -136,7 +137,9 @@ def cmd_noise_study(args):
     return 0
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and reused by every main call."""
     parser = argparse.ArgumentParser(prog="dualfuel",
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -144,7 +147,6 @@ def main(argv=None):
     p = sub.add_parser("gen-data", help="generate a plant reference dataset")
     p.add_argument("--samples", type=int, default=1054)
     _add_common(p)
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("calibrate", help="fit model coefficients to a dataset")
     p.add_argument("--data", type=Path, required=True, help="dataset CSV")
@@ -153,12 +155,10 @@ def main(argv=None):
     p.add_argument("--holdout-frac", type=float, default=0.2,
                    help="fraction reserved for holdout statistics")
     _add_common(p)
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("validate", help="prediction-error statistics on a dataset")
     p.add_argument("--data", type=Path, required=True, help="dataset CSV")
     _add_common(p, seed=False, out=False)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("simulate", help="closed-loop scenario run")
     source = p.add_mutually_exclusive_group(required=True)
@@ -168,12 +168,10 @@ def main(argv=None):
     p.add_argument("--controller", choices=scenarios.CONTROLLERS,
                    default="adaptive", help="controller for --case runs")
     _add_common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sensitivity", help="one-at-a-time input perturbation study")
     p.add_argument("--data", type=Path, required=True, help="dataset CSV")
     _add_common(p, seed=False)
-    p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("noise-study", help="adaptive loop under CA50 measurement noise")
     p.add_argument("--halfwidth", type=float, default=0.5,
@@ -181,11 +179,15 @@ def main(argv=None):
     p.add_argument("--filter-cycles", type=float, default=0.0,
                    help="measurement-filter time constant in cycles (0 = off)")
     _add_common(p)
-    p.set_defaults(func=cmd_noise_study)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    # looked up per call, so a replaced cmd_<name> is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, calib.CalibrationDiverged) as exc:  # DomainError is a ValueError
         print(f"dualfuel {args.command}: error: {exc}", file=sys.stderr)
         return 2

@@ -267,17 +267,18 @@ def summarize_records(records, scenario: Scenario) -> ScenarioSummary:
 # record CSV
 
 def write_records_csv(path, records):
-    # csv writes a float as str(), which equals repr()
+    # the lines csv.writer writes: float repr, an empty cell for a missing
+    # observer estimate, \r\n line ends
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(RECORD_COLUMNS)
-        w.writerows(
-            (r.cycle_index, *map(float, (
-                r.time_s, r.op.speed, r.op.phi_di, r.op.phi_ng, r.op.egr,
-                r.op.p_ivc, r.op.t_ivc, r.ca50_ref, r.soi_commanded,
-                r.soi_applied, r.soc, r.bd, r.ca50_actual, r.ca50_measured)),
-             "" if r.alpha_hat is None else float(r.alpha_hat),
-             "" if r.beta_hat is None else float(r.beta_hat))
+        fh.write(",".join(RECORD_COLUMNS) + "\r\n")
+        fh.writelines(",".join((
+            str(r.cycle_index),
+            *map(repr, map(float, (r.time_s, r.op.speed, r.op.phi_di, r.op.phi_ng,
+                                   r.op.egr, r.op.p_ivc, r.op.t_ivc, r.ca50_ref,
+                                   r.soi_commanded, r.soi_applied, r.soc, r.bd,
+                                   r.ca50_actual, r.ca50_measured))),
+            "" if r.alpha_hat is None else repr(float(r.alpha_hat)),
+            "" if r.beta_hat is None else repr(float(r.beta_hat)))) + "\r\n"
             for r in records)
 
 

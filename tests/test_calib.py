@@ -1,14 +1,17 @@
 """Dataset generation, RMSE objective, the analytic CA50 Jacobian,
 Levenberg-Marquardt calibration and validation statistics."""
 
+import csv
 import dataclasses
 
 import numpy as np
 import pytest
 
 import dualfuel as df
+from dualfuel import calib
 from dualfuel.calib import (
     CALIBRATED_FIELDS,
+    DATASET_COLUMNS,
     CalibSample,
     CalibrationDiverged,
     CalibrationOptions,
@@ -18,6 +21,7 @@ from dualfuel.calib import (
     write_report_summary,
     _columns,
     _latin_hypercube,
+    _read_sample,
 )
 from dualfuel.model import ca50_jacobian
 
@@ -327,3 +331,144 @@ class TestCsvRoundTrips:
         write_dataset(path, [])
         with pytest.raises(ValueError, match="header_only.csv"):
             read_dataset(path)
+
+
+def _csv_writer_dataset(path, samples):
+    """write_dataset as it was written with csv.writer: the byte reference."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(DATASET_COLUMNS)
+        w.writerows(tuple(map(float, (s.op.speed, s.op.t_ivc, s.op.p_ivc, s.op.phi_di,
+                                      s.op.phi_ng, s.op.egr, s.op.x_r, s.soi,
+                                      s.soc_ref, s.ca50_ref)))
+                    for s in samples)
+
+
+def _read_one_row_at_a_time(path):
+    """read_dataset as it was written, one row at a time: the reference for
+    which files it accepts, the samples it returns and its messages."""
+    geom = df.default_geometry()
+    samples = []
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        next(r)
+        for row in r:
+            try:
+                samples.append(_read_sample(row, geom))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{r.line_num}: {exc}") from None
+    return samples
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+class TestDatasetCsvFormat:
+    def test_writer_bytes_match_csv_writer(self, tmp_path, small_plant_dataset):
+        edge = [
+            CalibSample(op=df.OperatingPoint(speed=1e300, phi_ng=-0.0, phi_di=0.1 + 0.2,
+                                             egr=-0.0, x_r=1e-300, p_ivc=1e-300,
+                                             t_ivc=np.float64(0.1)),
+                        soi=np.float64(-15.1), soc_ref=-0.0, ca50_ref=0.1 + 0.2),
+            CalibSample(op=df.OperatingPoint(*map(np.float64, (1300.0, 0.4, 0.3, 0.2, 0.03,
+                                                               3.5, 390.0))),
+                        soi=-12.0, soc_ref=np.float64(-1e-300), ca50_ref=1e300),
+        ]
+        data = [*small_plant_dataset[:8], *edge]
+        write_dataset(tmp_path / "new.csv", data)
+        _csv_writer_dataset(tmp_path / "ref.csv", data)
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        lines = written.split(b"\r\n")
+        assert lines[-1] == b"" and len(lines) == len(data) + 2
+        assert lines[9] == (b"1e+300,0.1,1e-300,0.30000000000000004,-0.0,-0.0,1e-300,"
+                            b"-15.1,-0.0,0.30000000000000004")
+        assert b"np.float64" not in written
+
+    def test_header_only_bytes_match_csv_writer(self, tmp_path):
+        write_dataset(tmp_path / "new.csv", [])
+        _csv_writer_dataset(tmp_path / "ref.csv", [])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestReadDataset:
+    """read_dataset checks all rows as one array and, when a check fails,
+    names the first bad row; files, samples and messages are those of the
+    row-at-a-time reader."""
+
+    @pytest.fixture
+    def rows(self, tmp_path, small_plant_dataset):
+        write_dataset(tmp_path / "dataset.csv", small_plant_dataset[:16])
+        with open(tmp_path / "dataset.csv", newline="") as fh:
+            return list(csv.reader(fh))
+
+    def _read(self, tmp_path, rows):
+        path = tmp_path / "dataset.csv"
+        _write_rows(path, rows)
+        return _outcome(read_dataset, path)
+
+    @pytest.mark.parametrize("edits, expected", [
+        pytest.param({4: lambda row: row.clear()}, "4: expected 10 values, got 0",
+                     id="blank-line"),
+        pytest.param({4: lambda row: row.__setitem__(7, "40.0"),
+                      6: lambda row: row.__setitem__(5, "abc")},
+                     "4: SOI must lie in [-148.5, 30.0] deg aTDC", id="two-bad-rows"),
+        pytest.param({4: lambda row: row.__setitem__(5, "abc"),
+                      6: lambda row: row.__setitem__(7, "40.0")},
+                     "4: could not convert string to float: 'abc'",
+                     id="two-bad-rows-parse-first"),
+        pytest.param({6: lambda row: row.__setitem__(0, "0"),
+                      9: lambda row: row.__setitem__(1, "inf")},
+                     "6: engine speed must be positive", id="point-before-non-finite"),
+        pytest.param({17: lambda row: row.__setitem__(5, "1.5")},
+                     "17: EGR fraction must lie in [0, 1)", id="bad-last-row"),
+        pytest.param({17: lambda row: row.pop()}, "17: expected 10 values, got 9",
+                     id="short-last-row"),
+    ])
+    def test_first_bad_row_named(self, tmp_path, rows, edits, expected):
+        for line, edit in edits.items():
+            edit(rows[line - 1])
+        assert self._read(tmp_path, rows) == f"{tmp_path / 'dataset.csv'}:{expected}"
+
+    def test_trailing_blank_line_rejected(self, tmp_path, rows):
+        assert self._read(tmp_path, [*rows, []]) == (
+            f"{tmp_path / 'dataset.csv'}:18: expected 10 values, got 0")
+
+    def test_quoted_and_padded_cells_read_as_float_does(self, tmp_path, rows,
+                                                        small_plant_dataset):
+        lines = [",".join(row) for row in rows]
+        lines[3] = ",".join(f'" {cell} "' for cell in rows[3])
+        lines[4] = ",".join(f"\t {cell}  " for cell in rows[4])
+        path = tmp_path / "dataset.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert read_dataset(path) == small_plant_dataset[:16]
+
+    @pytest.mark.parametrize("column", DATASET_COLUMNS)
+    def test_array_path_accepts_what_rows_accept(self, tmp_path, monkeypatch, rows,
+                                                 column):
+        # a file the row-at-a-time reader accepts never reaches it, and every
+        # file gives that reader's samples or message
+        calls = []
+        monkeypatch.setattr(calib, "_read_sample",
+                            lambda row, geom: calls.append(row) or _read_sample(row, geom))
+        path = tmp_path / "dataset.csv"
+        j = DATASET_COLUMNS.index(column)
+        for cell in ("-12.5", " 0.25 ", "1_0", "0", "-0.0", "1e-300", "1e300", "0.999",
+                     "-1", "40.0", "-150", "Infinity", "-inf", "nan", "1e400", "",
+                     " ", "abc", "0x10", "1__0", "\uff11\uff12"):
+            edited = [list(row) for row in rows]
+            edited[3][j] = cell
+            _write_rows(path, edited)
+            calls.clear()
+            want = _outcome(_read_one_row_at_a_time, path)
+            assert _outcome(read_dataset, path) == want, (column, cell)
+            assert (calls == []) == isinstance(want, list), (column, cell)

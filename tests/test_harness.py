@@ -14,6 +14,7 @@ import dualfuel as df
 from dualfuel import calib, cli, harness
 from dualfuel.calib import DATASET_COLUMNS
 from dualfuel.control import FEEDFORWARD_SEED_SOI
+from dualfuel.plant import CycleRecord
 from dualfuel.harness import (
     DEFAULT_PERTURBATIONS,
     RECORD_COLUMNS,
@@ -281,6 +282,39 @@ class TestSummary:
             speeds = {row["speed"] for row in csv.DictReader(fh)}
         assert speeds == {"1200.0"}
 
+    def test_records_bytes_match_csv_writer(self, tmp_path, case1_run):
+        _, records, _ = case1_run
+        op = df.OperatingPoint(speed=1e300, phi_ng=-0.0, phi_di=0.1 + 0.2, egr=-0.0,
+                               x_r=1e-300, p_ivc=np.float64(0.1), t_ivc=390.0)
+        edge = [CycleRecord(200, 0.1 + 0.2, op, np.float64(0.1), -0.0, 1e-300, 1e300,
+                            -1e-300, np.float64(-0.0), 8.0),
+                CycleRecord(201, np.float64(20.1), op, -15.0, -15.0, -14.0, 20.0, 1.0,
+                            1.0, 8.0, np.float64(0.1), -0.0),
+                CycleRecord(202, 20.2, op, -15.0, -15.0, -14.0, 20.0, 1.0, 1.0, 8.0,
+                            None, 1e300)]
+        rows = [*records[:8], *edge]
+        write_records_csv(tmp_path / "new.csv", rows)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            # write_records_csv as it was written with csv.writer
+            w = csv.writer(fh)
+            w.writerow(RECORD_COLUMNS)
+            w.writerows(
+                (r.cycle_index, *map(float, (
+                    r.time_s, r.op.speed, r.op.phi_di, r.op.phi_ng, r.op.egr,
+                    r.op.p_ivc, r.op.t_ivc, r.ca50_ref, r.soi_commanded,
+                    r.soi_applied, r.soc, r.bd, r.ca50_actual, r.ca50_measured)),
+                 "" if r.alpha_hat is None else float(r.alpha_hat),
+                 "" if r.beta_hat is None else float(r.beta_hat))
+                for r in rows)
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        lines = written.split(b"\r\n")
+        assert lines[-1] == b""
+        assert lines[-4] == (b"200,0.30000000000000004,1e+300,0.30000000000000004,-0.0,-0.0,"
+                             b"0.1,390.0,8.0,0.1,-0.0,1e-300,1e+300,-1e-300,-0.0,,")
+        assert lines[-2].startswith(b"202,20.2,") and lines[-2].endswith(b",,1e+300")
+        assert b"np.float64" not in written
+
     def test_segments_split_at_events(self, case1_run):
         _, _, summary = case1_run
         assert len(summary.segments) == 2
@@ -429,6 +463,24 @@ class TestCli:
         assert cli.main(["simulate", str(path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "my_case_records.csv").exists()
         assert (tmp_path / "my_case_summary.txt").exists()
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_options_do_not_leak_between_calls(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_calibrate", lambda args: seen.append(args) or 0)
+        assert cli.main(["calibrate", "--data", "d.csv", "--max-iters", "3"]) == 0
+        assert cli.main(["calibrate", "--data", "d.csv"]) == 0
+        assert [a.max_iters for a in seen] == [3, 2000]
+        assert seen[0] is not seen[1]
+
+    def test_replaced_command_is_the_one_run(self, monkeypatch, capsys):
+        # perfbench and the tests replace cmd_<name> after the parser exists
+        cli._parser()
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: print("patched") or 7)
+        assert cli.main(["validate", "--data", "d.csv"]) == 7
+        assert capsys.readouterr().out == "patched\n"
 
     def test_simulate_requires_scenario(self, capsys):
         # argparse's usage error, like every other missing argument
@@ -676,6 +728,8 @@ class TestCliRejectsBadInput:
     @pytest.mark.parametrize("edit, expected", [
         pytest.param(lambda row: row.pop(), "dataset.csv:4: expected 10 values, got 9",
                      id="short-row"),
+        pytest.param(lambda row: row.clear(), "dataset.csv:4: expected 10 values, got 0",
+                     id="blank-line"),
         pytest.param(lambda row: row.append("1.0"),
                      "dataset.csv:4: expected 10 values, got 11", id="long-row"),
         pytest.param(_set_cell("egr", "abc"), "dataset.csv:4: could not convert",
