@@ -10,14 +10,24 @@ the slider crank. Folding the polytrope into the exponent gives
 
     -c5 * P^c6 / T = a * r^e,  a = -c5 * p_ivc^c6 / t_ivc,  e = k*c6 - k + 1,
 
-so a node costs one cos (sin^2 = 1 - cos^2), one sqrt, one power r^e, one
-multiply by a, one exp and one divide. ``_folded_exponent`` returns (a, e)
-for a state. The integrand is written once for both marches, in the factory
-``_integrand(m, a, denom, ...)``: called once per march, it binds that
-march's constants and the module ``m``'s functions and returns
-``node(theta)``, which evaluates one angle with ``m = math`` or a whole
-grid with ``m = numpy``. The march looks ``math`` up each time it builds
-its node, not when the module loads.
+and the integrand is exp(a * g(theta)) / denom. It splits in two parts:
+a and denom depend on the operating point only (the plant's
+``_kernel_args`` computes both), and the geometric factor g(theta) = r^e on
+the crank angle and the plant's config only. ``_compression(m, ...)``
+writes g once: called with the geometry, it binds the module ``m``'s
+functions and returns ``g(theta)``, which evaluates one angle with
+``m = math`` or a whole grid with ``m = numpy``. g costs one cos
+(sin^2 = 1 - cos^2), one sqrt and one power r^e per angle; the point part
+costs one multiply by a, one exp and one divide.
+
+The march's arguments after (soi, step, theta_max) are (a, denom) and
+then g's geometry. ``_march_scalar`` evaluates exp(a * g(th)) / denom
+inline, one node per loop pass, looking ``math`` up at each call. It takes
+an optional trailing ``g``: the plant passes one memoised per angle for its
+run, since the actuator's grid makes its marches revisit the same angles,
+and a node whose angle it has seen costs one dict lookup, one multiply,
+one exp and one divide. Without it the march builds its own g, as each
+dataset sample does.
 
 ``march`` is the kernel the package runs: ``_march_scalar`` takes the nodes
 one at a time and stops at the crossing: about 11 nodes for a firing point
@@ -46,46 +56,43 @@ import numpy as np
 _DEG = math.pi / 180.0
 
 
-def _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp):
-    """(a, e) with -c5 * P^c6 / T = a * r^e along the polytrope from IVC."""
-    return -c5 * p_ivc ** c6 / t_ivc, poly_exp * c6 - poly_exp + 1.0
-
-
 # ---------------------------------------------------------------------------
-# the integrand
+# the geometric factor of the integrand
 
-def _integrand(m, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len):
-    """node(theta): the integrand exp(a * r^e) / denom at crank angle(s)
-    theta [deg aTDC], where r is the compression ratio V_ivc / V(theta) of
-    the slider crank; m is the module that evaluates it, ``math`` or
-    ``numpy``. One march's constants are bound here, once."""
-    cos, sqrt, exp = m.cos, m.sqrt, m.exp
+def _compression(m, v_ivc, e, area, v_clear, crank_r, rod_len):
+    """g(theta) = r^e at crank angle(s) theta [deg aTDC], where r is the
+    compression ratio V_ivc / V(theta) of the slider crank; m is the module
+    that evaluates it, ``math`` or ``numpy``. The integrand is
+    exp(a * g(theta)) / denom."""
+    cos, sqrt = m.cos, m.sqrt
     rod2, crank2 = rod_len * rod_len, crank_r * crank_r
 
-    def node(theta):
+    def g(theta):
         c = cos(theta * _DEG)
         s = crank_r * (1.0 - c) + rod_len - sqrt(rod2 - crank2 * (1.0 - c * c))
-        return exp(a * (v_ivc / (v_clear + area * s)) ** e) / denom
-    return node
+        return (v_ivc / (v_clear + area * s)) ** e
+    return g
 
 
 # ---------------------------------------------------------------------------
 # the kernel: plain-math march with an early exit at the crossing
 
-def _march_scalar(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
-                  c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
+def _march_scalar(soi, step, theta_max, a, denom, v_ivc, e, area, v_clear,
+                  crank_r, rod_len, g=None):
     """Returns (soc, integral_reached). soc is NaN when the integral never
-    reaches 1 before theta_max (misfire)."""
-    a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
-    node = _integrand(math, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
+    reaches 1 before theta_max (misfire). g is the geometric factor of these
+    geometry arguments, built here when not given."""
+    if g is None:
+        g = _compression(math, v_ivc, e, area, v_clear, crank_r, rod_len)
+    exp = math.exp
     th = soi
-    f0 = node(th)
+    f0 = exp(a * g(th)) / denom
     total = 0.0
     i = 0
     while th < theta_max:
         i += 1
         th1 = soi + step * i
-        f1 = node(th1)
+        f1 = exp(a * g(th1)) / denom
         new_total = total + 0.5 * step * (f0 + f1)
         if new_total >= 1.0:
             frac = (1.0 - total) / (new_total - total)
@@ -99,14 +106,12 @@ def _march_scalar(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
 march = _march_scalar
 
 
-def value(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
-          c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
+def value(theta_end, soi, step, a, denom, *geo):
     """Accumulated integral up to theta_end, linearly interpolated within
     the final grid step (the same convention the march inverts)."""
-    a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
-    node = _integrand(math, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
+    g, exp = _compression(math, *geo), math.exp
     n_full = int(math.floor((theta_end - soi) / step))
-    f = [node(soi + step * i) for i in range(n_full + 2)]
+    f = [exp(a * g(soi + step * i)) / denom for i in range(n_full + 2)]
     total = 0.0
     for i in range(n_full):
         total += 0.5 * step * (f[i] + f[i + 1])
@@ -117,17 +122,15 @@ def value(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
 # ---------------------------------------------------------------------------
 # vectorised numpy reference march over the whole grid
 
-def _integrand_numpy(theta, *geo):
+def _integrand_numpy(theta, a, denom, *geo):
     """The integrand on the whole grid theta at once."""
-    return _integrand(np, *geo)(theta)
+    return np.exp(a * _compression(np, *geo)(theta)) / denom
 
 
-def march_numpy(soi, step, theta_max, p_ivc, t_ivc, v_ivc, denom,
-                c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
-    a, e = _folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
+def march_numpy(soi, step, theta_max, a, denom, *geo):
     n = int(math.ceil((theta_max - soi) / step))
     theta = soi + step * np.arange(n + 1)
-    f = _integrand_numpy(theta, a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
+    f = _integrand_numpy(theta, a, denom, *geo)
     cum = np.cumsum(0.5 * step * (f[:-1] + f[1:]))
     idx = int(np.searchsorted(cum, 1.0))
     if idx == len(cum):

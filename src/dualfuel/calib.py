@@ -351,19 +351,29 @@ def _read_sample(row, geom: EngineGeometry) -> CalibSample:
 def read_dataset(path):
     """Samples of a dataset CSV. A malformed, non-finite or out-of-domain row
     (SOI outside the reference geometry's window included) raises a
-    ValueError naming the file and the line of the first such row."""
+    ValueError naming the file and the line on which the first such row
+    starts; so does a row the csv module cannot parse. Undecodable text
+    raises a ValueError naming the file."""
     geom = default_geometry()
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, no dataset header")
-        if tuple(header) != DATASET_COLUMNS:
-            raise ValueError(f"{path}: unexpected dataset columns: {header}")
-        rows, lines = [], []
-        for row in r:
-            rows.append(row)
-            lines.append(r.line_num)
+        start = 1   # the line on which the row being read starts
+        try:
+            header = next(r, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, no dataset header")
+            if tuple(header) != DATASET_COLUMNS:
+                raise ValueError(f"{path}: unexpected dataset columns: {header}")
+            rows, lines = [], []
+            start = r.line_num + 1
+            for row in r:
+                rows.append(row)
+                lines.append(start)
+                start = r.line_num + 1
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{start}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: dataset has a header but no rows")
     try:   # every row at once: numpy converts each cell by float()'s rules

@@ -260,6 +260,19 @@ def save_coefficients(path, coeffs: ModelCoefficients):
         fh.write("\n")
 
 
+def _load_json(path):
+    """The JSON document in path. Undecodable text, malformed JSON and a
+    document nested past the parser's recursion limit raise a ValueError
+    naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:   # UnicodeDecodeError or JSONDecodeError
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def load_coefficients(path) -> ModelCoefficients:
     """Coefficients from a JSON file, with a positive ignition-delay scale.
 
@@ -269,8 +282,7 @@ def load_coefficients(path) -> ModelCoefficients:
     at the actuator limit. The calibration's trial points do not come
     through here, so the check stays out of ``ModelCoefficients``.
     """
-    with open(path) as fh:
-        coeffs = ModelCoefficients.from_dict(json.load(fh))
+    coeffs = ModelCoefficients.from_dict(_load_json(path))
     if not (coeffs.c2 > 0.0 and coeffs.c1 + coeffs.c2 > 0.0):
         raise DomainError(
             f"ignition-delay scale c1*egr + c2 must be positive for egr in [0, 1): "

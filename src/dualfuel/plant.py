@@ -98,12 +98,22 @@ class CycleRecord(NamedTuple):
     beta_hat: float | None = None
 
 
+def _geometry_args(cfg: PlantConfig):
+    """The arguments of the integrand's geometric factor g(theta) = r^e
+    (``_kernels._compression``): fixed by the config. e = k*c6 - k + 1
+    folds the polytrope into the exponent."""
+    geom, k = cfg.geom, cfg.plant_poly_exp
+    return (geom.ivc_volume, k * cfg.coeffs.c6 - k + 1.0, geom.piston_area,
+            geom.clearance_volume, geom.crank_radius, geom.rod_length)
+
+
 def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
-    geom, coeffs = cfg.geom, cfg.coeffs
+    """The march's arguments after (soi, step, theta_max): the point's folded
+    factor a = -c5 * p_ivc^c6 / t_ivc and delay scale, then the geometry's."""
+    coeffs = cfg.coeffs
+    a = -coeffs.c5 * op.p_ivc ** coeffs.c6 / op.t_ivc
     denom = delay_scale(op.egr, op.speed, op.phi_ng, op.phi_di, coeffs)
-    return (op.p_ivc, op.t_ivc, geom.ivc_volume, denom, coeffs.c5, coeffs.c6,
-            cfg.plant_poly_exp, geom.piston_area, geom.clearance_volume,
-            geom.crank_radius, geom.rod_length)
+    return (a, denom) + _geometry_args(cfg)
 
 
 def _march_soc(op: OperatingPoint, soi: float, cfg: PlantConfig, args) -> float:
@@ -143,6 +153,18 @@ def quantize_soi(command: float, resolution: float) -> float:
     return math.copysign(n * resolution, command)
 
 
+class _AngleMemo(dict):
+    """g(theta) by the exact float angle, computed on first use."""
+
+    def __init__(self, g):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, theta):
+        value = self[theta] = self.g(theta)
+        return value
+
+
 class EnginePlant:
     """Mutable single-cylinder plant advanced one cycle at a time.
 
@@ -150,6 +172,14 @@ class EnginePlant:
     zero. The cylinder sees a first-order-lagged EGR fraction; everything
     else in the commanded operating point applies within the cycle.
     Deterministic for a fixed config (seeded measurement noise).
+
+    One plant is one run, and it keeps two things for that run only. The
+    integrand's geometric factor g(theta) of its config is memoised by the
+    exact float angle, since the actuator's grid makes the marches revisit
+    the same angles; no memo outlives the plant, because its key does not
+    include the config. And the point the cylinder saw last keeps its march
+    arguments and burn duration until the point changes. Neither changes an
+    output bit: each value is the one a fresh computation gives.
     """
 
     def __init__(self, cfg: PlantConfig):
@@ -158,7 +188,9 @@ class EnginePlant:
         self.time_s = 0.0
         self.egr_seen: float | None = None
         self.rng = np.random.default_rng(cfg.rng_seed)
-        # (point the cylinder saw last, its march arguments, its burn duration)
+        self._g = _AngleMemo(_kernels._compression(math, *_geometry_args(cfg))).__getitem__
+        # (point the cylinder saw last, its march arguments with self._g
+        # appended, its burn duration)
         self._seen: tuple | None = None
         if cfg.egr_lag_cycles > 0:
             self._lag_gain = 1.0 - math.exp(-1.0 / cfg.egr_lag_cycles)
@@ -190,7 +222,7 @@ class EnginePlant:
             if seen is None or seen[0] is not op_seen:
                 # work that depends on the point alone, redone when it changes
                 seen = self._seen = (
-                    op_seen, _kernel_args(op_seen, cfg),
+                    op_seen, _kernel_args(op_seen, cfg) + (self._g,),
                     burn_duration(op_seen.egr + op_seen.x_r, op_seen.phi_ng,
                                   op_seen.phi_di, cfg.coeffs))
             _, args, bd = seen

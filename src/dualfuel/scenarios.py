@@ -9,7 +9,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .control import MEAN_RESIDUAL_FRACTION
-from .core import _number
+from .core import _load_json, _number
 from .plant import PlantConfig
 
 # quantities a scenario may schedule; manifold conditions are mapped to IVC
@@ -172,8 +172,7 @@ def save_scenario(path, s: Scenario):
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+    return scenario_from_dict(_load_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,12 @@ class TestDatasetCsvFormat:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _line_break_in_last_cell(line):
+    # float() strips the line break, so the row stays good over two lines
+    head, last = line.rsplit(",", 1)
+    return f'{head},"{last}\n"'
+
+
 class TestReadDataset:
     """read_dataset checks all rows as one array and, when a check fails,
     names the first bad row; files, samples and messages are those of the
@@ -442,6 +448,32 @@ class TestReadDataset:
     def test_trailing_blank_line_rejected(self, tmp_path, rows):
         assert self._read(tmp_path, [*rows, []]) == (
             f"{tmp_path / 'dataset.csv'}:18: expected 10 values, got 0")
+
+    @pytest.mark.parametrize("edit, expected", [
+        # a quote opened on line 4 and never closed takes the rest of the file
+        pytest.param(lambda lines: lines.__setitem__(3, '"' + lines[3]),
+                     "4: expected 10 values, got 1", id="unclosed-quote"),
+        # a quoted line break makes row 4 two lines long, so row 6 starts on 7
+        pytest.param(lambda lines: (lines.__setitem__(3, lines[3] + ',"a\nb"'),
+                                    lines.__setitem__(5, lines[5] + ",1.0")),
+                     "4: expected 10 values, got 11", id="row-over-two-lines"),
+        pytest.param(lambda lines: (lines.__setitem__(3, _line_break_in_last_cell(lines[3])),
+                                    lines.__setitem__(5, lines[5] + ",1.0")),
+                     "7: expected 10 values, got 11", id="later-row-after-two-lines"),
+    ])
+    def test_row_named_by_the_line_it_starts_on(self, tmp_path, rows, edit, expected):
+        lines = [",".join(row) for row in rows]
+        edit(lines)
+        path = tmp_path / "dataset.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert _outcome(read_dataset, path) == f"{path}:{expected}"
+
+    def test_undecodable_text_names_the_file(self, tmp_path, rows):
+        path = tmp_path / "dataset.csv"
+        _write_rows(path, rows)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 3))
+        message = _outcome(read_dataset, path)
+        assert message.startswith(f"{path}: ") and "can't decode byte 0xff" in message
 
     def test_quoted_and_padded_cells_read_as_float_does(self, tmp_path, rows,
                                                         small_plant_dataset):

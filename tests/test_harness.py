@@ -751,6 +751,27 @@ class TestCliRejectsBadInput:
         data = _edited_dataset_csv(tmp_path, 4, edit)
         self._rejects([command, "--data", data], tmp_path, capsys, expected)
 
+    def test_dataset_cell_past_csv_field_limit(self, tmp_path, capsys):
+        data = _edited_dataset_csv(tmp_path, 4, _set_cell("speed", "1" * 200_000))
+        self._rejects(["validate", "--data", data], tmp_path, capsys,
+                      "dataset.csv:4: field larger than field limit")
+
+    @pytest.mark.parametrize("content, expected", [
+        pytest.param(b"[" * 100_000, "JSON nested too deeply", id="deeply-nested"),
+        pytest.param(b'{"c1": ', "Expecting value", id="truncated"),
+        pytest.param(b"\xff{}", "'utf-8' codec can't decode byte 0xff", id="undecodable"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(lambda data, bad: ["validate", "--data", data, "--coeffs", bad],
+                     id="coeffs"),
+        pytest.param(lambda data, bad: ["simulate", bad], id="scenario"),
+    ])
+    def test_unreadable_json(self, tmp_path, capsys, argv, content, expected):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        self._rejects(argv(_dataset_csv(tmp_path), str(bad)), tmp_path, capsys,
+                      f"bad.json: {expected}")
+
     def test_no_training_sample_left(self, tmp_path, capsys):
         data = _dataset_csv(tmp_path, n_samples=3)
         self._rejects(["calibrate", "--data", data, "--holdout-frac", "0.9"], tmp_path,

@@ -34,18 +34,16 @@ def test_integrand_matches_reference_formula(cfg, geom, coeffs, box_rng):
     vol = df.cylinder_volume(theta, geom)
     for _ in range(25):
         op = random_box_op(box_rng)
-        p_ivc, t_ivc, v_ivc, denom, c5, c6, poly, area, v_clear, crank_r, rod_len = \
-            _args(op, cfg)
-        p, t = df.polytropic_state_at_soi(op.p_ivc, op.t_ivc, v_ivc, vol, poly)
+        a, denom, *geo = _args(op, cfg)
+        p, t = df.polytropic_state_at_soi(op.p_ivc, op.t_ivc, geom.ivc_volume, vol,
+                                          cfg.plant_poly_exp)
         expected = 1.0 / ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di, p, t,
                                         coeffs)
-        a, e = _kernels._folded_exponent(p_ivc, t_ivc, c5, c6, poly)
-        geo = (a, denom, v_ivc, e, area, v_clear, crank_r, rod_len)
-        np.testing.assert_allclose(_kernels._integrand_numpy(theta, *geo), expected,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(_kernels._integrand_numpy(theta, a, denom, *geo),
+                                   expected, rtol=1e-12)
         # the plain-math node of the march, one angle at a time
-        node = _kernels._integrand(math, *geo)
-        scalar = [node(th) for th in theta]
+        g = _kernels._compression(math, *geo)
+        scalar = [math.exp(a * g(th)) / denom for th in theta]
         np.testing.assert_allclose(scalar, expected, rtol=1e-12)
 
 
@@ -110,14 +108,11 @@ def test_value_is_one_at_the_march_crossing(cfg, box_rng):
         assert abs(_kernels.value(soc, soi, cfg.quad_step, *args) - 1.0) <= 1e-12
 
 
-def _numpy_value(theta_end, soi, step, p_ivc, t_ivc, v_ivc, denom,
-                 c5, c6, poly_exp, area, v_clear, crank_r, rod_len):
+def _numpy_value(theta_end, soi, step, a, denom, *geo):
     # the whole grid up to theta_end at once, summed by numpy
-    a, e = _kernels._folded_exponent(p_ivc, t_ivc, c5, c6, poly_exp)
     n_full = int(math.floor((theta_end - soi) / step))
     theta = soi + step * np.arange(n_full + 2)
-    f = _kernels._integrand_numpy(theta, a, denom, v_ivc, e, area, v_clear, crank_r,
-                                  rod_len)
+    f = _kernels._integrand_numpy(theta, a, denom, *geo)
     incr = 0.5 * step * (f[:-1] + f[1:])
     frac = (theta_end - (soi + step * n_full)) / step
     return float(np.sum(incr[:n_full]) + frac * incr[n_full])

@@ -1,14 +1,19 @@
 """Plant behaviour: quadrature SOC, the frozen-state gap, cycle stepping,
 actuator and transport imperfections."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dualfuel as df
+from dualfuel import _kernels
 from dualfuel.core import DomainError
 from dualfuel.plant import MOTORED_CYCLES, CycleRecord, Misfire, quantize_soi
+from dualfuel.scenarios import builtin_case
 
 from conftest import BOX, SOI_BOX, random_box_op, random_box_soi
 
@@ -244,6 +249,51 @@ class TestStepCycle:
         assert seen[0] == pytest.approx(low.egr + gain * (high.egr - low.egr), rel=1e-12)
         assert all(b > a for a, b in zip(seen[:10], seen[1:11]))
         assert seen[-1] == pytest.approx(high.egr, abs=1e-3)
+
+
+class TestAngleMemo:
+    """Each plant computes the integrand's geometric factor once per exact
+    angle its marches visit, for its own config and its own run only."""
+
+    def test_plants_of_different_configs_keep_their_own_values(self, geom, coeffs,
+                                                               mid_op):
+        plants = [df.EnginePlant(df.PlantConfig(geom=geom, coeffs=coeffs,
+                                                plant_poly_exp=k,
+                                                ca50_noise_halfwidth=0.0))
+                  for k in (1.30, 1.36)]
+        commands = [-15.0, -14.5, -15.3, -14.97, -14.0, -15.0, -14.5, -13.2] * 2
+        for command in commands:
+            socs = []
+            for plant in plants:
+                rec = plant.step_cycle(command, mid_op)
+                if rec.cycle_index >= MOTORED_CYCLES:
+                    assert rec.soc == df.knock_integral_soc(rec.op, rec.soi_applied,
+                                                            plant.cfg)
+                    socs.append(rec.soc)
+            assert len(set(socs)) == len(socs)
+
+    def test_geometry_computed_once_per_angle_per_run(self, monkeypatch):
+        computed = Counter()
+        compression = _kernels._compression
+
+        def counting(m, *geo):
+            g = compression(m, *geo)
+
+            def counted(theta):
+                computed[theta] += 1
+                return g(theta)
+            return counted
+        monkeypatch.setattr(_kernels, "_compression", counting)
+        sc = builtin_case(1)
+        step = df.PlantConfig(geom=df.default_geometry(), coeffs=df.default_coefficients(),
+                              **sc.plant).quad_step
+        for _ in range(2):   # a second run starts from nothing
+            computed.clear()
+            records, _ = df.run_scenario(sc)
+            visited = {rec.soi_applied + step * i for rec in records[MOTORED_CYCLES:]
+                       for i in range(math.ceil((rec.soc - rec.soi_applied) / step) + 1)}
+            assert computed.keys() == visited
+            assert set(computed.values()) == {1}
 
 
 class TestCycleRecord:
