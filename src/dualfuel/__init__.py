@@ -40,7 +40,7 @@ from .calib import (
     validate,
     write_dataset,
 )
-from .scenarios import Scenario, load_scenario, save_scenario
+from .scenarios import Scenario, load_scenario
 from .harness import run_noise_study, run_scenario
 
 __version__ = "0.1.0"

@@ -3,7 +3,6 @@ CA50 model against the plant, with holdout validation statistics."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields
 
@@ -14,6 +13,8 @@ from .core import (
     EngineGeometry,
     ModelCoefficients,
     OperatingPoint,
+    _read_csv,
+    _write_csv,
     default_coefficients,
     default_geometry,
 )
@@ -325,15 +326,12 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
 
 
 # ---------------------------------------------------------------------------
-# CSV round trips (a float is written as its repr, so every value reloads
-# exactly; lines end in \r\n, as csv.writer's do)
+# CSV round trips, in core's dialect
 
 def write_dataset(path, samples):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(DATASET_COLUMNS) + "\r\n")
-        fh.writelines(",".join(map(repr, map(float, (
-            s.op.speed, s.op.t_ivc, s.op.p_ivc, s.op.phi_di, s.op.phi_ng, s.op.egr,
-            s.op.x_r, s.soi, s.soc_ref, s.ca50_ref)))) + "\r\n" for s in samples)
+    _write_csv(path, DATASET_COLUMNS, (map(repr, map(float, (
+        s.op.speed, s.op.t_ivc, s.op.p_ivc, s.op.phi_di, s.op.phi_ng, s.op.egr,
+        s.op.x_r, s.soi, s.soc_ref, s.ca50_ref))) for s in samples))
 
 
 def _read_sample(row, geom: EngineGeometry) -> CalibSample:
@@ -352,30 +350,9 @@ def read_dataset(path):
     """Samples of a dataset CSV. A malformed, non-finite or out-of-domain row
     (SOI outside the reference geometry's window included) raises a
     ValueError naming the file and the line on which the first such row
-    starts; so does a row the csv module cannot parse. Undecodable text
-    raises a ValueError naming the file."""
+    starts; so does a file that core._read_csv rejects."""
     geom = default_geometry()
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        start = 1   # the line on which the row being read starts
-        try:
-            header = next(r, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file, no dataset header")
-            if tuple(header) != DATASET_COLUMNS:
-                raise ValueError(f"{path}: unexpected dataset columns: {header}")
-            rows, lines = [], []
-            start = r.line_num + 1
-            for row in r:
-                rows.append(row)
-                lines.append(start)
-                start = r.line_num + 1
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{start}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: dataset has a header but no rows")
+    rows, lines = _read_csv(path, DATASET_COLUMNS)
     try:   # every row at once: numpy converts each cell by float()'s rules
         data = np.array(rows, dtype=float)
         if data.shape[1:] != (len(DATASET_COLUMNS),) or not np.isfinite(data).all():
@@ -397,11 +374,9 @@ def read_dataset(path):
 
 
 def write_report_csv(path, report: CalibReport):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("iteration", "rmse") + tuple(CALIBRATED_FIELDS))
-        for i, (r, c) in enumerate(zip(report.rmse_history, report.coeff_history)):
-            w.writerow([i, repr(r)] + [repr(c[name]) for name in CALIBRATED_FIELDS])
+    _write_csv(path, ("iteration", "rmse") + CALIBRATED_FIELDS,
+               ((str(i), repr(r), *(repr(c[name]) for name in CALIBRATED_FIELDS))
+                for i, (r, c) in enumerate(zip(report.rmse_history, report.coeff_history))))
 
 
 def write_report_summary(path, report: CalibReport):

@@ -8,6 +8,7 @@ All functions broadcast over numpy arrays.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -271,6 +272,43 @@ def _load_json(path):
             raise ValueError(f"{path}: JSON nested too deeply") from None
         except ValueError as exc:   # UnicodeDecodeError or JSONDecodeError
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _write_csv(path, header, rows):
+    """Write header and rows, each an iterable of cell strings, in the one CSV
+    dialect of the package: cells joined by commas and lines ending in \\r\\n,
+    as csv.writer writes cells that need no quoting. Callers write a float as
+    its repr, so that it reloads exactly, and a missing value as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(cells) + "\r\n" for cells in rows)
+
+
+def _read_csv(path, header):
+    """(rows, lines) of a CSV file whose first row is header: the rows after
+    it as lists of cell strings, and the line on which each row starts. A
+    missing or different header, no row, a row the csv module cannot parse
+    and undecodable text raise a one-line ValueError naming the file."""
+    rows, lines = [], []
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        start = 1   # the line on which the row being read starts
+        try:
+            for row in r:
+                rows.append(row)
+                lines.append(start)
+                start = r.line_num + 1
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{start}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty file, no header")
+    if tuple(rows[0]) != tuple(header):
+        raise ValueError(f"{path}:1: expected the header {','.join(header)}")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: a header but no rows")
+    return rows[1:], lines[1:]
 
 
 def load_coefficients(path) -> ModelCoefficients:

@@ -7,7 +7,6 @@ the model-sensitivity and measurement-noise studies. All outputs are CSV.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -28,6 +27,8 @@ from .core import (
     EngineGeometry,
     ModelCoefficients,
     OperatingPoint,
+    _read_csv,
+    _write_csv,
     cylinder_volume,
     default_coefficients,
     default_geometry,
@@ -267,38 +268,32 @@ def summarize_records(records, scenario: Scenario) -> ScenarioSummary:
 # record CSV
 
 def write_records_csv(path, records):
-    # the lines csv.writer writes: float repr, an empty cell for a missing
-    # observer estimate, \r\n line ends
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(RECORD_COLUMNS) + "\r\n")
-        fh.writelines(",".join((
-            str(r.cycle_index),
-            *map(repr, map(float, (r.time_s, r.op.speed, r.op.phi_di, r.op.phi_ng,
-                                   r.op.egr, r.op.p_ivc, r.op.t_ivc, r.ca50_ref,
-                                   r.soi_commanded, r.soi_applied, r.soc, r.bd,
-                                   r.ca50_actual, r.ca50_measured))),
-            "" if r.alpha_hat is None else repr(float(r.alpha_hat)),
-            "" if r.beta_hat is None else repr(float(r.beta_hat)))) + "\r\n"
-            for r in records)
+    _write_csv(path, RECORD_COLUMNS, ((
+        str(r.cycle_index),
+        *map(repr, map(float, (r.time_s, r.op.speed, r.op.phi_di, r.op.phi_ng,
+                               r.op.egr, r.op.p_ivc, r.op.t_ivc, r.ca50_ref,
+                               r.soi_commanded, r.soi_applied, r.soc, r.bd,
+                               r.ca50_actual, r.ca50_measured))),
+        *("" if v is None else repr(float(v)) for v in (r.alpha_hat, r.beta_hat)))
+        for r in records))
 
 
 def read_records_csv(path):
-    """Rows as dicts of floats (None for blank observer columns)."""
-    rows = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if tuple(header) != RECORD_COLUMNS:
-            raise ValueError(f"unexpected record columns: {header}")
-        for raw in r:
-            row = {}
-            for key, cell in zip(RECORD_COLUMNS, raw):
-                if key == "cycle":
-                    row[key] = int(cell)
-                else:
-                    row[key] = None if cell == "" else float(cell)
-            rows.append(row)
-    return rows
+    """Rows as dicts: an int cycle, floats, and None for a blank observer
+    cell. A bad row raises a ValueError naming the file and its first line."""
+    rows, lines = _read_csv(path, RECORD_COLUMNS)
+    out = []
+    for raw, line in zip(rows, lines):
+        try:
+            if len(raw) != len(RECORD_COLUMNS):
+                raise ValueError(f"expected {len(RECORD_COLUMNS)} values, got {len(raw)}")
+            cycle, *cells, alpha_hat, beta_hat = raw
+            out.append(dict(zip(RECORD_COLUMNS, (
+                int(cycle), *map(float, cells),
+                *(None if c == "" else float(c) for c in (alpha_hat, beta_hat))))))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
+    return out
 
 
 def write_summary_txt(path, summary: ScenarioSummary):
@@ -366,12 +361,9 @@ def run_sensitivity(coeffs: ModelCoefficients, dataset, geom: EngineGeometry):
 
 
 def write_sensitivity_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("quantity", "delta", "mode", "ca50_err_std", "ca50_err_max"))
-        for r in rows:
-            w.writerow([r.quantity, repr(r.delta), r.mode,
-                        repr(r.ca50_err_std), repr(r.ca50_err_max)])
+    _write_csv(path, ("quantity", "delta", "mode", "ca50_err_std", "ca50_err_max"),
+               ((r.quantity, repr(r.delta), r.mode, repr(r.ca50_err_std),
+                 repr(r.ca50_err_max)) for r in rows))
 
 
 # ---------------------------------------------------------------------------

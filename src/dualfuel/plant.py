@@ -69,8 +69,9 @@ class PlantConfig:
             raise DomainError("soi_resolution must be positive")
         if self.egr_lag_cycles < 0:
             raise DomainError("egr_lag_cycles must be non-negative")
-        if self.ca50_noise_halfwidth < 0.0:
-            raise DomainError("ca50_noise_halfwidth must be finite and non-negative")
+        if not 0.0 <= 2.0 * self.ca50_noise_halfwidth < math.inf:   # the draw's span
+            raise DomainError(f"ca50_noise_halfwidth must be non-negative with a finite "
+                              f"span 2 * halfwidth, got {self.ca50_noise_halfwidth}")
         seed = self.rng_seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise DomainError(f"rng_seed must be a non-negative integer, got {seed!r}")

@@ -1,12 +1,11 @@
 """Scenario definitions: piecewise-linear schedules over time for the engine
-boundary conditions and the CA50 reference, plus JSON (de)serialisation and
-the six built-in benchmark transients."""
+boundary conditions and the CA50 reference, plus JSON loading and the six
+built-in benchmark transients."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .control import MEAN_RESIDUAL_FRACTION
 from .core import _load_json, _number
@@ -121,7 +120,7 @@ def schedule_value(bps, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON loading
 
 def _expect(value, kind, what):
     """value if it has the JSON type kind (dict or list), else ValueError."""
@@ -163,12 +162,6 @@ def scenario_from_dict(d: dict) -> Scenario:
                    _expect(d["schedules"], dict, "scenario key 'schedules'").items()},
         reference=_breakpoints_from_list("reference", d["reference"]),
     )
-
-
-def save_scenario(path, s: Scenario):
-    with open(path, "w") as fh:
-        json.dump(asdict(s), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_scenario(path) -> Scenario:

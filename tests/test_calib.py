@@ -184,6 +184,12 @@ class TestCalibrate:
         with pytest.raises(df.DomainError, match="sample 3: SOI must lie in"):
             df.calibrate(None, samples, geom)
 
+    def test_rmse_names_sample_outside_domain(self, geom, coeffs, small_plant_dataset):
+        samples = list(small_plant_dataset[:10])
+        samples[6] = dataclasses.replace(samples[6], soi=-150.0)
+        with pytest.raises(df.DomainError, match="sample 6: SOI must lie in"):
+            df.rmse(coeffs, samples, geom)
+
     def test_jacobian_matches_central_differences(self, geom, coeffs,
                                                   small_plant_dataset):
         # every column of the analytic Jacobian agrees with a central
@@ -305,6 +311,25 @@ class TestCsvRoundTrips:
         assert lines[0].split(",")[:2] == ["iteration", "rmse"]
         assert len(lines) == len(report.rmse_history) + 1
         assert "final CA50 RMSE" in (tmp_path / "summary.txt").read_text()
+
+    def test_report_bytes_match_csv_writer(self, tmp_path, geom, coeffs,
+                                           small_plant_dataset):
+        report, _ = df.calibrate(coeffs, small_plant_dataset, geom,
+                                 CalibrationOptions(max_iters=3))
+        report.rmse_history.append(0.1 + 0.2)
+        report.coeff_history.append(dict.fromkeys(CALIBRATED_FIELDS, -0.0) | {"c5": 1e300})
+        write_report_csv(tmp_path / "new.csv", report)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            # write_report_csv as it was written with csv.writer
+            w = csv.writer(fh)
+            w.writerow(("iteration", "rmse") + tuple(CALIBRATED_FIELDS))
+            for i, (r, c) in enumerate(zip(report.rmse_history, report.coeff_history)):
+                w.writerow([i, repr(r)] + [repr(c[name]) for name in CALIBRATED_FIELDS])
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        assert written.endswith(b"\r\n%d,0.30000000000000004,-0.0,-0.0,-0.0,-0.0,1e+300,"
+                                b"-0.0,-0.0,-0.0,-0.0,-0.0,-0.0\r\n"
+                                % (len(report.rmse_history) - 1))
 
     def test_summary_names_stop_reason(self, tmp_path, geom, coeffs,
                                        small_plant_dataset):

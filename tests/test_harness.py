@@ -20,11 +20,13 @@ from dualfuel.harness import (
     RECORD_COLUMNS,
     SOI_CMD_MARGIN,
     SOI_CMD_MAX,
+    SensitivityRow,
     _op_lookup,
     read_records_csv,
     run_sensitivity,
     summarize_rows,
     write_records_csv,
+    write_sensitivity_csv,
 )
 from dualfuel.scenarios import (
     IVC_PRESSURE_GAIN,
@@ -315,6 +317,47 @@ class TestSummary:
         assert lines[-2].startswith(b"202,20.2,") and lines[-2].endswith(b",,1e+300")
         assert b"np.float64" not in written
 
+    @pytest.fixture
+    def records_lines(self, tmp_path, case1_run):
+        path = tmp_path / "records.csv"
+        write_records_csv(path, case1_run[1][:6])
+        return path.read_text().splitlines()
+
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param(lambda lines: lines.clear(), ": empty file, no header", id="empty"),
+        pytest.param(lambda lines: lines.__setitem__(0, lines[0].replace("soc,", "SOC,")),
+                     ":1: expected the header cycle,", id="wrong-header"),
+        pytest.param(lambda lines: lines.__delitem__(slice(1, None)),
+                     ": a header but no rows", id="header-only"),
+        pytest.param(lambda lines: lines.__setitem__(4, lines[4].rsplit(",", 1)[0]),
+                     ":5: expected 17 values, got 16", id="short-row"),
+        pytest.param(lambda lines: lines.__setitem__(3, lines[3].replace(",", ",abc,", 1)
+                                                     .rsplit(",", 1)[0]),
+                     ":4: could not convert string to float: 'abc'", id="non-numeric-cell"),
+        pytest.param(lambda lines: lines.__setitem__(6, "x" + lines[6]),
+                     ":7: invalid literal for int() with base 10", id="non-integer-cycle"),
+        pytest.param(lambda lines: lines.__setitem__(2, lines[2].replace(",", ",,", 1)
+                                                     .rsplit(",", 1)[0]),
+                     ":3: could not convert string to float: ''", id="blank-time"),
+    ])
+    def test_malformed_records_named(self, tmp_path, records_lines, edit, expected):
+        edit(records_lines)
+        path = tmp_path / "records.csv"
+        path.write_text("".join(line + "\n" for line in records_lines))
+        with pytest.raises(ValueError) as exc:
+            read_records_csv(path)
+        message = str(exc.value)
+        assert message.startswith(f"{path}{expected}") and "\n" not in message
+
+    @pytest.mark.parametrize("controller", ["adaptive", "feedforward"])
+    def test_observer_cells_read_back(self, tmp_path, controller):
+        # the feedforward loop has no observer: its cells are blank, read as None
+        records, _ = df.run_scenario(builtin_case(1, controller=controller))
+        path = tmp_path / "records.csv"
+        write_records_csv(path, records)
+        assert [(r["alpha_hat"], r["beta_hat"]) for r in read_records_csv(path)] == [
+            (r.alpha_hat, r.beta_hat) for r in records]
+
     def test_segments_split_at_events(self, case1_run):
         _, _, summary = case1_run
         assert len(summary.segments) == 2
@@ -380,6 +423,23 @@ class TestSensitivity:
         row, = [r for r in rows if (r.quantity, r.delta) == (quantity, delta)]
         assert row.ca50_err_std == stats.ca50_err_std
         assert row.ca50_err_max == stats.ca50_err_max
+
+    def test_sensitivity_bytes_match_csv_writer(self, tmp_path, dataset, geom, coeffs):
+        rows = [*run_sensitivity(coeffs, dataset, geom),
+                SensitivityRow("x_r", -0.0, "rel", 1e-300, 1e300),
+                SensitivityRow("egr", 0.1 + 0.2, "abs", 0.0, float("inf"))]
+        write_sensitivity_csv(tmp_path / "new.csv", rows)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            # write_sensitivity_csv as it was written with csv.writer
+            w = csv.writer(fh)
+            w.writerow(("quantity", "delta", "mode", "ca50_err_std", "ca50_err_max"))
+            for r in rows:
+                w.writerow([r.quantity, repr(r.delta), r.mode,
+                            repr(r.ca50_err_std), repr(r.ca50_err_max)])
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+        assert written.endswith(b"\r\nx_r,-0.0,rel,1e-300,1e+300\r\n"
+                                b"egr,0.30000000000000004,abs,0.0,inf\r\n")
 
     @pytest.mark.parametrize("soi", [40.0, -150.0])
     def test_soi_outside_model_window_rejected(self, dataset, geom, coeffs, soi):
@@ -459,10 +519,28 @@ class TestCli:
     def test_simulate_accepts_scenario_file(self, tmp_path):
         sc = builtin_case(2, controller="feedforward")
         path = tmp_path / "my_case.json"
-        df.save_scenario(path, sc)
+        path.write_text(json.dumps(asdict(sc)))
         assert cli.main(["simulate", str(path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "my_case_records.csv").exists()
         assert (tmp_path / "my_case_summary.txt").exists()
+
+    def test_largest_noise_halfwidth_runs(self, tmp_path):
+        assert cli.main(["noise-study", "--halfwidth", "8.9e307",
+                         "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "noise_records.csv").exists()
+
+    def test_simulate_reports_misfire(self, tmp_path, capsys):
+        # the cold charge of test_misfire_aborts_with_partial_stream
+        def cold(d):
+            del d["schedules"]["t_man"], d["schedules"]["p_man"]
+            d["schedules"]["t_ivc"] = [{"t": 0.0, "value": 390.0}, {"t": 2.0, "value": 60.0}]
+            d["schedules"]["p_ivc"] = [{"t": 0.0, "value": 2.9}, {"t": 2.0, "value": 1.0}]
+        path = _scenario_json(tmp_path, cold)
+        assert cli.main(["simulate", path, "--out", str(tmp_path)]) == 0
+        assert "MISFIRE: aborted early, partial stream written\n" in capsys.readouterr().out
+        summary = (tmp_path / "bad_summary.txt").read_text().splitlines()
+        assert summary[0] == "MISFIRE: run aborted, partial stream below"
+        assert (tmp_path / "bad_records.csv").exists()
 
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()
@@ -624,6 +702,17 @@ class TestCliRejectsBadInput:
     def test_negative_noise_halfwidth(self, tmp_path, capsys):
         self._rejects(["noise-study", "--halfwidth", "-1"], tmp_path, capsys,
                       "ca50_noise_halfwidth")
+
+    def test_noise_halfwidth_span_overflows(self, tmp_path, capsys):
+        # 2 * 9e307 is not finite: numpy's uniform draw would overflow
+        self._rejects(["noise-study", "--halfwidth", "9e307"], tmp_path, capsys,
+                      "ca50_noise_halfwidth must be non-negative with a finite span")
+
+    def test_scenario_noise_halfwidth_span_overflows(self, tmp_path, capsys):
+        path = _scenario_json(tmp_path,
+                              lambda d: d["plant"].update(ca50_noise_halfwidth=9e307))
+        self._rejects(["simulate", path], tmp_path, capsys,
+                      "ca50_noise_halfwidth must be non-negative with a finite span")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_bad_filter_cycles(self, tmp_path, capsys, value):

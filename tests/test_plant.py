@@ -39,6 +39,7 @@ class TestPlantConfig:
         dict(soi_resolution=float("inf")), dict(soi_resolution=float("nan")),
         dict(egr_lag_cycles=float("inf")), dict(egr_lag_cycles=float("nan")),
         dict(rng_seed=1.5), dict(rng_seed=1e30), dict(rng_seed=-1), dict(rng_seed=True),
+        dict(ca50_noise_halfwidth=9e307),   # the draw's span 2 * 9e307 overflows
     ])
     def test_invalid_config_rejected(self, geom, coeffs, bad):
         with pytest.raises(DomainError):
@@ -84,6 +85,10 @@ class TestKnockIntegralSoc:
             soc = df.knock_integral_soc(op, soi, cfg)
             assert df.knock_integral_value(op, soi, soc, cfg) == pytest.approx(
                 1.0, abs=1e-6)
+
+    def test_integral_end_before_injection_rejected(self, cfg, mid_op):
+        with pytest.raises(DomainError, match="theta_end must not precede soi"):
+            df.knock_integral_value(mid_op, -15.0, -15.5, cfg)
 
     def test_soc_monotone_in_soi(self, cfg, box_rng):
         delta = 0.5

@@ -1,5 +1,6 @@
 """Schedule evaluation semantics and scenario JSON round trips."""
 
+import json
 from dataclasses import asdict
 
 import pytest
@@ -119,7 +120,7 @@ class TestJsonRoundTrip:
     def test_parse_serialize_parse_identity(self, tmp_path, case, controller):
         sc = builtin_case(case, controller=controller)
         path = tmp_path / "scenario.json"
-        df.save_scenario(path, sc)
+        path.write_text(json.dumps(asdict(sc), indent=2))
         loaded = df.load_scenario(path)
         assert loaded == sc
         # serialised forms are identical too
@@ -157,6 +158,15 @@ class TestJsonRoundTrip:
         pytest.param(lambda d: d["plant"].update(soi_resolution="0.1"),
                      "plant key 'soi_resolution' must be a number, got str",
                      id="string-plant-value"),
+        pytest.param(lambda d: d["schedules"].update(egr=[]),
+                     "schedule 'egr' has no breakpoints", id="empty-schedule"),
+        *[pytest.param(lambda d, key=key: d["schedules"].pop(key),
+                       f"scenario must schedule '{key}'", id=f"no-{key}")
+          for key in ("speed", "phi_di", "phi_ng")],
+        pytest.param(lambda d: d["schedules"].pop("p_man"),
+                     "scenario must schedule p_ivc or p_man", id="no-pressure"),
+        pytest.param(lambda d: d["schedules"].pop("t_man"),
+                     "scenario must schedule t_ivc or t_man", id="no-temperature"),
     ])
     def test_malformed_dict_rejected(self, edit, message):
         d = asdict(builtin_case(1))
