@@ -23,11 +23,12 @@ costs one multiply by a, one exp and one divide.
 The march's arguments after (soi, step, theta_max) are (a, denom) and
 then g's geometry. ``_march_scalar`` evaluates exp(a * g(th)) / denom
 inline, one node per loop pass, looking ``math`` up at each call. It takes
-an optional trailing ``g``: the plant passes one memoised per angle for its
-run, since the actuator's grid makes its marches revisit the same angles,
-and a node whose angle it has seen costs one dict lookup, one multiply,
-one exp and one divide. Without it the march builds its own g, as each
-dataset sample does.
+an optional trailing ``g``, the g of its geometry arguments. Each plant
+config builds its g once and passes it with every march, dataset samples
+included. A plant run passes it memoised per angle, since the actuator's
+grid makes its marches revisit the same angles; a node whose angle the
+memo has seen costs one dict lookup, one multiply, one exp and one divide.
+Without ``g`` the march builds its own from the arguments.
 
 ``march`` is the kernel the package runs: ``_march_scalar`` takes the nodes
 one at a time and stops at the crossing: about 11 nodes for a firing point
@@ -85,6 +86,7 @@ def _march_scalar(soi, step, theta_max, a, denom, v_ivc, e, area, v_clear,
     if g is None:
         g = _compression(math, v_ivc, e, area, v_clear, crank_r, rod_len)
     exp = math.exp
+    half = 0.5 * step
     th = soi
     f0 = exp(a * g(th)) / denom
     total = 0.0
@@ -93,7 +95,7 @@ def _march_scalar(soi, step, theta_max, a, denom, v_ivc, e, area, v_clear,
         i += 1
         th1 = soi + step * i
         f1 = exp(a * g(th1)) / denom
-        new_total = total + 0.5 * step * (f0 + f1)
+        new_total = total + half * (f0 + f1)
         if new_total >= 1.0:
             frac = (1.0 - total) / (new_total - total)
             return th + frac * step, new_total

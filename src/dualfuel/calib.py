@@ -144,7 +144,7 @@ def generate_dataset(ranges: SampleRanges | None, n_samples: int,
             continue
         bd = burn_duration(op.egr + op.x_r, op.phi_ng, op.phi_di, cfg.coeffs)
         ca50 = ca50_from_soc_bd(soc, bd, cfg.coeffs)
-        samples.append(CalibSample(op=op, soi=soi, soc_ref=soc, ca50_ref=ca50))
+        samples.append(CalibSample(op, soi, soc, ca50))
     return samples, misfires
 
 

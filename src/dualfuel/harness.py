@@ -279,8 +279,9 @@ def write_records_csv(path, records):
 
 
 def read_records_csv(path):
-    """Rows as dicts: an int cycle, floats, and None for a blank observer
-    cell. A bad row raises a ValueError naming the file and its first line."""
+    """Rows as dicts: an int cycle, finite floats, and None for a blank
+    observer cell. A bad row, a non-finite number included, raises a
+    ValueError naming the file and the line on which the row starts."""
     rows, lines = _read_csv(path, RECORD_COLUMNS)
     out = []
     for raw, line in zip(rows, lines):
@@ -288,9 +289,13 @@ def read_records_csv(path):
             if len(raw) != len(RECORD_COLUMNS):
                 raise ValueError(f"expected {len(RECORD_COLUMNS)} values, got {len(raw)}")
             cycle, *cells, alpha_hat, beta_hat = raw
-            out.append(dict(zip(RECORD_COLUMNS, (
+            row = dict(zip(RECORD_COLUMNS, (
                 int(cycle), *map(float, cells),
-                *(None if c == "" else float(c) for c in (alpha_hat, beta_hat))))))
+                *(None if c == "" else float(c) for c in (alpha_hat, beta_hat)))))
+            for name, v in row.items():
+                if v is not None and not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v}")
+            out.append(row)
         except ValueError as exc:
             raise ValueError(f"{path}:{line}: {exc}") from None
     return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +77,27 @@ class PlantConfig:
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
             raise DomainError(f"rng_seed must be a non-negative integer, got {seed!r}")
 
+    # The knock integrand's geometric factor g(theta) = r^e is fixed by the
+    # config, so it is derived once per instance, as the geometry derives its
+    # volumes. Neither is a field: equality, hashing and the scenario's plant
+    # keys do not see them.
+    @cached_property
+    def _g_args(self) -> tuple:
+        """The arguments of g (``_kernels._compression``) after its module.
+        e = k*c6 - k + 1 folds the polytrope into the exponent."""
+        geom, k = self.geom, self.plant_poly_exp
+        return (geom.ivc_volume, k * self.coeffs.c6 - k + 1.0, geom.piston_area,
+                geom.clearance_volume, geom.crank_radius, geom.rod_length)
+
+    @cached_property
+    def _g(self):
+        """g(theta) of this config on one angle, in plain math."""
+        return _kernels._compression(math, *self._g_args)
+
+    def __getstate__(self):
+        # g is a closure, which pickle cannot carry; a copy rebuilds it on use
+        return {k: v for k, v in self.__dict__.items() if k != "_g"}
+
 
 class CycleRecord(NamedTuple):
     """One engine cycle as simulated: commands, applied actuation, outcome.
@@ -99,22 +121,13 @@ class CycleRecord(NamedTuple):
     beta_hat: float | None = None
 
 
-def _geometry_args(cfg: PlantConfig):
-    """The arguments of the integrand's geometric factor g(theta) = r^e
-    (``_kernels._compression``): fixed by the config. e = k*c6 - k + 1
-    folds the polytrope into the exponent."""
-    geom, k = cfg.geom, cfg.plant_poly_exp
-    return (geom.ivc_volume, k * cfg.coeffs.c6 - k + 1.0, geom.piston_area,
-            geom.clearance_volume, geom.crank_radius, geom.rod_length)
-
-
 def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
     """The march's arguments after (soi, step, theta_max): the point's folded
     factor a = -c5 * p_ivc^c6 / t_ivc and delay scale, then the geometry's."""
     coeffs = cfg.coeffs
     a = -coeffs.c5 * op.p_ivc ** coeffs.c6 / op.t_ivc
     denom = delay_scale(op.egr, op.speed, op.phi_ng, op.phi_di, coeffs)
-    return (a, denom) + _geometry_args(cfg)
+    return (a, denom) + cfg._g_args
 
 
 def _march_soc(op: OperatingPoint, soi: float, cfg: PlantConfig, args) -> float:
@@ -137,7 +150,7 @@ def knock_integral_soc(op: OperatingPoint, soi: float, cfg: PlantConfig) -> floa
     polytropic trace until the accumulated integral crosses 1; the crossing
     is interpolated linearly within the final step.
     """
-    return _march_soc(op, soi, cfg, _kernel_args(op, cfg))
+    return _march_soc(op, soi, cfg, _kernel_args(op, cfg) + (cfg._g,))
 
 
 def knock_integral_value(op: OperatingPoint, soi: float, theta_end: float,
@@ -175,12 +188,13 @@ class EnginePlant:
     Deterministic for a fixed config (seeded measurement noise).
 
     One plant is one run, and it keeps two things for that run only. The
-    integrand's geometric factor g(theta) of its config is memoised by the
-    exact float angle, since the actuator's grid makes the marches revisit
-    the same angles; no memo outlives the plant, because its key does not
-    include the config. And the point the cylinder saw last keeps its march
-    arguments and burn duration until the point changes. Neither changes an
-    output bit: each value is the one a fresh computation gives.
+    values of its config's geometric factor g(theta), which the config
+    builds once, are memoised by the exact float angle, since the
+    actuator's grid makes the marches revisit the same angles; no memo
+    outlives the plant, because its key does not include the config. And
+    the point the cylinder saw last keeps its march arguments and burn
+    duration until the point changes. Neither changes an output bit: each
+    value is the one a fresh computation gives.
     """
 
     def __init__(self, cfg: PlantConfig):
@@ -189,7 +203,7 @@ class EnginePlant:
         self.time_s = 0.0
         self.egr_seen: float | None = None
         self.rng = np.random.default_rng(cfg.rng_seed)
-        self._g = _AngleMemo(_kernels._compression(math, *_geometry_args(cfg))).__getitem__
+        self._g = _AngleMemo(cfg._g).__getitem__
         # (point the cylinder saw last, its march arguments with self._g
         # appended, its burn duration)
         self._seen: tuple | None = None

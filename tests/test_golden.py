@@ -2,11 +2,11 @@
 
 One run at the CLI defaults: gen-data, calibrate, the 12 built-in runs,
 sensitivity and noise-study. The summaries must match exactly. The
-coefficients, the sensitivity rows and the case-1 record CSVs are compared
-number by number with a relative tolerance of 1e-12, so that a libm that
-rounds differently passes while any real change fails. A change that moves a
-number rewrites tests/golden/ in its own diff
-(``PYTHONPATH=src python tests/test_golden.py``) and says why.
+coefficients, the sensitivity rows, the case-1 record CSVs and every 25th
+row of the dataset are compared number by number with a relative tolerance
+of 1e-12, so that a libm that rounds differently passes while any real
+change fails. A change that moves a number rewrites tests/golden/ in its own
+diff (``PYTHONPATH=src python tests/test_golden.py``) and says why.
 """
 
 import contextlib
@@ -28,8 +28,10 @@ CASES = range(1, 7)
 
 EXACT = ["calibration_summary.txt",
          *(f"case{n}_{c}_summary.txt" for n in CASES for c in CONTROLLERS)]
+# the header and every DATASET_STRIDE-th row of dataset.csv (1054 rows)
+DATASET_ROWS, DATASET_STRIDE = "dataset_rows.csv", 25
 NUMERIC = ["coefficients.json", "sensitivity.csv",
-           *(f"case1_{c}_records.csv" for c in CONTROLLERS)]
+           *(f"case1_{c}_records.csv" for c in CONTROLLERS), DATASET_ROWS]
 
 
 def run_workflow(out: Path):
@@ -46,6 +48,8 @@ def run_workflow(out: Path):
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in calls:
             assert cli.main(argv) == 0, argv
+    lines = (out / "dataset.csv").read_bytes().splitlines(keepends=True)
+    (out / DATASET_ROWS).write_bytes(b"".join([lines[0], *lines[1::DATASET_STRIDE]]))
 
 
 @pytest.fixture(scope="module")
@@ -91,15 +95,27 @@ def test_numbers_within_tolerance(outputs, name):
     assert not bad, f"{name}: {len(bad)} values moved, first {bad[:3]}"
 
 
-def test_tolerance_catches_a_moved_number(tmp_path):
-    # one record value moved by 1e-11 relative must fail the comparison
-    name = f"case1_{CONTROLLERS[0]}_records.csv"
+def _moved(tmp_path, name, row, column):
+    """The mismatches of golden file name with one cell moved by 1e-11
+    relative."""
     with open(GOLDEN / name, newline="") as fh:
         rows = list(csv.reader(fh))
-    rows[5][10] = repr(float(rows[5][10]) * (1.0 + 1e-11))
+    rows[row][column] = repr(float(rows[row][column]) * (1.0 + 1e-11))
     with open(tmp_path / name, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
-    assert _mismatches(name, tmp_path / name, GOLDEN / name)
+    return _mismatches(name, tmp_path / name, GOLDEN / name)
+
+
+def test_tolerance_catches_a_moved_number(tmp_path):
+    # one record value moved by 1e-11 relative must fail the comparison
+    assert _moved(tmp_path, f"case1_{CONTROLLERS[0]}_records.csv", 5, 10)
+
+
+def test_tolerance_catches_a_moved_dataset_soc(tmp_path):
+    with open(GOLDEN / DATASET_ROWS, newline="") as fh:
+        soc = next(csv.reader(fh)).index("soc_ref")
+    bad = _moved(tmp_path, DATASET_ROWS, 7, soc)
+    assert [(i, j) for i, j, *_ in bad] == [(8, soc)]
 
 
 if __name__ == "__main__":

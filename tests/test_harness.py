@@ -250,6 +250,13 @@ class TestPerPointReuse:
         assert calls[0] < len(records)
 
 
+def _set_record_cell(lines, index, column, value):
+    """Replace one cell of the records CSV line lines[index]."""
+    cells = lines[index].split(",")
+    cells[RECORD_COLUMNS.index(column)] = value
+    lines[index] = ",".join(cells)
+
+
 class TestSummary:
     def test_csv_reduction_matches_in_process(self, tmp_path, case1_run):
         scenario, records, summary = case1_run
@@ -339,6 +346,12 @@ class TestSummary:
         pytest.param(lambda lines: lines.__setitem__(2, lines[2].replace(",", ",,", 1)
                                                      .rsplit(",", 1)[0]),
                      ":3: could not convert string to float: ''", id="blank-time"),
+        pytest.param(lambda lines: _set_record_cell(lines, 3, "phi_di", "nan"),
+                     ":4: phi_di must be finite, got nan", id="nan-phi_di"),
+        pytest.param(lambda lines: _set_record_cell(lines, 5, "soc", "inf"),
+                     ":6: soc must be finite, got inf", id="inf-soc"),
+        pytest.param(lambda lines: _set_record_cell(lines, 6, "beta_hat", "-inf"),
+                     ":7: beta_hat must be finite, got -inf", id="inf-observer"),
     ])
     def test_malformed_records_named(self, tmp_path, records_lines, edit, expected):
         edit(records_lines)

@@ -2,6 +2,7 @@
 actuator and transport imperfections."""
 
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 import dualfuel as df
 from dualfuel import _kernels
 from dualfuel.core import DomainError
-from dualfuel.plant import MOTORED_CYCLES, CycleRecord, Misfire, quantize_soi
+from dualfuel.plant import (MISFIRE_LIMIT, MOTORED_CYCLES, CycleRecord, Misfire,
+                            _kernel_args, quantize_soi)
 from dualfuel.scenarios import builtin_case
 
 from conftest import BOX, SOI_BOX, random_box_op, random_box_soi
@@ -299,6 +301,61 @@ class TestAngleMemo:
                        for i in range(math.ceil((rec.soc - rec.soi_applied) / step) + 1)}
             assert computed.keys() == visited
             assert set(computed.values()) == {1}
+
+
+def _counting_compression(monkeypatch):
+    """Patch _kernels._compression to count its calls; returns the count."""
+    built = [0]
+    compression = _kernels._compression
+
+    def counting(m, *geo):
+        built[0] += 1
+        return compression(m, *geo)
+    monkeypatch.setattr(_kernels, "_compression", counting)
+    return built
+
+
+class TestConfigGeometricFactor:
+    """Each PlantConfig builds the integrand's geometric factor g once, and
+    every march of that config, dataset samples and plant runs alike, uses
+    it."""
+
+    def test_dataset_builds_g_once(self, geom, coeffs, monkeypatch):
+        built = _counting_compression(monkeypatch)
+        cfg = df.PlantConfig(geom=geom, coeffs=coeffs)
+        samples, misfires = df.generate_dataset(None, 50, cfg, seed=3)
+        assert len(samples) + misfires == 50
+        assert built[0] == 1
+
+    def test_plant_and_soc_share_the_config_g(self, geom, coeffs, mid_op, monkeypatch):
+        built = _counting_compression(monkeypatch)
+        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, ca50_noise_halfwidth=0.0)
+        plant = df.EnginePlant(cfg)
+        records = [plant.step_cycle(-15.0, mid_op) for _ in range(MOTORED_CYCLES + 2)]
+        assert records[-1].soc == df.knock_integral_soc(mid_op, -15.0, cfg)
+        assert built[0] == 1
+
+    def test_each_config_marches_with_its_own_g(self, geom, coeffs, box_rng):
+        other = df.EngineGeometry(bore=0.13, stroke=0.16, rod_length=0.26,
+                                  compression_ratio=16.0, ivc_angle=-140.0)
+        cfgs = [df.PlantConfig(geom=geom, coeffs=coeffs),
+                df.PlantConfig(geom=other, coeffs=coeffs, plant_poly_exp=1.36)]
+        for _ in range(20):   # the two configs alternate, so a shared g shows
+            op, soi = random_box_op(box_rng), random_box_soi(box_rng)
+            for cfg in cfgs:
+                gm, k = cfg.geom, cfg.plant_poly_exp
+                geo = (gm.ivc_volume, k * coeffs.c6 - k + 1.0, gm.piston_area,
+                       gm.clearance_volume, gm.crank_radius, gm.rod_length)
+                a, denom = _kernel_args(op, cfg)[:2]
+                want, _ = _kernels._march_scalar(soi, cfg.quad_step, MISFIRE_LIMIT,
+                                                 a, denom, *geo)
+                assert df.knock_integral_soc(op, soi, cfg) == want
+
+    def test_pickled_config_rebuilds_g(self, cfg, mid_op):
+        soc = df.knock_integral_soc(mid_op, -15.0, cfg)
+        again = pickle.loads(pickle.dumps(cfg))
+        assert again == cfg
+        assert df.knock_integral_soc(mid_op, -15.0, again) == soc
 
 
 class TestCycleRecord:
