@@ -18,6 +18,7 @@ from .core import (
     default_coefficients,
     default_geometry,
 )
+from . import model
 from .model import (
     _check_soi,
     burn_duration,
@@ -190,6 +191,13 @@ def _locate_domain_error(dataset, coeffs, geom):
             raise DomainError(f"sample {i}: {exc}") from exc
 
 
+def _check_finite(values, what):
+    """A DomainError naming the first sample whose value is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise DomainError(f"sample {bad[0]}: {what} is not finite ({values[bad[0]]})")
+
+
 def rmse(coeffs: ModelCoefficients, dataset, geom: EngineGeometry) -> float:
     """Root-mean-square CA50 prediction error over the dataset [CAD]."""
     op, soi, _, ca50_ref = _columns(dataset)
@@ -202,10 +210,14 @@ def rmse(coeffs: ModelCoefficients, dataset, geom: EngineGeometry) -> float:
 
 
 def validate(coeffs: ModelCoefficients, dataset, geom: EngineGeometry) -> ValidationStats:
-    """SOC and CA50 prediction-error statistics against reference values."""
+    """SOC and CA50 prediction-error statistics against reference values. A
+    prediction that is not finite raises a DomainError naming its sample."""
     op, soi, soc_ref, ca50_ref = _columns(dataset)
-    soc_err = predict_soc(op, soi, coeffs, geom) - soc_ref
-    ca50_err = predict_ca50(op, soi, coeffs, geom) - ca50_ref
+    with np.errstate(all="ignore"):   # a non-finite prediction is named below
+        soc_err = predict_soc(op, soi, coeffs, geom) - soc_ref
+        ca50_err = predict_ca50(op, soi, coeffs, geom) - ca50_ref
+    _check_finite(soc_err, "the SOC error")
+    _check_finite(ca50_err, "the CA50 error")
     return ValidationStats(
         n_samples=len(dataset),
         soc_err_std=float(np.std(soc_err)),
@@ -228,11 +240,10 @@ def _unpack(coeffs, vec):
     return coeffs.replace(**{name: float(v) for name, v in zip(CALIBRATED_FIELDS, vec)})
 
 
-def _objective(base_coeffs, op, soi, ca50_ref, geom):
+def _objective(base_coeffs, op, soi, v_soi, ca50_ref, geom):
     def f(vec):
         try:
-            coeffs = _unpack(base_coeffs, vec)
-            pred = predict_ca50(op, soi, coeffs, geom)
+            pred = predict_ca50(op, soi, _unpack(base_coeffs, vec), geom, v_soi)
         except DomainError:
             return float("inf")
         out = np.sqrt(np.mean((pred - ca50_ref) ** 2))
@@ -264,12 +275,14 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
 
     The solve runs in magnitude-normalised coordinates (each coefficient
     scaled by its starting size) with the analytic Jacobian of
-    model.ca50_jacobian. A step is accepted only if it lowers the RMSE, so
-    the reported RMSE trace is non-increasing; the damping falls tenfold
-    after an accepted step and rises tenfold after a rejected one. Stops
-    when the improvement of an accepted step drops below tol ("tol"), when
-    no step improves before the damping exceeds LM_DAMPING_MAX
-    ("no_improving_step"), or after max_iters accepted steps ("max_iters").
+    model.ca50_jacobian, which gives each iteration's residual from the same
+    evaluation; the injection volumes are computed once per fit. A step is
+    accepted only if it lowers the RMSE, so the reported RMSE trace is
+    non-increasing; the damping falls tenfold after an accepted step and
+    rises tenfold after a rejected one. Stops when the improvement of an
+    accepted step drops below tol ("tol"), when no step improves before the
+    damping exceeds LM_DAMPING_MAX ("no_improving_step"), or after
+    max_iters accepted steps ("max_iters").
     A starting RMSE above DIVERGENCE_RMSE raises CalibrationDiverged; no
     accepted step can exceed it later. The shipped coefficient set is the
     default starting point. Returns (report, coefficients).
@@ -278,7 +291,8 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
         initial = default_coefficients()
     options = options or CalibrationOptions()
     op, soi, _, ca50_ref = _columns(dataset)
-    f = _objective(initial, op, soi, ca50_ref, geom)
+    v_soi = model.cylinder_volume(soi, geom)   # model's name, which perfbench traces
+    f = _objective(initial, op, soi, v_soi, ca50_ref, geom)
 
     x = _pack(initial)
     fx = f(x)
@@ -296,9 +310,8 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
     lam = LM_DAMPING_INITIAL
     report.stop_reason = "max_iters"
     for _ in range(options.max_iters):
-        coeffs = _unpack(initial, x)
-        resid = predict_ca50(op, soi, coeffs, geom) - ca50_ref
-        columns = ca50_jacobian(op, soi, coeffs, geom)
+        ca50, columns = ca50_jacobian(op, soi, _unpack(initial, x), geom, v_soi)
+        resid = ca50 - ca50_ref
         jac = np.column_stack([columns[name] for name in CALIBRATED_FIELDS]) * scale
         while lam <= LM_DAMPING_MAX:
             x_try = x + _lm_step(jac, resid, lam) * scale

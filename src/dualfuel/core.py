@@ -197,6 +197,15 @@ class ModelCoefficients:
             raise DomainError("polytropic exponent k_c must exceed 1")
         if self.wiebe_a <= 0.0 or self.wiebe_b <= 0.0:
             raise DomainError("Wiebe shape parameters must be positive")
+        # a Wiebe shape far from the usual one under- or overflows the
+        # half-burn fraction, and c7 with it
+        with np.errstate(over="ignore"):
+            fraction = self.half_burn_fraction
+        if not (0.0 < fraction < math.inf and 0.0 < self.c7 < math.inf):
+            raise DomainError(
+                f"the Wiebe shape wiebe_a={self.wiebe_a}, wiebe_b={self.wiebe_b} gives a "
+                f"half-burn fraction {fraction} and c7 = c11 / fraction that are not "
+                "finite and positive")
 
     @cached_property
     def half_burn_fraction(self) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .calib import _columns
+from .calib import _check_finite, _columns
 from .control import (
     FEEDFORWARD_SEED_SOI,
     ControllerState,
@@ -344,7 +344,8 @@ def run_sensitivity(coeffs: ModelCoefficients, dataset, geom: EngineGeometry):
     """Re-predict CA50 with each input perturbed one at a time (the
     DEFAULT_PERTURBATIONS), against unperturbed references. First row is
     the unperturbed baseline. A perturbed input may leave the
-    OperatingPoint domain (a negative EGR or residual fraction)."""
+    OperatingPoint domain (a negative EGR or residual fraction). An error
+    that is not finite raises a DomainError naming its sample."""
     op, soi, _, ca50_ref = _columns(dataset)
     _check_soi(soi, geom)
     v_soi = cylinder_volume(soi, geom)
@@ -354,8 +355,10 @@ def run_sensitivity(coeffs: ModelCoefficients, dataset, geom: EngineGeometry):
         c = dict(cols)
         if quantity != "none":
             c[quantity] = c[quantity] * (1.0 + delta) if mode == "rel" else c[quantity] + delta
-        delay, half_burn = phasing_terms(v_soi, **c, coeffs=coeffs, geom=geom)
-        err = soi + delay + half_burn - ca50_ref
+        with np.errstate(all="ignore"):   # a non-finite error is named below
+            delay, half_burn = phasing_terms(v_soi, **c, coeffs=coeffs, geom=geom)
+            err = soi + delay + half_burn - ca50_ref
+        _check_finite(err, f"the CA50 error with {quantity} {delta:+g} ({mode})")
         return SensitivityRow(quantity=quantity, delta=delta, mode=mode,
                               ca50_err_std=float(np.std(err)),
                               ca50_err_max=float(np.max(np.abs(err))))

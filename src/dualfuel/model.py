@@ -27,7 +27,10 @@ def fuel_term(phi_ng, phi_di, c_ng, c_di):
     """phi_ng^c_ng + phi_di^c_di; without pilot fuel a negative c_di has no value."""
     if c_di < 0.0 and holds(phi_di == 0.0, np.any):
         raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
-    return phi_ng ** c_ng + phi_di ** c_di
+    try:
+        return phi_ng ** c_ng + phi_di ** c_di
+    except OverflowError:   # a Python float power raises; numpy gives inf instead
+        raise DomainError(f"phi^c overflows for exponents {c_ng} and {c_di}") from None
 
 
 def arrhenius_exponent(p, t, coeffs: ModelCoefficients):
@@ -52,7 +55,10 @@ def ignition_delay(egr, speed, phi_ng, phi_di, p_soi, t_soi, coeffs: ModelCoeffi
 def burn_duration(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
     """Burn duration [CAD]: c7 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10)."""
     mixture = fuel_term(phi_ng, phi_di, coeffs.c9, coeffs.c10)
-    return coeffs.c7 * (1.0 + x_d) ** coeffs.c8 * mixture
+    try:
+        return coeffs.c7 * (1.0 + x_d) ** coeffs.c8 * mixture
+    except OverflowError:
+        raise DomainError(f"(1 + X_d)^c8 overflows for c8 = {coeffs.c8}") from None
 
 
 def half_burn_angle(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
@@ -62,7 +68,21 @@ def half_burn_angle(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
     half_burn_fraction * burn_duration by construction of c7.
     """
     mixture = fuel_term(phi_ng, phi_di, coeffs.c9, coeffs.c10)
-    return coeffs.c11 * (1.0 + x_d) ** coeffs.c8 * mixture
+    try:
+        return coeffs.c11 * (1.0 + x_d) ** coeffs.c8 * mixture
+    except OverflowError:
+        raise DomainError(f"(1 + X_d)^c8 overflows for c8 = {coeffs.c8}") from None
+
+
+def _phasing_chain(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
+                   coeffs: ModelCoefficients, geom: EngineGeometry):
+    """The one forward evaluation of CA50 = SOI + delay + span at injection
+    volume v_soi, from plain values or arrays: (P_SOI, Arrhenius exponent A,
+    ignition delay, half-burn span), the delay as delay_scale * exp(A)."""
+    p_soi, t_soi = polytropic_state_at_soi(p_ivc, t_ivc, geom.ivc_volume, v_soi, coeffs.k_c)
+    a = arrhenius_exponent(p_soi, t_soi, coeffs)
+    return (p_soi, a, delay_scale(egr, speed, phi_ng, phi_di, coeffs) * np.exp(a),
+            half_burn_angle(egr + x_r, phi_ng, phi_di, coeffs))
 
 
 def phasing_terms(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
@@ -70,10 +90,8 @@ def phasing_terms(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
     """(ignition delay, half-burn span) [CAD] at injection volume v_soi, from
     plain values or arrays: CA50 = SOI + delay + span. The inputs are not
     checked, as the sensitivity study perturbs them out of the domain."""
-    p_soi, t_soi = polytropic_state_at_soi(p_ivc, t_ivc, geom.ivc_volume, v_soi,
-                                           coeffs.k_c)
-    return (ignition_delay(egr, speed, phi_ng, phi_di, p_soi, t_soi, coeffs),
-            half_burn_angle(egr + x_r, phi_ng, phi_di, coeffs))
+    return _phasing_chain(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
+                          coeffs, geom)[2:]
 
 
 def _check_soi(soi, geom: EngineGeometry):
@@ -118,37 +136,35 @@ def _pow_log(phi, c):
 
 
 def ca50_jacobian(op: OperatingPoint, soi, coeffs: ModelCoefficients,
-                  geom: EngineGeometry) -> dict:
-    """Analytic partial derivatives of predict_ca50 with respect to the model
-    coefficients: {name: dCA50/dc} for c1..c6, c8..c11 and k_c.
+                  geom: EngineGeometry, v_soi):
+    """(CA50, partials) at injection volume v_soi, the volume at soi: the
+    value of predict_ca50, bit for bit, and its analytic partial derivatives
+    with respect to the model coefficients, {name: dCA50/dc} for c1..c6,
+    c8..c11 and k_c, both from one evaluation of the phasing chain.
 
     CA50 = SOI + ID + HB with ID = (c1*EGR + c2) * N * (phi_ng^c3 + phi_di^c4)
     * exp(A), A = c5 * P^c6 / T, and HB = c11 * (1 + X_d)^c8 * (phi_ng^c9 +
     phi_di^c10); P and T follow the polytrope of exponent k_c from IVC.
     """
     _check_soi(soi, geom)
-    v_soi = cylinder_volume(soi, geom)
-    p_soi, t_soi = polytropic_state_at_soi(op.p_ivc, op.t_ivc, geom.ivc_volume, v_soi,
-                                           coeffs.k_c)
-    a = arrhenius_exponent(p_soi, t_soi, coeffs)
-    delay = ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di, p_soi, t_soi, coeffs)
+    p_soi, a, delay, span = _phasing_chain(v_soi, op.speed, op.phi_ng, op.phi_di, op.egr,
+                                           op.x_r, op.p_ivc, op.t_ivc, coeffs, geom)
     x_d = op.egr + op.x_r
-    half_burn = half_burn_angle(x_d, op.phi_ng, op.phi_di, coeffs)
     # delay per unit of (c1*EGR + c2), and per unit of the mixture term
     speed_exp = op.speed * np.exp(a)
     per_rate = fuel_term(op.phi_ng, op.phi_di, coeffs.c3, coeffs.c4) * speed_exp
     per_mixture = (coeffs.c1 * op.egr + coeffs.c2) * speed_exp
     per_burn_mixture = coeffs.c11 * (1.0 + x_d) ** coeffs.c8
-    return {
+    return soi + delay + span, {
         "c1": op.egr * per_rate,
         "c2": per_rate,
         "c3": per_mixture * _pow_log(op.phi_ng, coeffs.c3),
         "c4": per_mixture * _pow_log(op.phi_di, coeffs.c4),
         "c5": delay * a / coeffs.c5,
         "c6": delay * a * np.log(p_soi),
-        "c8": half_burn * np.log1p(x_d),
+        "c8": span * np.log1p(x_d),
         "c9": per_burn_mixture * _pow_log(op.phi_ng, coeffs.c9),
         "c10": per_burn_mixture * _pow_log(op.phi_di, coeffs.c10),
-        "c11": half_burn / coeffs.c11,
+        "c11": span / coeffs.c11,
         "k_c": delay * a * (coeffs.c6 - 1.0) * np.log(geom.ivc_volume / v_soi),
     }

@@ -33,6 +33,10 @@ MISFIRE_LIMIT = 60.0
 # start-up cycles run without fuel before the first fired cycle
 MOTORED_CYCLES = 2
 
+# finest quadrature step [CAD]: it bounds a march from IVC (-148.5 deg aTDC
+# for the reference engine) to MISFIRE_LIMIT at about 20,850 nodes
+QUAD_STEP_MIN = 0.01
+
 
 class Misfire(RuntimeError):
     """The autoignition integral never reached 1 before the misfire limit."""
@@ -64,8 +68,9 @@ class PlantConfig:
                 raise DomainError(f"{name} must be finite, got {value}")
         if self.plant_poly_exp <= 1.0:
             raise DomainError("polytropic exponent plant_poly_exp must exceed 1")
-        if not (0.0 < self.quad_step <= 0.5):
-            raise DomainError("quad_step must lie in (0, 0.5] CAD")
+        if not (QUAD_STEP_MIN <= self.quad_step <= 0.5):
+            raise DomainError(f"quad_step must lie in [{QUAD_STEP_MIN}, 0.5] CAD, "
+                              f"got {self.quad_step}")
         if self.soi_resolution <= 0.0:
             raise DomainError("soi_resolution must be positive")
         if self.egr_lag_cycles < 0:
@@ -125,7 +130,10 @@ def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
     """The march's arguments after (soi, step, theta_max): the point's folded
     factor a = -c5 * p_ivc^c6 / t_ivc and delay scale, then the geometry's."""
     coeffs = cfg.coeffs
-    a = -coeffs.c5 * op.p_ivc ** coeffs.c6 / op.t_ivc
+    try:
+        a = -coeffs.c5 * op.p_ivc ** coeffs.c6 / op.t_ivc
+    except OverflowError:
+        raise DomainError(f"p_ivc^c6 overflows for c6 = {coeffs.c6}") from None
     denom = delay_scale(op.egr, op.speed, op.phi_ng, op.phi_di, coeffs)
     return (a, denom) + cfg._g_args
 

@@ -200,7 +200,7 @@ class TestCalibrate:
         samples = small_plant_dataset + [CalibSample(op=no_gas, soi=-15.0,
                                                      soc_ref=0.0, ca50_ref=0.0)]
         op, soi, _, _ = _columns(samples)
-        jac = ca50_jacobian(op, soi, coeffs, geom)
+        _, jac = ca50_jacobian(op, soi, coeffs, geom, df.cylinder_volume(soi, geom))
         assert set(jac) == set(CALIBRATED_FIELDS)
         for name in CALIBRATED_FIELDS:
             value = getattr(coeffs, name)
@@ -211,6 +211,38 @@ class TestCalibrate:
             assert np.all(np.isfinite(jac[name])), name
             assert np.max(np.abs(jac[name] - fd)) <= 1e-6 * np.max(np.abs(fd)), name
         assert jac["c3"][-1] == 0.0 and jac["c9"][-1] == 0.0
+
+    def test_jacobian_ca50_is_predict_ca50(self, geom, coeffs, small_plant_dataset):
+        # the LM loop takes its residual from the Jacobian's evaluation, so
+        # that CA50 must be predict_ca50's, bit for bit
+        op, soi, _, _ = _columns(small_plant_dataset)
+        for c in (coeffs, coeffs.replace(c6=-0.5, k_c=1.3, c8=1.1)):
+            ca50, _ = ca50_jacobian(op, soi, c, geom, df.cylinder_volume(soi, geom))
+            assert np.array_equal(ca50, df.predict_ca50(op, soi, c, geom))
+
+    def test_one_volume_and_one_jacobian_per_iteration(self, geom, coeffs,
+                                                       small_plant_dataset, monkeypatch):
+        # the injection volumes are computed once per fit (plus once each for
+        # the SOC and CA50 of the training statistics), and each LM pass
+        # takes its residual and Jacobian from one chain evaluation
+        calls = {"cylinder_volume": 0, "ca50_jacobian": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(df.model, "cylinder_volume")
+        counted(calib, "ca50_jacobian")
+        report, _ = df.calibrate(coeffs, small_plant_dataset, geom,
+                                 CalibrationOptions(max_iters=500, tol=0.0))
+        passes = report.iterations + (report.stop_reason == "no_improving_step")
+        assert report.iterations > 0
+        assert calls["cylinder_volume"] <= 3
+        assert calls["ca50_jacobian"] == passes
 
     def test_unidentified_coefficient_does_not_raise(self, geom, coeffs, plant_cfg):
         # with EGR = 0 everywhere the c1 column of the Jacobian is zero: the

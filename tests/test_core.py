@@ -196,6 +196,19 @@ class TestModelCoefficients:
         with pytest.raises(DomainError):
             coeffs.replace(**bad)
 
+    @pytest.mark.parametrize("shape, fraction", [
+        (dict(wiebe_b=1e-05), "0.0"),                 # the fraction underflows
+        (dict(wiebe_a=0.01, wiebe_b=1e-3), "inf"),    # ... or overflows
+    ])
+    def test_half_burn_fraction_and_c7_finite_and_positive(self, coeffs, shape,
+                                                           fraction):
+        with pytest.raises(DomainError, match=f"half-burn fraction {fraction} and c7"):
+            coeffs.replace(**shape)
+        # the file that save_coefficients writes carries c7, which from_dict
+        # reads only after the shape is checked
+        with pytest.raises(DomainError, match="half-burn fraction"):
+            df.ModelCoefficients.from_dict({**coeffs.to_dict(), **shape})
+
     @pytest.mark.parametrize("edit, expected", [
         pytest.param(lambda d: d.update(c3=None), "'c3' must be a number", id="null"),
         pytest.param(lambda d: d.update(c7="x"), "'c7' must be a number", id="c7-string"),

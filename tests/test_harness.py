@@ -666,6 +666,8 @@ class TestCliRejectsBadInput:
         ("soi_resolution", float("inf"), "soi_resolution must be finite"),
         ("egr_lag_cycles", float("inf"), "egr_lag_cycles must be finite"),
         ("egr_lag_cycles", float("nan"), "egr_lag_cycles must be finite"),
+        # a step that does not move the angle made the march loop forever
+        ("quad_step", 1e-300, "quad_step must lie in [0.01, 0.5] CAD, got 1e-300"),
     ])
     def test_bad_plant_override(self, tmp_path, capsys, key, value, expected):
         path = _scenario_json(tmp_path, lambda d: d["plant"].update({key: value}))
@@ -750,6 +752,11 @@ class TestCliRejectsBadInput:
                      id="unknown-wiebe_A"),
         pytest.param(lambda d: {**d, "c12": 1}, "unknown coefficient 'c12'",
                      id="unknown-c12"),
+        # c7 as save_coefficients writes it; the half-burn fraction underflows
+        pytest.param(lambda d: {**d, "wiebe_b": 1e-05}, "half-burn fraction 0.0",
+                     id="underflowing-wiebe_b"),
+        # the float power phi_di ** c4 overflows on the scalar path
+        pytest.param(lambda d: {**d, "c4": -1e10}, "phi^c overflows", id="overflowing-c4"),
     ])
     def test_bad_coefficients_file(self, tmp_path, capsys, document, expected):
         path = tmp_path / "bad.json"
@@ -812,6 +819,24 @@ class TestCliRejectsBadInput:
         assert "argument --case: not allowed with argument scenario" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, edit, expected", [
+        pytest.param("validate", {"wiebe_b": 1e-05}, "half-burn fraction 0.0",
+                     id="validate-underflowing-wiebe_b"),
+        pytest.param("validate", {"c6": 1e300}, "sample 0: the SOC error is not finite",
+                     id="validate-overflowing-c6"),
+        pytest.param("sensitivity", {"c6": 1e300},
+                     "sample 0: the CA50 error with none +0 (abs) is not finite",
+                     id="sensitivity-overflowing-c6"),
+    ])
+    def test_coefficients_without_finite_predictions(self, tmp_path, capsys, command,
+                                                     edit, expected):
+        # numpy gives inf and nan, with warnings, where a float power raises
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**df.default_coefficients().to_dict(), **edit}))
+        data = _dataset_csv(tmp_path)
+        self._rejects([command, "--data", data, "--coeffs", str(path)], tmp_path, capsys,
+                      expected)
 
     def test_gen_data_all_misfire(self, tmp_path, capsys):
         # c6 = 50 freezes the charge: every sample misfires

@@ -192,6 +192,19 @@ class TestFuelTerm:
     def test_zero_pilot_with_non_negative_exponent(self):
         assert fuel_term(0.4, 0.0, 0.2, 0.3) == 0.4 ** 0.2
 
+    @pytest.mark.parametrize("c_ng, c_di", [(0.2, -1e10), (-1e10, 0.3)])
+    def test_overflowing_float_power_is_a_domain_error(self, c_ng, c_di):
+        # a Python float power raises OverflowError where numpy gives inf
+        with pytest.raises(DomainError, match="phi\\^c overflows"):
+            fuel_term(0.4, 0.3, c_ng, c_di)
+
+    def test_overflowing_dilution_power_is_a_domain_error(self, coeffs):
+        steep = coeffs.replace(c8=1e10)
+        with pytest.raises(DomainError, match="c8 overflows"):
+            df.burn_duration(0.3, 0.4, 0.3, steep)
+        with pytest.raises(DomainError, match="c8 overflows"):
+            half_burn_angle(0.3, 0.4, 0.3, steep)
+
     def test_no_pilot_rejected_anywhere_in_an_array(self):
         with pytest.raises(DomainError, match="no pilot fuel"):
             fuel_term(np.array([0.4, 0.4]), np.array([0.3, 0.0]), 0.2, -0.3)
@@ -200,7 +213,7 @@ class TestFuelTerm:
     @pytest.mark.parametrize("evaluate", [
         lambda op, c, g: df.predict_soc(op, -15.0, c, g),
         lambda op, c, g: df.predict_ca50(op, -15.0, c, g),
-        lambda op, c, g: ca50_jacobian(op, -15.0, c, g),
+        lambda op, c, g: ca50_jacobian(op, -15.0, c, g, df.cylinder_volume(-15.0, g)),
         lambda op, c, g: df.feedforward_soi(8.0, op, c, g),
         lambda op, c, g: df.knock_integral_soc(op, -15.0, df.PlantConfig(geom=g, coeffs=c)),
     ], ids=["predict_soc", "predict_ca50", "ca50_jacobian", "feedforward_soi",

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import dualfuel as df
 from dualfuel import _kernels
 from dualfuel.core import DomainError
-from dualfuel.plant import (MISFIRE_LIMIT, MOTORED_CYCLES, CycleRecord, Misfire,
-                            _kernel_args, quantize_soi)
+from dualfuel.plant import (MISFIRE_LIMIT, MOTORED_CYCLES, QUAD_STEP_MIN, CycleRecord,
+                            Misfire, _kernel_args, quantize_soi)
 from dualfuel.scenarios import builtin_case
 
 from conftest import BOX, SOI_BOX, random_box_op, random_box_soi
@@ -42,10 +42,22 @@ class TestPlantConfig:
         dict(egr_lag_cycles=float("inf")), dict(egr_lag_cycles=float("nan")),
         dict(rng_seed=1.5), dict(rng_seed=1e30), dict(rng_seed=-1), dict(rng_seed=True),
         dict(ca50_noise_halfwidth=9e307),   # the draw's span 2 * 9e307 overflows
+        dict(quad_step=1e-300), dict(quad_step=0.5 * QUAD_STEP_MIN),
     ])
     def test_invalid_config_rejected(self, geom, coeffs, bad):
         with pytest.raises(DomainError):
             df.PlantConfig(geom=geom, coeffs=coeffs, **bad)
+
+    def test_quad_step_floor_bounds_the_march(self, geom, coeffs):
+        # a step too small to move the angle (soi + step * i == soi) made the
+        # march loop forever (1e-300 above); the floor itself is accepted
+        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, quad_step=QUAD_STEP_MIN)
+        assert (MISFIRE_LIMIT - geom.ivc_angle) / cfg.quad_step < 21000
+
+    def test_overflowing_pressure_power_is_a_domain_error(self, geom, coeffs):
+        cfg = df.PlantConfig(geom=geom, coeffs=coeffs.replace(c6=1e300))
+        with pytest.raises(DomainError, match="p_ivc\\^c6 overflows"):
+            df.knock_integral_soc(HOT_OP, -15.0, cfg)
 
 
 HOT_OP = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
