@@ -183,14 +183,6 @@ def _columns(dataset):
     return op, soi, soc_ref, ca50_ref
 
 
-def _locate_domain_error(dataset, coeffs, geom):
-    for i, s in enumerate(dataset):
-        try:
-            predict_ca50(s.op, s.soi, coeffs, geom)
-        except DomainError as exc:
-            raise DomainError(f"sample {i}: {exc}") from exc
-
-
 def _check_finite(values, what):
     """A DomainError naming the first sample whose value is not finite."""
     bad = np.flatnonzero(~np.isfinite(values))
@@ -198,32 +190,56 @@ def _check_finite(values, what):
         raise DomainError(f"sample {bad[0]}: {what} is not finite ({values[bad[0]]})")
 
 
+def _ca50_error(op, soi, ca50_ref, coeffs, geom, v_soi=None):
+    """predict_ca50 - ca50_ref on a dataset's columns. A DomainError names
+    the first sample outside the SOI window or whose error is not finite."""
+    with np.errstate(all="ignore"):   # a non-finite error is named below
+        err = predict_ca50(op, soi, coeffs, geom, v_soi) - ca50_ref
+    _check_finite(err, "the CA50 error")
+    return err
+
+
+def _rms(err) -> float:
+    """sqrt(mean(err**2)) of finite errors; a DomainError if it overflows."""
+    with np.errstate(all="ignore"):
+        out = float(np.sqrt(np.mean(err ** 2)))
+    if not math.isfinite(out):
+        raise DomainError(f"the CA50 RMSE is not finite ({out})")
+    return out
+
+
+def _spread(err, what):
+    """(std, max |err|) of finite errors; a DomainError if the std overflows."""
+    with np.errstate(all="ignore"):
+        std = float(np.std(err))
+    if not math.isfinite(std):
+        raise DomainError(f"the standard deviation of {what} is not finite ({std})")
+    return std, float(np.max(np.abs(err)))
+
+
 def rmse(coeffs: ModelCoefficients, dataset, geom: EngineGeometry) -> float:
     """Root-mean-square CA50 prediction error over the dataset [CAD]."""
     op, soi, _, ca50_ref = _columns(dataset)
-    try:
-        pred = predict_ca50(op, soi, coeffs, geom)
-    except DomainError:
-        _locate_domain_error(dataset, coeffs, geom)
-        raise
-    return float(np.sqrt(np.mean((pred - ca50_ref) ** 2)))
+    return _rms(_ca50_error(op, soi, ca50_ref, coeffs, geom))
 
 
 def validate(coeffs: ModelCoefficients, dataset, geom: EngineGeometry) -> ValidationStats:
     """SOC and CA50 prediction-error statistics against reference values. A
-    prediction that is not finite raises a DomainError naming its sample."""
+    prediction that is not finite raises a DomainError naming its sample,
+    and a statistic that overflows one naming the statistic."""
     op, soi, soc_ref, ca50_ref = _columns(dataset)
-    with np.errstate(all="ignore"):   # a non-finite prediction is named below
+    with np.errstate(all="ignore"):   # a non-finite error is named below
         soc_err = predict_soc(op, soi, coeffs, geom) - soc_ref
-        ca50_err = predict_ca50(op, soi, coeffs, geom) - ca50_ref
     _check_finite(soc_err, "the SOC error")
-    _check_finite(ca50_err, "the CA50 error")
+    ca50_err = _ca50_error(op, soi, ca50_ref, coeffs, geom)
+    soc_std, soc_max = _spread(soc_err, "the SOC error")
+    ca50_std, ca50_max = _spread(ca50_err, "the CA50 error")
     return ValidationStats(
         n_samples=len(dataset),
-        soc_err_std=float(np.std(soc_err)),
-        soc_err_max=float(np.max(np.abs(soc_err))),
-        ca50_err_std=float(np.std(ca50_err)),
-        ca50_err_max=float(np.max(np.abs(ca50_err))),
+        soc_err_std=soc_std,
+        soc_err_max=soc_max,
+        ca50_err_std=ca50_std,
+        ca50_err_max=ca50_max,
         soc_within_1cad=float(np.mean(np.abs(soc_err) <= 1.0)),
         ca50_within_1cad=float(np.mean(np.abs(ca50_err) <= 1.0)),
     )
@@ -243,11 +259,10 @@ def _unpack(coeffs, vec):
 def _objective(base_coeffs, op, soi, v_soi, ca50_ref, geom):
     def f(vec):
         try:
-            pred = predict_ca50(op, soi, _unpack(base_coeffs, vec), geom, v_soi)
+            coeffs = _unpack(base_coeffs, vec)
+            return _rms(_ca50_error(op, soi, ca50_ref, coeffs, geom, v_soi))
         except DomainError:
             return float("inf")
-        out = np.sqrt(np.mean((pred - ca50_ref) ** 2))
-        return float(out) if np.isfinite(out) else float("inf")
     return f
 
 
@@ -297,8 +312,9 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
     x = _pack(initial)
     fx = f(x)
     if not np.isfinite(fx):
-        # a sample outside the model domain is not divergence: name it
-        _locate_domain_error(dataset, initial, geom)
+        # not divergence: name the first sample outside the model domain, or
+        # the overflowing RMSE
+        _rms(_ca50_error(op, soi, ca50_ref, initial, geom, v_soi))
     report = CalibReport(iterations=0, final_rmse=fx)
     report.rmse_history.append(fx)
     report.coeff_history.append(dict(zip(CALIBRATED_FIELDS, x.tolist())))

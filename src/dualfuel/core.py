@@ -83,8 +83,10 @@ class EngineGeometry:
 
     @cached_property
     def ivc_volume(self) -> float:
-        """Cylinder volume at intake valve closing [m^3]."""
-        return cylinder_volume(self.ivc_angle, self)
+        """Cylinder volume at intake valve closing [m^3], a Python float, so
+        that the plant's scalar march divides and raises to a power in plain
+        floats."""
+        return float(cylinder_volume(self.ivc_angle, self))
 
 
 def default_geometry() -> EngineGeometry:

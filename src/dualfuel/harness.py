@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .calib import _check_finite, _columns
+from .calib import _check_finite, _columns, _spread
 from .control import (
     FEEDFORWARD_SEED_SOI,
     ControllerState,
@@ -24,6 +24,7 @@ from .control import (
     smooth_measurement,
 )
 from .core import (
+    DomainError,
     EngineGeometry,
     ModelCoefficients,
     OperatingPoint,
@@ -177,7 +178,14 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
                 states, states_op = compute_states(op, ctrl_coeffs), op
             unclamped = adaptive_soi(ref, states, ctrl)
         elif (op, ref, prev_soi) != ff_inputs:
-            unclamped = feedforward_soi(ref, op, ctrl_coeffs, geom, prev_soi)
+            try:   # numpy's scalars overflow with a flag, Python's floats silently
+                with np.errstate(all="raise", under="ignore"):
+                    unclamped = feedforward_soi(ref, op, ctrl_coeffs, geom, prev_soi)
+                if not math.isfinite(unclamped):
+                    raise FloatingPointError(f"command {unclamped}")
+            except FloatingPointError as exc:
+                raise DomainError(f"cycle {plant.cycle_index}: the feedforward inversion "
+                                  f"is not finite ({exc})") from None
             ff_inputs = op, ref, prev_soi
         command = prev_soi = min(max(unclamped, soi_min), SOI_CMD_MAX)
         try:
@@ -345,7 +353,8 @@ def run_sensitivity(coeffs: ModelCoefficients, dataset, geom: EngineGeometry):
     DEFAULT_PERTURBATIONS), against unperturbed references. First row is
     the unperturbed baseline. A perturbed input may leave the
     OperatingPoint domain (a negative EGR or residual fraction). An error
-    that is not finite raises a DomainError naming its sample."""
+    that is not finite raises a DomainError naming its sample, and a
+    standard deviation that overflows one naming the statistic."""
     op, soi, _, ca50_ref = _columns(dataset)
     _check_soi(soi, geom)
     v_soi = cylinder_volume(soi, geom)
@@ -358,10 +367,11 @@ def run_sensitivity(coeffs: ModelCoefficients, dataset, geom: EngineGeometry):
         with np.errstate(all="ignore"):   # a non-finite error is named below
             delay, half_burn = phasing_terms(v_soi, **c, coeffs=coeffs, geom=geom)
             err = soi + delay + half_burn - ca50_ref
-        _check_finite(err, f"the CA50 error with {quantity} {delta:+g} ({mode})")
+        what = f"the CA50 error with {quantity} {delta:+g} ({mode})"
+        _check_finite(err, what)
+        std, peak = _spread(err, what)
         return SensitivityRow(quantity=quantity, delta=delta, mode=mode,
-                              ca50_err_std=float(np.std(err)),
-                              ca50_err_max=float(np.max(np.abs(err))))
+                              ca50_err_std=std, ca50_err_max=peak)
 
     rows = [row("none", 0.0, "abs")]
     rows.extend(row(*p) for p in DEFAULT_PERTURBATIONS)

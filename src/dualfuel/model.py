@@ -95,10 +95,13 @@ def phasing_terms(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
 
 
 def _check_soi(soi, geom: EngineGeometry):
-    if holds(soi < geom.ivc_angle, np.any) or holds(soi > SOI_LATEST, np.any):
-        raise DomainError(
-            f"SOI must lie in [{geom.ivc_angle}, {SOI_LATEST}] deg aTDC"
-        )
+    """A DomainError for an SOI outside the window; on an array it names the
+    first such sample."""
+    outside = (soi < geom.ivc_angle) | (soi > SOI_LATEST)
+    if holds(outside, np.any):
+        sample = "" if np.ndim(outside) == 0 else f"sample {np.flatnonzero(outside)[0]}: "
+        raise DomainError(f"{sample}SOI must lie in [{geom.ivc_angle}, {SOI_LATEST}] "
+                          "deg aTDC")
 
 
 def predict_soc(op: OperatingPoint, soi, coeffs: ModelCoefficients,

@@ -25,7 +25,7 @@ from .core import (
     OperatingPoint,
     cylinder_volume,  # noqa: F401  (perfbench traces plant.cylinder_volume)
 )
-from .model import burn_duration, ca50_from_soc_bd, delay_scale
+from .model import arrhenius_exponent, burn_duration, ca50_from_soc_bd, delay_scale
 
 # combustion later than this is treated as a failed cycle
 MISFIRE_LIMIT = 60.0
@@ -131,7 +131,7 @@ def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
     factor a = -c5 * p_ivc^c6 / t_ivc and delay scale, then the geometry's."""
     coeffs = cfg.coeffs
     try:
-        a = -coeffs.c5 * op.p_ivc ** coeffs.c6 / op.t_ivc
+        a = -arrhenius_exponent(op.p_ivc, op.t_ivc, coeffs)
     except OverflowError:
         raise DomainError(f"p_ivc^c6 overflows for c6 = {coeffs.c6}") from None
     denom = delay_scale(op.egr, op.speed, op.phi_ng, op.phi_di, coeffs)
@@ -142,7 +142,11 @@ def _march_soc(op: OperatingPoint, soi: float, cfg: PlantConfig, args) -> float:
     """knock_integral_soc with op's kernel arguments args already built."""
     if soi < cfg.geom.ivc_angle:
         raise DomainError("injection cannot precede IVC")
-    soc, reached = _kernels.march(soi, cfg.quad_step, MISFIRE_LIMIT, *args)
+    try:
+        soc, reached = _kernels.march(soi, cfg.quad_step, MISFIRE_LIMIT, *args)
+    except OverflowError:   # the integrand's r^e, a Python float power
+        raise DomainError(f"the knock integrand overflows for c6 = {cfg.coeffs.c6}"
+                          ) from None
     if math.isnan(soc):
         raise Misfire(
             f"integral reached {reached:.4f} < 1 by {MISFIRE_LIMIT} deg aTDC "
@@ -166,7 +170,11 @@ def knock_integral_value(op: OperatingPoint, soi: float, theta_end: float,
     """Accumulated autoignition integral from soi up to theta_end."""
     if theta_end < soi:
         raise DomainError("theta_end must not precede soi")
-    return _kernels.value(theta_end, soi, cfg.quad_step, *_kernel_args(op, cfg))
+    try:
+        return _kernels.value(theta_end, soi, cfg.quad_step, *_kernel_args(op, cfg))
+    except OverflowError:   # as in _march_soc
+        raise DomainError(f"the knock integrand overflows for c6 = {cfg.coeffs.c6}"
+                          ) from None
 
 
 def quantize_soi(command: float, resolution: float) -> float:

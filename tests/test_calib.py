@@ -124,6 +124,27 @@ class TestRmse:
         with pytest.raises(df.DomainError):
             df.rmse(coeffs, [], geom)
 
+    def test_error_not_finite_named(self, geom, coeffs, small_plant_dataset):
+        # numpy gives inf where a float power raises; no warning is printed
+        with pytest.raises(df.DomainError,
+                           match=r"^sample 0: the CA50 error is not finite \(inf\)$"):
+            df.rmse(coeffs.replace(c4=-1e10), small_plant_dataset, geom)
+
+    def test_overflowing_rmse_rejected(self, geom, coeffs, small_plant_dataset):
+        # every error is finite, near 1e300, but their squares overflow
+        with pytest.raises(df.DomainError,
+                           match=r"^the CA50 RMSE is not finite \(inf\)$"):
+            df.rmse(coeffs.replace(c1=1e300), small_plant_dataset, geom)
+
+    def test_objective_is_rmse_and_inf_outside_the_domain(self, geom, coeffs,
+                                                          small_plant_dataset):
+        op, soi, _, ca50_ref = _columns(small_plant_dataset)
+        f = calib._objective(coeffs, op, soi, df.cylinder_volume(soi, geom), ca50_ref,
+                             geom)
+        assert f(calib._pack(coeffs)) == df.rmse(coeffs, small_plant_dataset, geom)
+        for edit in ({"c4": -1e10}, {"c6": 1e300}, {"c1": 1e300}):
+            assert f(calib._pack(coeffs.replace(**edit))) == float("inf"), edit
+
 
 class TestCalibrate:
     def test_zero_iterations_returns_initial(self, geom, coeffs, small_plant_dataset):
@@ -183,6 +204,15 @@ class TestCalibrate:
         samples[3] = dataclasses.replace(samples[3], soi=40.0)
         with pytest.raises(df.DomainError, match="sample 3: SOI must lie in"):
             df.calibrate(None, samples, geom)
+
+    @pytest.mark.parametrize("edit", [{"c4": -1e10}, {"c6": 1e300}])
+    def test_start_without_finite_error_named(self, geom, coeffs, small_plant_dataset,
+                                              edit):
+        # not divergence: the first sample whose error is not finite, with no
+        # warning before it
+        with pytest.raises(df.DomainError,
+                           match=r"^sample 0: the CA50 error is not finite \(inf\)$"):
+            df.calibrate(coeffs.replace(**edit), small_plant_dataset, geom)
 
     def test_rmse_names_sample_outside_domain(self, geom, coeffs, small_plant_dataset):
         samples = list(small_plant_dataset[:10])
@@ -326,6 +356,18 @@ class TestValidate:
         stats = df.validate(coeffs, small_plant_dataset, geom)
         assert stats.soc_err_std == pytest.approx(0.9419150546576686, rel=1e-6)
         assert stats.ca50_err_max == pytest.approx(6.645806663599151, rel=1e-6)
+
+    def test_sample_outside_domain_named(self, geom, coeffs, small_plant_dataset):
+        samples = list(small_plant_dataset[:10])
+        samples[4] = dataclasses.replace(samples[4], soi=40.0)
+        with pytest.raises(df.DomainError, match="^sample 4: SOI must lie in"):
+            df.validate(coeffs, samples, geom)
+
+    def test_overflowing_std_named(self, geom, coeffs, small_plant_dataset):
+        # every error is finite, near 1e300, but np.std squares them
+        with pytest.raises(df.DomainError, match=r"^the standard deviation of the SOC "
+                                                 r"error is not finite \(inf\)$"):
+            df.validate(coeffs.replace(c1=1e300), small_plant_dataset, geom)
 
 
 class TestCsvRoundTrips:

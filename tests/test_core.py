@@ -60,6 +60,11 @@ class TestGeometry:
     def test_ivc_volume_is_volume_at_ivc(self, geom):
         assert geom.ivc_volume == df.cylinder_volume(geom.ivc_angle, geom)
 
+    def test_ivc_volume_is_a_python_float(self, geom):
+        # the plant's scalar march divides by it and raises to a power at
+        # every node, and a Python float power raises on overflow
+        assert type(geom.ivc_volume) is float
+
     def test_replaced_geometry_recomputes_derived_values(self, geom):
         # the derived volumes are cached per instance; a replaced geometry
         # must not carry the old values

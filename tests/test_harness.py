@@ -828,15 +828,54 @@ class TestCliRejectsBadInput:
         pytest.param("sensitivity", {"c6": 1e300},
                      "sample 0: the CA50 error with none +0 (abs) is not finite",
                      id="sensitivity-overflowing-c6"),
+        pytest.param("calibrate", {"c4": -1e10}, "sample 0: the CA50 error is not finite",
+                     id="calibrate-overflowing-c4"),
+        pytest.param("calibrate", {"c6": 1e300}, "sample 0: the CA50 error is not finite",
+                     id="calibrate-overflowing-c6"),
+        # every error is finite, near 1e300, but the standard deviation is not
+        pytest.param("validate", {"c1": 1e300},
+                     "the standard deviation of the SOC error is not finite (inf)",
+                     id="validate-overflowing-std"),
+        pytest.param("sensitivity", {"c1": 1e300},
+                     "the standard deviation of the CA50 error with none +0 (abs) is "
+                     "not finite (inf)", id="sensitivity-overflowing-std"),
+        pytest.param("calibrate", {"c1": 1e300}, "the CA50 RMSE is not finite (inf)",
+                     id="calibrate-overflowing-rmse"),
     ])
     def test_coefficients_without_finite_predictions(self, tmp_path, capsys, command,
                                                      edit, expected):
-        # numpy gives inf and nan, with warnings, where a float power raises
+        # numpy gives inf and nan where a float power raises; no warning may
+        # come before the one error line
         path = tmp_path / "c.json"
         path.write_text(json.dumps({**df.default_coefficients().to_dict(), **edit}))
         data = _dataset_csv(tmp_path)
         self._rejects([command, "--data", data, "--coeffs", str(path)], tmp_path, capsys,
                       expected)
+
+    @pytest.mark.parametrize("edit, expected", [
+        pytest.param({"c6": 1e300}, "cycle 0: the feedforward inversion is not finite "
+                     "(overflow encountered in scalar power)", id="c6"),
+        pytest.param({"c5": 1e300}, "cycle 0: the feedforward inversion is not finite "
+                     "(overflow encountered in exp)", id="c5"),
+        pytest.param({"c1": 1e300}, "the feedforward inversion is not finite", id="c1"),
+        # the polytropic state is inf, and inf^c6 = 0 for the negative c6
+        pytest.param({"k_c": 1e300}, "the feedforward inversion is not finite", id="k_c"),
+        # the delay scale overflows in Python floats, which set no flag
+        pytest.param({"c1": 1.7e308}, "cycle 0: the feedforward inversion is not finite "
+                     "(command -inf)", id="c1-float"),
+    ])
+    def test_feedforward_inversion_not_finite(self, tmp_path, capsys, edit, expected):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**df.default_coefficients().to_dict(), **edit}))
+        self._rejects(["simulate", "--case", "1", "--controller", "feedforward",
+                       "--coeffs", str(path)], tmp_path, capsys, expected)
+
+    def test_gen_data_integrand_overflows(self, tmp_path, capsys):
+        # p_ivc^c6 is finite, but the integrand's r^e overflows in the march
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**df.default_coefficients().to_dict(), "c6": 400.0}))
+        self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
+                      capsys, "the knock integrand overflows for c6 = 400.0")
 
     def test_gen_data_all_misfire(self, tmp_path, capsys):
         # c6 = 50 freezes the charge: every sample misfires

@@ -83,6 +83,18 @@ class TestPredictSoc:
         with pytest.raises(DomainError):
             df.predict_soc(mid_op, SOI_LATEST + 1.0, coeffs, geom)
 
+    def test_soi_outside_window_named(self, coeffs, geom, mid_op):
+        # on an array the first sample outside the window is named; a plain
+        # angle keeps the bare message
+        window = f"SOI must lie in [{geom.ivc_angle}, {SOI_LATEST}] deg aTDC"
+        soi = np.array([-15.0, -12.0, SOI_LATEST + 1.0, geom.ivc_angle - 1.0])
+        with pytest.raises(DomainError) as exc:
+            df.predict_ca50(mid_op, soi, coeffs, geom)
+        assert str(exc.value) == "sample 2: " + window
+        with pytest.raises(DomainError) as exc:
+            df.predict_ca50(mid_op, SOI_LATEST + 1.0, coeffs, geom)
+        assert str(exc.value) == window
+
     def test_broadcasts_over_soi(self, coeffs, geom, mid_op):
         soi = np.array([-18.0, -15.0, -12.0])
         soc = df.predict_soc(mid_op, soi, coeffs, geom)

@@ -59,6 +59,17 @@ class TestPlantConfig:
         with pytest.raises(DomainError, match="p_ivc\\^c6 overflows"):
             df.knock_integral_soc(HOT_OP, -15.0, cfg)
 
+    def test_overflowing_compression_power_is_a_domain_error(self, geom, coeffs):
+        # p_ivc^c6 stays finite, but the integrand's r^e (e = k*c6 - k + 1)
+        # overflows in the march's Python floats
+        op = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
+                               x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
+        cfg = df.PlantConfig(geom=geom, coeffs=coeffs.replace(c6=400.0))
+        with pytest.raises(DomainError, match="knock integrand overflows for c6 = 400.0"):
+            df.knock_integral_soc(op, -15.0, cfg)
+        with pytest.raises(DomainError, match="knock integrand overflows for c6 = 400.0"):
+            df.knock_integral_value(op, -15.0, -10.0, cfg)
+
 
 HOT_OP = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
                            x_r=0.0329, p_ivc=32.30, t_ivc=422.4)
