@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import numbers
-import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 
@@ -241,8 +240,9 @@ class ModelCoefficients:
         coeffs = cls(**kwargs)
         if "c7" in d:
             c7 = float(_number(d["c7"], "coefficient 'c7'"))
-            if abs(c7 - coeffs.c7) > 1e-9 * coeffs.c7:
-                warnings.warn("c7 in file is inconsistent with c11 and Wiebe shape; recomputed")
+            if not abs(c7 - coeffs.c7) <= 1e-9 * coeffs.c7:
+                raise DomainError(f"coefficient 'c7' = {c7} contradicts c11 / "
+                                  f"half_burn_fraction = {coeffs.c7}")
         return coeffs
 
     def replace(self, **changes) -> "ModelCoefficients":
@@ -346,8 +346,16 @@ def polytropic_state_at_soi(p_ivc, t_ivc, v_ivc, v_soi, k_c):
     """(P, T) at injection from IVC state via a polytropic compression.
 
     P_SOI = P_IVC * (V_IVC/V_SOI)^k_c, T_SOI = T_IVC * (V_IVC/V_SOI)^(k_c-1).
+    A state that is not finite is a DomainError: inf^c6 = 0 for a negative
+    c6 would otherwise make the Arrhenius factor silently 1.
     """
     if holds(v_ivc <= 0.0, np.any) or holds(v_soi <= 0.0, np.any):
         raise DomainError("volumes must be positive")
     ratio = v_ivc / v_soi
-    return p_ivc * ratio ** k_c, t_ivc * ratio ** (k_c - 1.0)
+    try:
+        p_soi, t_soi = p_ivc * ratio ** k_c, t_ivc * ratio ** (k_c - 1.0)
+    except OverflowError:   # a Python float power raises; numpy gives inf instead
+        p_soi = t_soi = math.inf
+    if not holds((p_soi < math.inf) & (t_soi < math.inf)):
+        raise DomainError(f"the polytropic state at SOI is not finite for k_c = {k_c}")
+    return p_soi, t_soi

@@ -21,6 +21,7 @@ from .control import (
     adaptive_update,
     compute_states,
     feedforward_soi,
+    learning_rate,
     smooth_measurement,
 )
 from .core import (
@@ -176,6 +177,16 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
         if adaptive:
             if op is not states_op:
                 states, states_op = compute_states(op, ctrl_coeffs), op
+                # the observer's gain must exist: a Python float square
+                # overflows with an error, an infinite regressor to a gain of 0
+                try:
+                    gain = learning_rate(states)
+                except (OverflowError, DomainError):   # DomainError: both are zero
+                    gain = 0.0
+                if not 0.0 < gain < math.inf:
+                    raise DomainError(
+                        f"cycle {plant.cycle_index}: the observer gain 1/(x1^2 + x2^2) "
+                        f"cannot be formed for x1 = {states.x1}, x2 = {states.x2}")
             unclamped = adaptive_soi(ref, states, ctrl)
         elif (op, ref, prev_soi) != ff_inputs:
             try:   # numpy's scalars overflow with a flag, Python's floats silently

@@ -24,9 +24,12 @@ SOI_LATEST = 30.0
 
 
 def fuel_term(phi_ng, phi_di, c_ng, c_di):
-    """phi_ng^c_ng + phi_di^c_di; without pilot fuel a negative c_di has no value."""
-    if c_di < 0.0 and holds(phi_di == 0.0, np.any):
-        raise DomainError("no pilot fuel: phi_di = 0 with a negative diesel exponent")
+    """phi_ng^c_ng + phi_di^c_di; an absent fuel (phi = 0) has no value under a
+    negative exponent."""
+    if (c_ng < 0.0 and holds(phi_ng == 0.0, np.any)
+            or c_di < 0.0 and holds(phi_di == 0.0, np.any)):
+        raise DomainError("an absent fuel (phi = 0) has no value under a negative "
+                          f"exponent: phi_ng^{c_ng} + phi_di^{c_di}")
     try:
         return phi_ng ** c_ng + phi_di ** c_di
     except OverflowError:   # a Python float power raises; numpy gives inf instead

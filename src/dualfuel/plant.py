@@ -135,6 +135,9 @@ def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
     except OverflowError:
         raise DomainError(f"p_ivc^c6 overflows for c6 = {coeffs.c6}") from None
     denom = delay_scale(op.egr, op.speed, op.phi_ng, op.phi_di, coeffs)
+    if not 0.0 < denom < math.inf:   # phi^c3 and phi^c4 may both underflow to 0
+        raise DomainError("the ignition-delay scale (c1*egr + c2) * N * (phi_ng^c3 + "
+                          f"phi_di^c4) is {denom}, not finite and positive")
     return (a, denom) + cfg._g_args
 
 

@@ -5,7 +5,7 @@ built-in benchmark transients."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 from .control import MEAN_RESIDUAL_FRACTION
 from .core import _load_json, _number
@@ -43,9 +43,6 @@ class Breakpoint:
                 raise ValueError(f"breakpoint {name} must be finite")
         if self.ramp_s < 0.0:
             raise ValueError("ramp_s must be non-negative")
-
-
-_BREAKPOINT_KEYS = tuple(f.name for f in fields(Breakpoint))
 
 
 @dataclass(frozen=True)
@@ -89,9 +86,6 @@ class Scenario:
         return sorted(times)
 
 
-_SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
-
-
 def _check_breakpoints(name, bps):
     if not bps:
         raise ValueError(f"schedule {name!r} has no breakpoints")
@@ -130,30 +124,27 @@ def _expect(value, kind, what):
     return value
 
 
+def _fields_of(cls, d):
+    """d, a JSON object, as keyword arguments of the dataclass cls. A key that
+    is not a field, and a missing field without a default, raise a ValueError."""
+    kind = cls.__name__.lower()
+    for key in d:
+        if key not in cls.__dataclass_fields__:
+            raise ValueError(f"unknown {kind} key {key!r}")
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{kind} is missing key {f.name!r}")
+    return d
+
+
 def _breakpoints_from_list(name, bps) -> list:
-    return [_breakpoint_from_dict(name, bp)
+    return [Breakpoint(**_fields_of(Breakpoint,
+                                    _expect(bp, dict, f"breakpoint of {name!r}")))
             for bp in _expect(bps, list, f"schedule {name!r}")]
 
 
-def _breakpoint_from_dict(name, d) -> Breakpoint:
-    _expect(d, dict, f"breakpoint of {name!r}")
-    for key in d:
-        if key not in _BREAKPOINT_KEYS:
-            raise ValueError(f"unknown breakpoint key {key!r}")
-    for key in ("t", "value"):
-        if key not in d:
-            raise ValueError(f"breakpoint is missing key {key!r}")
-    return Breakpoint(**d)
-
-
 def scenario_from_dict(d: dict) -> Scenario:
-    _expect(d, dict, "scenario")
-    for key in d:
-        if key not in _SCENARIO_KEYS:
-            raise ValueError(f"unknown scenario key {key!r}")
-    for key in ("duration_s", "controller", "schedules", "reference"):
-        if key not in d:
-            raise ValueError(f"scenario is missing key {key!r}")
+    _fields_of(Scenario, _expect(d, dict, "scenario"))
     return Scenario(
         duration_s=float(_number(d["duration_s"], "scenario key 'duration_s'")),
         controller=d["controller"],
@@ -171,12 +162,15 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # built-in benchmark transients
 
-def _const(v):
-    return [Breakpoint(t=0.0, value=v)]
+# the base condition of every case: 1200 RPM, manifold 2 bar / 300 K, and a
+# CA50 reference of 8 CAD
+_BASE = {"speed": 1200.0, "t_man": 300.0, "p_man": 2.0, "phi_di": 0.4, "phi_ng": 0.4,
+         "egr": 0.25, "x_r": MEAN_RESIDUAL_FRACTION, "reference": 8.0}
 
-
-def _step(v0, v1, t=5.0, ramp_s=0.0):
-    return [Breakpoint(t=0.0, value=v0), Breakpoint(t=t, value=v1, ramp_s=ramp_s)]
+# each case's second condition: (schedule, value before 5 s, value from 5 s)
+_SPEED, _GAS, _EGR = ("speed", 1200.0, 1500.0), ("phi_ng", 0.3, 0.5), ("egr", 0.0, 0.5)
+_CASES = {1: [("reference", 8.0, 10.0)], 2: [_SPEED], 3: [_GAS], 4: [_EGR],
+          5: [_SPEED, _GAS], 6: [_SPEED, _GAS, _EGR]}
 
 
 def builtin_case(n: int, controller: str = "adaptive", seed: int = 0) -> Scenario:
@@ -187,34 +181,15 @@ def builtin_case(n: int, controller: str = "adaptive", seed: int = 0) -> Scenari
     1 reference CA50 step 8 -> 10; 2 speed 1200 -> 1500; 3 phi_ng 0.3 -> 0.5;
     4 EGR 0 -> 0.5; 5 speed + phi_ng combined; 6 speed + phi_ng + EGR combined.
     """
-    if n not in (1, 2, 3, 4, 5, 6):
+    if n not in _CASES:
         raise ValueError("case number must be 1..6")
-    base = {
-        "speed": _const(1200.0),
-        "t_man": _const(300.0),
-        "p_man": _const(2.0),
-        "phi_di": _const(0.4),
-        "phi_ng": _const(0.4),
-        "egr": _const(0.25),
-        "x_r": _const(MEAN_RESIDUAL_FRACTION),
-    }
-    reference = _const(8.0)
-    if n == 1:
-        reference = _step(8.0, 10.0)
-    elif n == 2:
-        base["speed"] = _step(1200.0, 1500.0, ramp_s=0.5)
-    elif n == 3:
-        base["phi_ng"] = _step(0.3, 0.5, ramp_s=0.5)
-    elif n == 4:
-        base["egr"] = _step(0.0, 0.5, ramp_s=0.5)
-    elif n == 5:
-        base["speed"] = _step(1200.0, 1500.0, ramp_s=0.5)
-        base["phi_ng"] = _step(0.3, 0.5, ramp_s=0.5)
-    elif n == 6:
-        base["speed"] = _step(1200.0, 1500.0, ramp_s=0.5)
-        base["phi_ng"] = _step(0.3, 0.5, ramp_s=0.5)
-        base["egr"] = _step(0.0, 0.5, ramp_s=0.5)
+    schedules = {key: [Breakpoint(t=0.0, value=v)] for key, v in _BASE.items()}
+    for key, before, after in _CASES[n]:
+        schedules[key] = [Breakpoint(t=0.0, value=before),
+                          Breakpoint(t=5.0, value=after,
+                                     ramp_s=0.0 if key == "reference" else 0.5)]
+    reference = schedules.pop("reference")
     # benchmark runs are noise-free; the measurement-noise study adds it back
     plant = {"ca50_noise_halfwidth": 0.0, "rng_seed": seed}
     return Scenario(duration_s=10.0, controller=controller,
-                    schedules=base, reference=reference, plant=plant)
+                    schedules=schedules, reference=reference, plant=plant)

@@ -164,6 +164,14 @@ class TestPolytropic:
             assert p2 == pytest.approx(p0, rel=1e-12)
             assert t2 == pytest.approx(t0, rel=1e-12)
 
+    def test_state_not_finite_rejected(self):
+        # a Python float power raises OverflowError, numpy's gives inf
+        with pytest.raises(DomainError, match="not finite for k_c = 10000000000.0"):
+            df.polytropic_state_at_soi(3.0, 390.0, 2e-3, 1e-3, 1e10)
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="k_c = 439.0"):
+            # T_SOI overflows alone: 390 * 5^438 is inf, 3 * 5^439 is not
+            df.polytropic_state_at_soi(3.0, 390.0, 5e-3, np.array([5e-3, 1e-3]), 439.0)
+
     def test_nonpositive_volume_rejected(self):
         with pytest.raises(DomainError):
             df.polytropic_state_at_soi(3.0, 390.0, 0.0, 1e-3, 1.3)
@@ -249,11 +257,15 @@ class TestModelCoefficients:
             with pytest.raises(DomainError, match="c1 \\+ c2 > 0"):
                 df.load_coefficients(path)
 
-    def test_inconsistent_c7_warns(self, tmp_path, coeffs):
+    def test_inconsistent_c7_rejected(self, coeffs):
+        # a file's c7 must equal c11 / half_burn_fraction within 1e-9 relative
         d = coeffs.to_dict()
-        d["c7"] = d["c7"] * 2.0
-        with pytest.warns(UserWarning):
-            df.ModelCoefficients.from_dict(d)
+        assert df.ModelCoefficients.from_dict({**d, "c7": d["c7"] * (1.0 + 5e-10)}) == coeffs
+        for c7 in (d["c7"] * 2.0, d["c7"] * (1.0 + 2e-9), float("nan")):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"coefficient 'c7' = {c7} contradicts c11 / half_burn_fraction = "
+                    f"{coeffs.c7}")):
+                df.ModelCoefficients.from_dict({**d, "c7": c7})
 
 
 def test_box_sampler_produces_valid_points(box_rng):

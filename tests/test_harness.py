@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dualfuel as df
-from dualfuel import calib, cli, harness
+from dualfuel import calib, cli, harness, scenarios
 from dualfuel.calib import DATASET_COLUMNS
 from dualfuel.control import FEEDFORWARD_SEED_SOI
 from dualfuel.plant import CycleRecord
@@ -757,6 +757,10 @@ class TestCliRejectsBadInput:
                      id="underflowing-wiebe_b"),
         # the float power phi_di ** c4 overflows on the scalar path
         pytest.param(lambda d: {**d, "c4": -1e10}, "phi^c overflows", id="overflowing-c4"),
+        pytest.param(lambda d: {**d, "c7": 2.0 * d["c7"]},
+                     f"coefficient 'c7' = {2.0 * df.default_coefficients().c7} contradicts "
+                     f"c11 / half_burn_fraction = {df.default_coefficients().c7}",
+                     id="inconsistent-c7"),
     ])
     def test_bad_coefficients_file(self, tmp_path, capsys, document, expected):
         path = tmp_path / "bad.json"
@@ -841,6 +845,10 @@ class TestCliRejectsBadInput:
                      "not finite (inf)", id="sensitivity-overflowing-std"),
         pytest.param("calibrate", {"c1": 1e300}, "the CA50 RMSE is not finite (inf)",
                      id="calibrate-overflowing-rmse"),
+        # P_SOI is inf, and inf^c6 = 0 would make the Arrhenius factor 1
+        *(pytest.param(command, {"k_c": 1e10}, "the polytropic state at SOI is not "
+                       "finite for k_c = 10000000000.0", id=f"{command}-overflowing-k_c")
+          for command in ("validate", "sensitivity", "calibrate")),
     ])
     def test_coefficients_without_finite_predictions(self, tmp_path, capsys, command,
                                                      edit, expected):
@@ -870,12 +878,50 @@ class TestCliRejectsBadInput:
         self._rejects(["simulate", "--case", "1", "--controller", "feedforward",
                        "--coeffs", str(path)], tmp_path, capsys, expected)
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--case", "1", "--controller", "adaptive"], ["noise-study"]])
+    @pytest.mark.parametrize("edit", [
+        pytest.param({"c3": -400.0}, id="c3-400"),    # x1 ** 2 overflows in Python floats
+        # speed * phi_ng^c3 is inf: the gain would be 0 and the command nan
+        pytest.param({"c3": -770.0}, id="c3-770"),
+        pytest.param({"c10": -770.0}, id="c10-770"),  # x2 ** 2 overflows
+    ])
+    def test_adaptive_gain_not_formed(self, tmp_path, capsys, command, edit):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**df.default_coefficients().to_dict(), **edit}))
+        self._rejects([*command, "--coeffs", str(path)], tmp_path, capsys,
+                      "cycle 0: the observer gain 1/(x1^2 + x2^2) cannot be formed")
+
+    @pytest.mark.parametrize("controller", scenarios.CONTROLLERS)
+    @pytest.mark.parametrize("exponent", ["c3", "c9"])
+    def test_no_natural_gas_under_negative_exponent(self, tmp_path, capsys, controller,
+                                                    exponent):
+        # a diesel-only point is valid, but 0.0 ** -0.5 has no value
+        def edit(d):
+            d["controller"] = controller
+            d["schedules"]["phi_ng"] = [{"t": 0.0, "value": 0.0}]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**df.default_coefficients().to_dict(), exponent: -0.5}))
+        self._rejects(["simulate", _scenario_json(tmp_path, edit), "--coeffs", str(path)],
+                      tmp_path, capsys,
+                      "an absent fuel (phi = 0) has no value under a negative exponent: "
+                      "phi_ng^-0.5 + phi_di^")
+
     def test_gen_data_integrand_overflows(self, tmp_path, capsys):
         # p_ivc^c6 is finite, but the integrand's r^e overflows in the march
         path = tmp_path / "c.json"
         path.write_text(json.dumps({**df.default_coefficients().to_dict(), "c6": 400.0}))
         self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
                       capsys, "the knock integrand overflows for c6 = 400.0")
+
+    def test_gen_data_delay_scale_underflows(self, tmp_path, capsys):
+        # phi^1e300 underflows to 0 for both fuels, and the integrand divides by it
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**df.default_coefficients().to_dict(),
+                                    "c3": 1e300, "c4": 1e300}))
+        self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
+                      capsys, "the ignition-delay scale (c1*egr + c2) * N * (phi_ng^c3 + "
+                      "phi_di^c4) is 0.0, not finite and positive")
 
     def test_gen_data_all_misfire(self, tmp_path, capsys):
         # c6 = 50 freezes the charge: every sample misfires

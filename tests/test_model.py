@@ -1,5 +1,7 @@
 """Closed-form phasing predictions against independent high-precision oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from mpmath import exp as mp_exp, mp, mpf, power as mp_power
@@ -193,10 +195,11 @@ class TestPredictCa50:
             assert b - a == pytest.approx(delta, abs=1e-12)
 
 
-def _no_pilot_op():
+def _op_without(fuel):
+    """A point whose fuel (phi_ng or phi_di) is 0."""
     op = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=1e-12, egr=0.25,
                            x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
-    object.__setattr__(op, "phi_di", 0.0)   # bypass the type guard
+    object.__setattr__(op, fuel, 0.0)   # phi_di = 0 bypasses the type guard
     return op
 
 
@@ -218,7 +221,7 @@ class TestFuelTerm:
             half_burn_angle(0.3, 0.4, 0.3, steep)
 
     def test_no_pilot_rejected_anywhere_in_an_array(self):
-        with pytest.raises(DomainError, match="no pilot fuel"):
+        with pytest.raises(DomainError, match="an absent fuel"):
             fuel_term(np.array([0.4, 0.4]), np.array([0.3, 0.0]), 0.2, -0.3)
 
     # ignition_delay, burn_duration and compute_states have their own tests
@@ -231,8 +234,14 @@ class TestFuelTerm:
     ], ids=["predict_soc", "predict_ca50", "ca50_jacobian", "feedforward_soi",
             "knock_integral_soc"])
     def test_every_caller_applies_the_rule(self, coeffs, geom, evaluate):
-        with pytest.raises(DomainError, match="no pilot fuel"):
-            evaluate(_no_pilot_op(), coeffs, geom)
+        absent = "an absent fuel (phi = 0) has no value under a negative exponent: "
+        with pytest.raises(DomainError, match=re.escape(f"{absent}phi_ng^0.2284 + "
+                                                        "phi_di^-0.2604")):
+            evaluate(_op_without("phi_di"), coeffs, geom)
+        # OperatingPoint allows phi_ng = 0, a diesel-only point
+        with pytest.raises(DomainError, match=re.escape(f"{absent}phi_ng^-0.5 + "
+                                                        "phi_di^-0.2604")):
+            evaluate(_op_without("phi_ng"), coeffs.replace(c3=-0.5), geom)
 
 
 class TestPhasingTerms:
