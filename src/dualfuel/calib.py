@@ -190,12 +190,14 @@ def _check_finite(values, what):
         raise DomainError(f"sample {bad[0]}: {what} is not finite ({values[bad[0]]})")
 
 
-def _ca50_error(op, soi, ca50_ref, coeffs, geom, v_soi=None):
-    """predict_ca50 - ca50_ref on a dataset's columns. A DomainError names
-    the first sample outside the SOI window or whose error is not finite."""
+def _error(predict, ref, what, op, soi, coeffs, geom, *v_soi):
+    """predict(op, soi, coeffs, geom, *v_soi) - ref on a dataset's columns,
+    for predict_soc or predict_ca50 and what "SOC" or "CA50". A DomainError
+    names the first sample outside the model's domain or whose error is not
+    finite."""
     with np.errstate(all="ignore"):   # a non-finite error is named below
-        err = predict_ca50(op, soi, coeffs, geom, v_soi) - ca50_ref
-    _check_finite(err, "the CA50 error")
+        err = predict(op, soi, coeffs, geom, *v_soi) - ref
+    _check_finite(err, f"the {what} error")
     return err
 
 
@@ -220,7 +222,7 @@ def _spread(err, what):
 def rmse(coeffs: ModelCoefficients, dataset, geom: EngineGeometry) -> float:
     """Root-mean-square CA50 prediction error over the dataset [CAD]."""
     op, soi, _, ca50_ref = _columns(dataset)
-    return _rms(_ca50_error(op, soi, ca50_ref, coeffs, geom))
+    return _rms(_error(predict_ca50, ca50_ref, "CA50", op, soi, coeffs, geom))
 
 
 def validate(coeffs: ModelCoefficients, dataset, geom: EngineGeometry) -> ValidationStats:
@@ -228,10 +230,8 @@ def validate(coeffs: ModelCoefficients, dataset, geom: EngineGeometry) -> Valida
     prediction that is not finite raises a DomainError naming its sample,
     and a statistic that overflows one naming the statistic."""
     op, soi, soc_ref, ca50_ref = _columns(dataset)
-    with np.errstate(all="ignore"):   # a non-finite error is named below
-        soc_err = predict_soc(op, soi, coeffs, geom) - soc_ref
-    _check_finite(soc_err, "the SOC error")
-    ca50_err = _ca50_error(op, soi, ca50_ref, coeffs, geom)
+    soc_err = _error(predict_soc, soc_ref, "SOC", op, soi, coeffs, geom)
+    ca50_err = _error(predict_ca50, ca50_ref, "CA50", op, soi, coeffs, geom)
     soc_std, soc_max = _spread(soc_err, "the SOC error")
     ca50_std, ca50_max = _spread(ca50_err, "the CA50 error")
     return ValidationStats(
@@ -260,7 +260,7 @@ def _objective(base_coeffs, op, soi, v_soi, ca50_ref, geom):
     def f(vec):
         try:
             coeffs = _unpack(base_coeffs, vec)
-            return _rms(_ca50_error(op, soi, ca50_ref, coeffs, geom, v_soi))
+            return _rms(_error(predict_ca50, ca50_ref, "CA50", op, soi, coeffs, geom, v_soi))
         except DomainError:
             return float("inf")
     return f
@@ -314,7 +314,7 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
     if not np.isfinite(fx):
         # not divergence: name the first sample outside the model domain, or
         # the overflowing RMSE
-        _rms(_ca50_error(op, soi, ca50_ref, initial, geom, v_soi))
+        _rms(_error(predict_ca50, ca50_ref, "CA50", op, soi, initial, geom, v_soi))
     report = CalibReport(iterations=0, final_rmse=fx)
     report.rmse_history.append(fx)
     report.coeff_history.append(dict(zip(CALIBRATED_FIELDS, x.tolist())))

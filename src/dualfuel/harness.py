@@ -197,6 +197,8 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
             except FloatingPointError as exc:
                 raise DomainError(f"cycle {plant.cycle_index}: the feedforward inversion "
                                   f"is not finite ({exc})") from None
+            except DomainError as exc:
+                raise DomainError(f"cycle {plant.cycle_index}: {exc}") from None
             ff_inputs = op, ref, prev_soi
         command = prev_soi = min(max(unclamped, soi_min), SOI_CMD_MAX)
         try:

@@ -43,9 +43,18 @@ def arrhenius_exponent(p, t, coeffs: ModelCoefficients):
 
 def delay_scale(egr, speed, phi_ng, phi_di, coeffs: ModelCoefficients):
     """(c1*EGR + c2) * N * (phi_ng^c3 + phi_di^c4): the ignition delay without
-    its Arrhenius factor, shared by the model and the plant's integrand."""
-    return (coeffs.c1 * egr + coeffs.c2) * speed * fuel_term(
+    its Arrhenius factor, shared by the model and the plant's integrand. A
+    scale that is not finite and positive (phi^c3 and phi^c4 may both
+    underflow to 0) is a DomainError; on arrays it names the first such
+    sample."""
+    scale = (coeffs.c1 * egr + coeffs.c2) * speed * fuel_term(
         phi_ng, phi_di, coeffs.c3, coeffs.c4)
+    bad = (scale <= 0.0) | (scale >= np.inf) | (scale != scale)   # nan: 0 * inf
+    if bad is not False and holds(bad, np.any):   # a valid Python float stops at False
+        sample = "" if np.ndim(bad) == 0 else f"sample {np.flatnonzero(bad)[0]}: "
+        raise DomainError(f"{sample}the ignition-delay scale (c1*egr + c2) * N * (phi_ng^c3 "
+                          f"+ phi_di^c4) is {np.extract(bad, scale)[0]}, not finite and positive")
+    return scale
 
 
 def ignition_delay(egr, speed, phi_ng, phi_di, p_soi, t_soi, coeffs: ModelCoefficients):
@@ -55,13 +64,19 @@ def ignition_delay(egr, speed, phi_ng, phi_di, p_soi, t_soi, coeffs: ModelCoeffi
         arrhenius_exponent(p_soi, t_soi, coeffs))
 
 
-def burn_duration(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
-    """Burn duration [CAD]: c7 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10)."""
+def _wiebe_term(scale, x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
+    """scale * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10), the form of the burn
+    duration (scale c7) and of the half-burn span (scale c11)."""
     mixture = fuel_term(phi_ng, phi_di, coeffs.c9, coeffs.c10)
     try:
-        return coeffs.c7 * (1.0 + x_d) ** coeffs.c8 * mixture
+        return scale * (1.0 + x_d) ** coeffs.c8 * mixture
     except OverflowError:
         raise DomainError(f"(1 + X_d)^c8 overflows for c8 = {coeffs.c8}") from None
+
+
+def burn_duration(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
+    """Burn duration [CAD]: c7 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10)."""
+    return _wiebe_term(coeffs.c7, x_d, phi_ng, phi_di, coeffs)
 
 
 def half_burn_angle(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
@@ -70,11 +85,7 @@ def half_burn_angle(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
     Folded form c11 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10); identical to
     half_burn_fraction * burn_duration by construction of c7.
     """
-    mixture = fuel_term(phi_ng, phi_di, coeffs.c9, coeffs.c10)
-    try:
-        return coeffs.c11 * (1.0 + x_d) ** coeffs.c8 * mixture
-    except OverflowError:
-        raise DomainError(f"(1 + X_d)^c8 overflows for c8 = {coeffs.c8}") from None
+    return _wiebe_term(coeffs.c11, x_d, phi_ng, phi_di, coeffs)
 
 
 def _phasing_chain(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
@@ -91,8 +102,9 @@ def _phasing_chain(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
 def phasing_terms(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
                   coeffs: ModelCoefficients, geom: EngineGeometry):
     """(ignition delay, half-burn span) [CAD] at injection volume v_soi, from
-    plain values or arrays: CA50 = SOI + delay + span. The inputs are not
-    checked, as the sensitivity study perturbs them out of the domain."""
+    plain values or arrays: CA50 = SOI + delay + span. The operating point is
+    not checked, as the sensitivity study perturbs it out of the domain; the
+    delay scale is."""
     return _phasing_chain(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
                           coeffs, geom)[2:]
 
@@ -107,14 +119,22 @@ def _check_soi(soi, geom: EngineGeometry):
                           "deg aTDC")
 
 
+def _checked_chain(op: OperatingPoint, soi, coeffs: ModelCoefficients,
+                   geom: EngineGeometry, v_soi=None):
+    """_phasing_chain for op's fields after the SOI-window check, at the
+    injection volume v_soi (by default the volume at soi)."""
+    _check_soi(soi, geom)
+    if v_soi is None:
+        v_soi = cylinder_volume(soi, geom)
+    return _phasing_chain(v_soi, op.speed, op.phi_ng, op.phi_di, op.egr, op.x_r,
+                          op.p_ivc, op.t_ivc, coeffs, geom)
+
+
 def predict_soc(op: OperatingPoint, soi, coeffs: ModelCoefficients,
                 geom: EngineGeometry):
     """Start of combustion [deg aTDC] for a commanded injection angle:
     SOI plus the ignition delay at the volume of that angle."""
-    _check_soi(soi, geom)
-    delay, _ = phasing_terms(cylinder_volume(soi, geom), op.speed, op.phi_ng, op.phi_di,
-                             op.egr, op.x_r, op.p_ivc, op.t_ivc, coeffs, geom)
-    return soi + delay
+    return soi + _checked_chain(op, soi, coeffs, geom)[2]
 
 
 def ca50_from_soc_bd(soc, bd, coeffs: ModelCoefficients):
@@ -126,11 +146,7 @@ def predict_ca50(op: OperatingPoint, soi, coeffs: ModelCoefficients,
                  geom: EngineGeometry, v_soi=None):
     """CA50 [deg aTDC]: SOI plus ignition delay plus half-burn span. v_soi
     pins the injection volume; by default it is the volume at soi."""
-    _check_soi(soi, geom)
-    if v_soi is None:
-        v_soi = cylinder_volume(soi, geom)
-    delay, half_burn = phasing_terms(v_soi, op.speed, op.phi_ng, op.phi_di, op.egr,
-                                     op.x_r, op.p_ivc, op.t_ivc, coeffs, geom)
+    _, _, delay, half_burn = _checked_chain(op, soi, coeffs, geom, v_soi)
     return soi + delay + half_burn
 
 
@@ -152,9 +168,7 @@ def ca50_jacobian(op: OperatingPoint, soi, coeffs: ModelCoefficients,
     * exp(A), A = c5 * P^c6 / T, and HB = c11 * (1 + X_d)^c8 * (phi_ng^c9 +
     phi_di^c10); P and T follow the polytrope of exponent k_c from IVC.
     """
-    _check_soi(soi, geom)
-    p_soi, a, delay, span = _phasing_chain(v_soi, op.speed, op.phi_ng, op.phi_di, op.egr,
-                                           op.x_r, op.p_ivc, op.t_ivc, coeffs, geom)
+    p_soi, a, delay, span = _checked_chain(op, soi, coeffs, geom, v_soi)
     x_d = op.egr + op.x_r
     # delay per unit of (c1*EGR + c2), and per unit of the mixture term
     speed_exp = op.speed * np.exp(a)

@@ -71,8 +71,11 @@ class PlantConfig:
         if not (QUAD_STEP_MIN <= self.quad_step <= 0.5):
             raise DomainError(f"quad_step must lie in [{QUAD_STEP_MIN}, 0.5] CAD, "
                               f"got {self.quad_step}")
-        if self.soi_resolution <= 0.0:
-            raise DomainError("soi_resolution must be positive")
+        # quantize_soi divides a command by the resolution; the quotient
+        # must stay finite
+        if not (self.soi_resolution > 0.0 and 720.0 / self.soi_resolution < math.inf):
+            raise DomainError("soi_resolution must be positive with a finite number of "
+                              f"steps per cycle, 720 / soi_resolution, got {self.soi_resolution}")
         if self.egr_lag_cycles < 0:
             raise DomainError("egr_lag_cycles must be non-negative")
         if not 0.0 <= 2.0 * self.ca50_noise_halfwidth < math.inf:   # the draw's span
@@ -134,11 +137,7 @@ def _kernel_args(op: OperatingPoint, cfg: PlantConfig):
         a = -arrhenius_exponent(op.p_ivc, op.t_ivc, coeffs)
     except OverflowError:
         raise DomainError(f"p_ivc^c6 overflows for c6 = {coeffs.c6}") from None
-    denom = delay_scale(op.egr, op.speed, op.phi_ng, op.phi_di, coeffs)
-    if not 0.0 < denom < math.inf:   # phi^c3 and phi^c4 may both underflow to 0
-        raise DomainError("the ignition-delay scale (c1*egr + c2) * N * (phi_ng^c3 + "
-                          f"phi_di^c4) is {denom}, not finite and positive")
-    return (a, denom) + cfg._g_args
+    return (a, delay_scale(op.egr, op.speed, op.phi_ng, op.phi_di, coeffs)) + cfg._g_args
 
 
 def _march_soc(op: OperatingPoint, soi: float, cfg: PlantConfig, args) -> float:

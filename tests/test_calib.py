@@ -127,7 +127,8 @@ class TestRmse:
     def test_error_not_finite_named(self, geom, coeffs, small_plant_dataset):
         # numpy gives inf where a float power raises; no warning is printed
         with pytest.raises(df.DomainError,
-                           match=r"^sample 0: the CA50 error is not finite \(inf\)$"):
+                           match=r"^sample 0: the ignition-delay scale .* is inf, not "
+                                 r"finite and positive$"):
             df.rmse(coeffs.replace(c4=-1e10), small_plant_dataset, geom)
 
     def test_overflowing_rmse_rejected(self, geom, coeffs, small_plant_dataset):
@@ -208,10 +209,11 @@ class TestCalibrate:
     @pytest.mark.parametrize("edit", [{"c4": -1e10}, {"c6": 1e300}])
     def test_start_without_finite_error_named(self, geom, coeffs, small_plant_dataset,
                                               edit):
-        # not divergence: the first sample whose error is not finite, with no
-        # warning before it
-        with pytest.raises(df.DomainError,
-                           match=r"^sample 0: the CA50 error is not finite \(inf\)$"):
+        # not divergence: the first sample whose delay scale (c4) or CA50
+        # error (c6) is not finite, with no warning before it
+        expected = {"c4": r"the ignition-delay scale .* is inf, not finite and positive",
+                    "c6": r"the CA50 error is not finite \(inf\)"}[next(iter(edit))]
+        with pytest.raises(df.DomainError, match=rf"^sample 0: {expected}$"):
             df.calibrate(coeffs.replace(**edit), small_plant_dataset, geom)
 
     def test_rmse_names_sample_outside_domain(self, geom, coeffs, small_plant_dataset):

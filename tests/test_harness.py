@@ -668,6 +668,9 @@ class TestCliRejectsBadInput:
         ("egr_lag_cycles", float("nan"), "egr_lag_cycles must be finite"),
         # a step that does not move the angle made the march loop forever
         ("quad_step", 1e-300, "quad_step must lie in [0.01, 0.5] CAD, got 1e-300"),
+        # a subnormal grid overflowed the quantizer's index: a traceback
+        ("soi_resolution", 1e-310, "soi_resolution must be positive with a finite number "
+                                   "of steps per cycle, 720 / soi_resolution, got 1e-310"),
     ])
     def test_bad_plant_override(self, tmp_path, capsys, key, value, expected):
         path = _scenario_json(tmp_path, lambda d: d["plant"].update({key: value}))
@@ -832,8 +835,9 @@ class TestCliRejectsBadInput:
         pytest.param("sensitivity", {"c6": 1e300},
                      "sample 0: the CA50 error with none +0 (abs) is not finite",
                      id="sensitivity-overflowing-c6"),
-        pytest.param("calibrate", {"c4": -1e10}, "sample 0: the CA50 error is not finite",
-                     id="calibrate-overflowing-c4"),
+        pytest.param("calibrate", {"c4": -1e10}, "sample 0: the ignition-delay scale "
+                     "(c1*egr + c2) * N * (phi_ng^c3 + phi_di^c4) is inf, not finite and "
+                     "positive", id="calibrate-overflowing-c4"),
         pytest.param("calibrate", {"c6": 1e300}, "sample 0: the CA50 error is not finite",
                      id="calibrate-overflowing-c6"),
         # every error is finite, near 1e300, but the standard deviation is not
@@ -869,8 +873,9 @@ class TestCliRejectsBadInput:
         # the polytropic state is inf, and inf^c6 = 0 for the negative c6
         pytest.param({"k_c": 1e300}, "the feedforward inversion is not finite", id="k_c"),
         # the delay scale overflows in Python floats, which set no flag
-        pytest.param({"c1": 1.7e308}, "cycle 0: the feedforward inversion is not finite "
-                     "(command -inf)", id="c1-float"),
+        pytest.param({"c1": 1.7e308}, "cycle 0: the ignition-delay scale (c1*egr + c2) * "
+                     "N * (phi_ng^c3 + phi_di^c4) is inf, not finite and positive",
+                     id="c1-float"),
     ])
     def test_feedforward_inversion_not_finite(self, tmp_path, capsys, edit, expected):
         path = tmp_path / "c.json"
@@ -922,6 +927,33 @@ class TestCliRejectsBadInput:
         self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
                       capsys, "the ignition-delay scale (c1*egr + c2) * N * (phi_ng^c3 + "
                       "phi_di^c4) is 0.0, not finite and positive")
+
+    def test_gen_data_delay_scale_overflows(self, tmp_path, capsys):
+        # (c1*egr + c2) * N overflows to inf in Python floats without an error
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**df.default_coefficients().to_dict(), "c1": 1.7e308}))
+        self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
+                      capsys, "dualfuel gen-data: error: the ignition-delay scale (c1*egr + "
+                      "c2) * N * (phi_ng^c3 + phi_di^c4) is inf, not finite and positive\n")
+
+    @pytest.mark.parametrize("argv, where", [
+        (["validate", "--data", "{data}"], "sample 0"),
+        (["sensitivity", "--data", "{data}"], "sample 0"),
+        (["calibrate", "--data", "{data}"], "sample 0"),
+        (["simulate", "--case", "1", "--controller", "feedforward"], "cycle 0"),
+    ], ids=["validate", "sensitivity", "calibrate", "simulate-feedforward"])
+    def test_model_delay_scale_underflows(self, tmp_path, capsys, argv, where):
+        # the model shares the plant's delay-scale rule: phi^1e300 is 0 for
+        # both fuels, and the delay would be 0 for every point
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**df.default_coefficients().to_dict(),
+                                    "c3": 1e300, "c4": 1e300}))
+        data = _dataset_csv(tmp_path)
+        argv = [arg.format(data=data) for arg in argv]
+        self._rejects([*argv, "--coeffs", str(path)], tmp_path, capsys,
+                      f"dualfuel {argv[0]}: error: {where}: the ignition-delay scale "
+                      "(c1*egr + c2) * N * (phi_ng^c3 + phi_di^c4) is 0.0, not finite and "
+                      "positive\n")
 
     def test_gen_data_all_misfire(self, tmp_path, capsys):
         # c6 = 50 freezes the charge: every sample misfires

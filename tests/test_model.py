@@ -11,6 +11,7 @@ from dualfuel.core import DomainError
 from dualfuel.model import (
     SOI_LATEST,
     ca50_jacobian,
+    delay_scale,
     fuel_term,
     half_burn_angle,
     ignition_delay,
@@ -242,6 +243,45 @@ class TestFuelTerm:
         with pytest.raises(DomainError, match=re.escape(f"{absent}phi_ng^-0.5 + "
                                                         "phi_di^-0.2604")):
             evaluate(_op_without("phi_ng"), coeffs.replace(c3=-0.5), geom)
+
+
+class TestDelayScale:
+    SCALE = re.escape("the ignition-delay scale (c1*egr + c2) * N * "
+                      "(phi_ng^c3 + phi_di^c4) is ")
+
+    def test_underflow_rejected_on_floats(self, coeffs):
+        with pytest.raises(DomainError, match=f"^{self.SCALE}0.0, not finite and positive$"):
+            delay_scale(0.25, 1200.0, 0.4, 0.4, coeffs.replace(c3=1e300, c4=1e300))
+
+    def test_first_bad_sample_named(self, coeffs):
+        # 1.0^1e300 is 1, so only samples 1 and 2 underflow
+        with pytest.raises(DomainError,
+                           match=f"^sample 1: {self.SCALE}0.0, not finite and positive$"):
+            delay_scale(np.full(3, 0.25), np.full(3, 1200.0), np.array([1.0, 0.4, 0.4]),
+                        np.full(3, 0.4), coeffs.replace(c3=1e300, c4=1e300))
+
+    def test_overflow_and_nan_rejected(self, coeffs):
+        with pytest.raises(DomainError, match=f"^{self.SCALE}inf, not finite"):
+            delay_scale(0.25, 1200.0, 0.4, 0.4, coeffs.replace(c1=1.7e308))
+        # 0 * inf: no EGR factor, and a fuel power that overflows in numpy
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                DomainError, match=f"^sample 0: {self.SCALE}nan, not finite"):
+            delay_scale(np.zeros(2), np.full(2, 1200.0), np.full(2, 0.4),
+                        np.full(2, 0.4), coeffs.replace(c2=0.0, c3=-1e10))
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda op, c, g: df.predict_soc(op, -15.0, c, g),
+        lambda op, c, g: df.predict_ca50(op, -15.0, c, g),
+        lambda op, c, g: ca50_jacobian(op, -15.0, c, g, df.cylinder_volume(-15.0, g)),
+        lambda op, c, g: df.feedforward_soi(8.0, op, c, g),
+        lambda op, c, g: df.knock_integral_soc(op, -15.0, df.PlantConfig(geom=g, coeffs=c)),
+        lambda op, c, g: ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di, 32.0,
+                                        420.0, c),
+    ], ids=["predict_soc", "predict_ca50", "ca50_jacobian", "feedforward_soi",
+            "knock_integral_soc", "ignition_delay"])
+    def test_every_caller_applies_the_rule(self, coeffs, geom, mid_op, evaluate):
+        with pytest.raises(DomainError, match=f"^{self.SCALE}0.0, not finite and positive$"):
+            evaluate(mid_op, coeffs.replace(c3=1e300, c4=1e300), geom)
 
 
 class TestPhasingTerms:

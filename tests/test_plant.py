@@ -43,6 +43,7 @@ class TestPlantConfig:
         dict(rng_seed=1.5), dict(rng_seed=1e30), dict(rng_seed=-1), dict(rng_seed=True),
         dict(ca50_noise_halfwidth=9e307),   # the draw's span 2 * 9e307 overflows
         dict(quad_step=1e-300), dict(quad_step=0.5 * QUAD_STEP_MIN),
+        dict(soi_resolution=1e-310), dict(soi_resolution=5e-324),   # 720 / r is inf
     ])
     def test_invalid_config_rejected(self, geom, coeffs, bad):
         with pytest.raises(DomainError):
