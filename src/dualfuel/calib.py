@@ -14,6 +14,7 @@ from .core import (
     ModelCoefficients,
     OperatingPoint,
     _read_csv,
+    _seed,
     _write_csv,
     default_coefficients,
     default_geometry,
@@ -154,7 +155,7 @@ def split_dataset(samples, holdout_frac: float = 0.2, seed: int = 0):
     everything in the training set."""
     if not 0.0 <= holdout_frac < 1.0:
         raise DomainError("holdout_frac must lie in [0, 1)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     order = rng.permutation(len(samples))
     n_holdout = int(round(holdout_frac * len(samples)))
     if n_holdout == len(samples):
@@ -310,15 +311,13 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
     f = _objective(initial, op, soi, v_soi, ca50_ref, geom)
 
     x = _pack(initial)
-    fx = f(x)
-    if not np.isfinite(fx):
-        # not divergence: name the first sample outside the model domain, or
-        # the overflowing RMSE
-        _rms(_error(predict_ca50, ca50_ref, "CA50", op, soi, initial, geom, v_soi))
+    # f maps a DomainError to inf; a start point outside the model domain,
+    # or an overflowing RMSE, is named instead of reported as divergence
+    fx = _rms(_error(predict_ca50, ca50_ref, "CA50", op, soi, initial, geom, v_soi))
     report = CalibReport(iterations=0, final_rmse=fx)
     report.rmse_history.append(fx)
     report.coeff_history.append(dict(zip(CALIBRATED_FIELDS, x.tolist())))
-    if not np.isfinite(fx) or fx > DIVERGENCE_RMSE:
+    if fx > DIVERGENCE_RMSE:
         raise CalibrationDiverged(f"initial RMSE {fx:.3g} CAD exceeds "
                                   f"{DIVERGENCE_RMSE:g}", report)
 
@@ -364,8 +363,6 @@ def write_dataset(path, samples):
 
 
 def _read_sample(row, geom: EngineGeometry) -> CalibSample:
-    if len(row) != len(DATASET_COLUMNS):
-        raise ValueError(f"expected {len(DATASET_COLUMNS)} values, got {len(row)}")
     vals = dict(zip(DATASET_COLUMNS, map(float, row)))
     for name, v in vals.items():
         if not math.isfinite(v):
@@ -381,10 +378,9 @@ def read_dataset(path):
     ValueError naming the file and the line on which the first such row
     starts; so does a file that core._read_csv rejects."""
     geom = default_geometry()
-    rows, lines = _read_csv(path, DATASET_COLUMNS)
     try:   # every row at once: numpy converts each cell by float()'s rules
-        data = np.array(rows, dtype=float)
-        if data.shape[1:] != (len(DATASET_COLUMNS),) or not np.isfinite(data).all():
+        data = np.array(_read_csv(path, DATASET_COLUMNS, list), dtype=float)
+        if not np.isfinite(data).all():
             raise ValueError("malformed dataset")
         _check_soi(data[:, DATASET_COLUMNS.index("soi")], geom)
         return [CalibSample(OperatingPoint(speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc),
@@ -392,14 +388,7 @@ def read_dataset(path):
                 for speed, t_ivc, p_ivc, phi_di, phi_ng, egr, x_r, soi, soc_ref, ca50_ref
                 in data.tolist()]
     except ValueError:   # DomainError is a ValueError; the rows name the first bad one
-        pass
-    samples = []
-    for row, line in zip(rows, lines):
-        try:
-            samples.append(_read_sample(row, geom))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line}: {exc}") from None
-    return samples
+        return _read_csv(path, DATASET_COLUMNS, lambda row: _read_sample(row, geom))
 
 
 def write_report_csv(path, report: CalibReport):

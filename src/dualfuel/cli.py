@@ -61,7 +61,10 @@ def cmd_calibrate(args):
     report, coeffs = calib.calibrate(_coeffs(args), train,
                                      default_geometry(), options)
     # holdout statistics come before any output, so a failure writes nothing
-    stats = calib.validate(coeffs, holdout, default_geometry()) if holdout else None
+    try:
+        stats = calib.validate(coeffs, holdout, default_geometry()) if holdout else None
+    except ValueError as exc:   # DomainError is a ValueError
+        raise ValueError(f"holdout: {exc}") from None
     out = _outdir(args)
     save_coefficients(out / "coefficients.json", coeffs)
     calib.write_report_csv(out / "calibration_report.csv", report)

@@ -41,6 +41,14 @@ def _number(value, what):
     return value
 
 
+def _seed(seed):
+    """seed if it is a non-negative integer (True and False are not), else a
+    DomainError: the rule for every random generator's seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"rng_seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 # ---------------------------------------------------------------------------
 # geometry
 
@@ -295,19 +303,20 @@ def _write_csv(path, header, rows):
         fh.writelines(",".join(cells) + "\r\n" for cells in rows)
 
 
-def _read_csv(path, header):
-    """(rows, lines) of a CSV file whose first row is header: the rows after
-    it as lists of cell strings, and the line on which each row starts. A
-    missing or different header, no row, a row the csv module cannot parse
-    and undecodable text raise a one-line ValueError naming the file."""
-    rows, lines = [], []
+def _read_csv(path, header, row):
+    """[row(cells) for each row after the header] of a CSV file whose first
+    row is header, each row's cells a list of strings. A missing or different
+    header, no row, a row the csv module cannot parse and undecodable text
+    raise a one-line ValueError naming the file; so do a row whose length is
+    not the header's and a ValueError from row(cells), with the line on which
+    the row starts. The whole file is parsed before any row is converted."""
+    rows = []   # (start, cells) per row
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         start = 1   # the line on which the row being read starts
         try:
-            for row in r:
-                rows.append(row)
-                lines.append(start)
+            for cells in r:
+                rows.append((start, cells))
                 start = r.line_num + 1
         except csv.Error as exc:
             raise ValueError(f"{path}:{start}: {exc}") from None
@@ -315,11 +324,19 @@ def _read_csv(path, header):
             raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file, no header")
-    if tuple(rows[0]) != tuple(header):
+    if tuple(rows[0][1]) != tuple(header):
         raise ValueError(f"{path}:1: expected the header {','.join(header)}")
     if len(rows) == 1:
         raise ValueError(f"{path}: a header but no rows")
-    return rows[1:], lines[1:]
+    out = []
+    for start, cells in rows[1:]:
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"expected {len(header)} values, got {len(cells)}")
+            out.append(row(cells))
+        except ValueError as exc:   # DomainError is a ValueError
+            raise ValueError(f"{path}:{start}: {exc}") from None
+    return out
 
 
 def load_coefficients(path) -> ModelCoefficients:

@@ -169,53 +169,52 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
     soi_min = geom.ivc_angle + SOI_CMD_MARGIN
     states_op = ff_inputs = None   # what states and unclamped were computed from
     while plant.time_s < scenario.duration_s - 1e-12:
-        t = plant.time_s
+        t, cycle = plant.time_s, plant.cycle_index
         ref = pending_ref
         if ref_varies:
             pending_ref = schedule_value(scenario.reference, t)
         op = op_at(t)
-        if adaptive:
-            if op is not states_op:
-                states, states_op = compute_states(op, ctrl_coeffs), op
-                # the observer's gain must exist: a Python float square
-                # overflows with an error, an infinite regressor to a gain of 0
-                try:
-                    gain = learning_rate(states)
-                except (OverflowError, DomainError):   # DomainError: both are zero
-                    gain = 0.0
-                if not 0.0 < gain < math.inf:
-                    raise DomainError(
-                        f"cycle {plant.cycle_index}: the observer gain 1/(x1^2 + x2^2) "
-                        f"cannot be formed for x1 = {states.x1}, x2 = {states.x2}")
-            unclamped = adaptive_soi(ref, states, ctrl)
-        elif (op, ref, prev_soi) != ff_inputs:
-            try:   # numpy's scalars overflow with a flag, Python's floats silently
-                with np.errstate(all="raise", under="ignore"):
-                    unclamped = feedforward_soi(ref, op, ctrl_coeffs, geom, prev_soi)
-                if not math.isfinite(unclamped):
-                    raise FloatingPointError(f"command {unclamped}")
-            except FloatingPointError as exc:
-                raise DomainError(f"cycle {plant.cycle_index}: the feedforward inversion "
-                                  f"is not finite ({exc})") from None
-            except DomainError as exc:
-                raise DomainError(f"cycle {plant.cycle_index}: {exc}") from None
-            ff_inputs = op, ref, prev_soi
-        command = prev_soi = min(max(unclamped, soi_min), SOI_CMD_MAX)
-        try:
-            rec = plant.step_cycle(
-                command, op, ca50_ref=ref,
-                alpha_hat=ctrl.alpha_hat if adaptive else None,
-                beta_hat=ctrl.beta_hat if adaptive else None)
-        except Misfire:
-            misfired = True
-            break
-        records.append(rec)
-        if adaptive and rec.cycle_index >= WARMUP_CYCLES:
-            filtered = smooth_measurement(filtered, rec.ca50_measured,
-                                          measurement_filter_cycles)
-            # tracking anti-windup: the clamp's share of the error is not
-            # the model's, so the observer does not learn it
-            ctrl = adaptive_update(filtered, ref + (command - unclamped), states, ctrl)
+        try:   # a DomainError of the control law or the plant names its cycle
+            if adaptive:
+                if op is not states_op:
+                    states, states_op = compute_states(op, ctrl_coeffs), op
+                    # the observer's gain must exist: a Python float square
+                    # overflows with an error, an infinite regressor to a gain of 0
+                    try:
+                        gain = learning_rate(states)
+                    except (OverflowError, DomainError):   # DomainError: both are zero
+                        gain = 0.0
+                    if not 0.0 < gain < math.inf:
+                        raise DomainError("the observer gain 1/(x1^2 + x2^2) cannot be "
+                                          f"formed for x1 = {states.x1}, x2 = {states.x2}")
+                unclamped = adaptive_soi(ref, states, ctrl)
+            elif (op, ref, prev_soi) != ff_inputs:
+                try:   # numpy's scalars overflow with a flag, Python's floats silently
+                    with np.errstate(all="raise", under="ignore"):
+                        unclamped = feedforward_soi(ref, op, ctrl_coeffs, geom, prev_soi)
+                    if not math.isfinite(unclamped):
+                        raise FloatingPointError(f"command {unclamped}")
+                except FloatingPointError as exc:
+                    raise DomainError(f"the feedforward inversion is not finite ({exc})") from None
+                ff_inputs = op, ref, prev_soi
+            command = prev_soi = min(max(unclamped, soi_min), SOI_CMD_MAX)
+            try:
+                rec = plant.step_cycle(
+                    command, op, ca50_ref=ref,
+                    alpha_hat=ctrl.alpha_hat if adaptive else None,
+                    beta_hat=ctrl.beta_hat if adaptive else None)
+            except Misfire:
+                misfired = True
+                break
+            records.append(rec)
+            if adaptive and rec.cycle_index >= WARMUP_CYCLES:
+                filtered = smooth_measurement(filtered, rec.ca50_measured,
+                                              measurement_filter_cycles)
+                # tracking anti-windup: the clamp's share of the error is not
+                # the model's, so the observer does not learn it
+                ctrl = adaptive_update(filtered, ref + (command - unclamped), states, ctrl)
+        except DomainError as exc:
+            raise DomainError(f"cycle {cycle}: {exc}") from None
 
     summary = summarize_records(records, scenario)
     summary.misfired = misfired
@@ -299,27 +298,22 @@ def write_records_csv(path, records):
         for r in records))
 
 
+def _read_record(raw):
+    cycle, *cells, alpha_hat, beta_hat = raw
+    row = dict(zip(RECORD_COLUMNS, (
+        int(cycle), *map(float, cells),
+        *(None if c == "" else float(c) for c in (alpha_hat, beta_hat)))))
+    for name, v in row.items():
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    return row
+
+
 def read_records_csv(path):
     """Rows as dicts: an int cycle, finite floats, and None for a blank
     observer cell. A bad row, a non-finite number included, raises a
     ValueError naming the file and the line on which the row starts."""
-    rows, lines = _read_csv(path, RECORD_COLUMNS)
-    out = []
-    for raw, line in zip(rows, lines):
-        try:
-            if len(raw) != len(RECORD_COLUMNS):
-                raise ValueError(f"expected {len(RECORD_COLUMNS)} values, got {len(raw)}")
-            cycle, *cells, alpha_hat, beta_hat = raw
-            row = dict(zip(RECORD_COLUMNS, (
-                int(cycle), *map(float, cells),
-                *(None if c == "" else float(c) for c in (alpha_hat, beta_hat)))))
-            for name, v in row.items():
-                if v is not None and not math.isfinite(v):
-                    raise ValueError(f"{name} must be finite, got {v}")
-            out.append(row)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line}: {exc}") from None
-    return out
+    return _read_csv(path, RECORD_COLUMNS, _read_record)
 
 
 def write_summary_txt(path, summary: ScenarioSummary):

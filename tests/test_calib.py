@@ -341,6 +341,12 @@ class TestSplitDataset:
         with pytest.raises(df.DomainError):
             df.split_dataset(small_plant_dataset, 1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_invalid_seed_rejected(self, small_plant_dataset, seed):
+        # the plant config's rng_seed rule
+        with pytest.raises(df.DomainError, match="rng_seed must be a non-negative integer"):
+            df.split_dataset(small_plant_dataset, 0.2, seed=seed)
+
 
 class TestValidate:
     def test_perfect_coefficients_zero_stats(self, geom, coeffs):

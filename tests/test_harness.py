@@ -14,7 +14,7 @@ import dualfuel as df
 from dualfuel import calib, cli, harness, scenarios
 from dualfuel.calib import DATASET_COLUMNS
 from dualfuel.control import FEEDFORWARD_SEED_SOI
-from dualfuel.plant import CycleRecord
+from dualfuel.plant import CycleRecord, EnginePlant
 from dualfuel.harness import (
     DEFAULT_PERTURBATIONS,
     RECORD_COLUMNS,
@@ -168,6 +168,34 @@ class TestRunScenario:
         _, summary = df.run_scenario(sc)
         assert summary.segments[-1].overshoot <= 0.5
 
+    @pytest.mark.parametrize("controller", scenarios.CONTROLLERS)
+    def test_plant_error_names_its_cycle(self, monkeypatch, controller):
+        step_cycle = EnginePlant.step_cycle
+
+        def fail_at_cycle_5(plant, *args, **kwargs):
+            if plant.cycle_index == 5:
+                raise df.DomainError("the plant failed")
+            return step_cycle(plant, *args, **kwargs)
+        monkeypatch.setattr(EnginePlant, "step_cycle", fail_at_cycle_5)
+        with pytest.raises(df.DomainError) as exc:
+            df.run_scenario(builtin_case(1, controller=controller))
+        assert str(exc.value) == "cycle 5: the plant failed"
+
+    def test_observer_error_names_the_cycle_it_learns_from(self, monkeypatch):
+        # the observer learns from fired cycles 2, 3, 4, ...: its fourth
+        # update follows cycle 5, after the plant has counted it
+        update, calls = harness.adaptive_update, []
+
+        def fail_after_cycle_5(*args):
+            calls.append(None)
+            if len(calls) == 4:
+                raise df.DomainError("the observer failed")
+            return update(*args)
+        monkeypatch.setattr(harness, "adaptive_update", fail_after_cycle_5)
+        with pytest.raises(df.DomainError) as exc:
+            df.run_scenario(builtin_case(1))
+        assert str(exc.value) == "cycle 5: the observer failed"
+
     def test_misfire_aborts_with_partial_stream(self):
         sc = builtin_case(1)
         cold = dict(sc.schedules)
@@ -255,6 +283,13 @@ def _set_record_cell(lines, index, column, value):
     cells = lines[index].split(",")
     cells[RECORD_COLUMNS.index(column)] = value
     lines[index] = ",".join(cells)
+
+
+def _break_last_record_cell(lines, index):
+    """Quote the last cell of lines[index] with a line break in it; float()
+    strips the break, so the row stays good over two lines."""
+    head, last = lines[index].rsplit(",", 1)
+    lines[index] = f'{head},"{last}\n"'
 
 
 class TestSummary:
@@ -352,6 +387,10 @@ class TestSummary:
                      ":6: soc must be finite, got inf", id="inf-soc"),
         pytest.param(lambda lines: _set_record_cell(lines, 6, "beta_hat", "-inf"),
                      ":7: beta_hat must be finite, got -inf", id="inf-observer"),
+        # row 3 takes lines 3 and 4, so the row after the next starts on line 6
+        pytest.param(lambda lines: (_break_last_record_cell(lines, 2),
+                                    _set_record_cell(lines, 4, "soc", "inf")),
+                     ":6: soc must be finite, got inf", id="later-row-after-two-lines"),
     ])
     def test_malformed_records_named(self, tmp_path, records_lines, edit, expected):
         edit(records_lines)
@@ -909,8 +948,8 @@ class TestCliRejectsBadInput:
         path.write_text(json.dumps({**df.default_coefficients().to_dict(), exponent: -0.5}))
         self._rejects(["simulate", _scenario_json(tmp_path, edit), "--coeffs", str(path)],
                       tmp_path, capsys,
-                      "an absent fuel (phi = 0) has no value under a negative exponent: "
-                      "phi_ng^-0.5 + phi_di^")
+                      "cycle 0: an absent fuel (phi = 0) has no value under a negative "
+                      "exponent: phi_ng^-0.5 + phi_di^")
 
     def test_gen_data_integrand_overflows(self, tmp_path, capsys):
         # p_ivc^c6 is finite, but the integrand's r^e overflows in the march
@@ -1036,4 +1075,17 @@ class TestCliRejectsBadInput:
             return train, [replace(holdout[0], soi=40.0), *holdout[1:]]
         monkeypatch.setattr(calib, "split_dataset", split_with_bad_holdout)
         data = _dataset_csv(tmp_path)
-        self._rejects(["calibrate", "--data", data], tmp_path, capsys, "SOI must lie in")
+        self._rejects(["calibrate", "--data", data], tmp_path, capsys,
+                      "holdout: sample 0: SOI must lie in")
+
+    def test_holdout_sample_named_as_one(self, tmp_path, capsys):
+        # one training sample: the fit's delay scale is negative at a holdout point
+        self._rejects(["calibrate", "--data", _dataset_csv(tmp_path), "--holdout-frac",
+                       "0.94"], tmp_path, capsys,
+                      "dualfuel calibrate: error: holdout: sample 2: the ignition-delay "
+                      "scale (c1*egr + c2) * N * (phi_ng^c3 + phi_di^c4) is -0.0591")
+
+    def test_negative_seed_named(self, tmp_path, capsys):
+        self._rejects(["calibrate", "--data", _dataset_csv(tmp_path), "--seed", "-1"],
+                      tmp_path, capsys, "dualfuel calibrate: error: rng_seed must be a "
+                      "non-negative integer, got -1\n")
