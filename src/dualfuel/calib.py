@@ -4,7 +4,8 @@ CA50 model against the plant, with holdout validation statistics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,8 +14,8 @@ from .core import (
     EngineGeometry,
     ModelCoefficients,
     OperatingPoint,
+    _count,
     _read_csv,
-    _seed,
     _write_csv,
     default_coefficients,
     default_geometry,
@@ -85,14 +86,12 @@ class CalibrationOptions:
     tol: float = 1e-6   # stop when an accepted step improves RMSE by less
 
     def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be non-negative, got {self.max_iters}")
+        _count(self.max_iters, "max_iters")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ValueError(f"tol must be finite and non-negative, got {self.tol}")
 
 
-@dataclass
-class ValidationStats:
+class ValidationStats(NamedTuple):
     n_samples: int
     soc_err_std: float
     soc_err_max: float
@@ -102,14 +101,13 @@ class ValidationStats:
     ca50_within_1cad: float
 
 
-@dataclass
-class CalibReport:
+class CalibReport(NamedTuple):
     iterations: int
     final_rmse: float
-    rmse_history: list = field(default_factory=list)
-    coeff_history: list = field(default_factory=list)  # dict per iteration
-    stop_reason: str = ""   # "tol", "max_iters" or "no_improving_step"
-    train_stats: ValidationStats | None = None   # training set, set by calibrate
+    rmse_history: list           # the start point's RMSE, then one per accepted step
+    coeff_history: list          # dict per entry of rmse_history
+    stop_reason: str = ""        # "tol", "max_iters" or "no_improving_step"
+    train_stats: ValidationStats | None = None   # of the training set
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +126,11 @@ def generate_dataset(ranges: SampleRanges | None, n_samples: int,
 
     Returns (samples, misfire_count); misfired points are excluded.
     """
-    if n_samples < 1:
+    if _count(n_samples, "n_samples") < 1:
         raise DomainError("n_samples must be at least 1")
     ranges = ranges or SampleRanges()
     names = [f.name for f in fields(SampleRanges)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "rng_seed"))
     u = _latin_hypercube(n_samples, len(names), rng)
     lo, hi = np.array([getattr(ranges, name) for name in names], dtype=float).T
     samples = []
@@ -155,7 +153,7 @@ def split_dataset(samples, holdout_frac: float = 0.2, seed: int = 0):
     everything in the training set."""
     if not 0.0 <= holdout_frac < 1.0:
         raise DomainError("holdout_frac must lie in [0, 1)")
-    rng = np.random.default_rng(_seed(seed))
+    rng = np.random.default_rng(_count(seed, "rng_seed"))
     order = rng.permutation(len(samples))
     n_holdout = int(round(holdout_frac * len(samples)))
     if n_holdout == len(samples):
@@ -314,16 +312,15 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
     # f maps a DomainError to inf; a start point outside the model domain,
     # or an overflowing RMSE, is named instead of reported as divergence
     fx = _rms(_error(predict_ca50, ca50_ref, "CA50", op, soi, initial, geom, v_soi))
-    report = CalibReport(iterations=0, final_rmse=fx)
-    report.rmse_history.append(fx)
-    report.coeff_history.append(dict(zip(CALIBRATED_FIELDS, x.tolist())))
+    rmse_history = [fx]
+    coeff_history = [dict(zip(CALIBRATED_FIELDS, x.tolist()))]
     if fx > DIVERGENCE_RMSE:
-        raise CalibrationDiverged(f"initial RMSE {fx:.3g} CAD exceeds "
-                                  f"{DIVERGENCE_RMSE:g}", report)
+        raise CalibrationDiverged(f"initial RMSE {fx:.3g} CAD exceeds {DIVERGENCE_RMSE:g}",
+                                  CalibReport(0, fx, rmse_history, coeff_history))
 
     scale = np.maximum(np.abs(x), 1e-12)
     lam = LM_DAMPING_INITIAL
-    report.stop_reason = "max_iters"
+    stop_reason = "max_iters"
     for _ in range(options.max_iters):
         ca50, columns = ca50_jacobian(op, soi, _unpack(initial, x), geom, v_soi)
         resid = ca50 - ca50_ref
@@ -336,21 +333,19 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
                 break
             lam *= LM_DAMPING_FACTOR
         else:
-            report.stop_reason = "no_improving_step"
+            stop_reason = "no_improving_step"
             break
         improvement = fx - f_try
         x, fx = x_try, f_try
-        report.iterations += 1
-        report.rmse_history.append(fx)
-        report.coeff_history.append(dict(zip(CALIBRATED_FIELDS, x.tolist())))
+        rmse_history.append(fx)
+        coeff_history.append(dict(zip(CALIBRATED_FIELDS, x.tolist())))
         if improvement < options.tol:
-            report.stop_reason = "tol"
+            stop_reason = "tol"
             break
 
     coeffs = _unpack(initial, x)
-    report.final_rmse = fx
-    report.train_stats = validate(coeffs, dataset, geom)
-    return report, coeffs
+    return CalibReport(len(rmse_history) - 1, fx, rmse_history, coeff_history, stop_reason,
+                       validate(coeffs, dataset, geom)), coeffs
 
 
 # ---------------------------------------------------------------------------

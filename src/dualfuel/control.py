@@ -8,7 +8,7 @@ open-loop law that inverts the phasing model to place the injection angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     DomainError,
@@ -28,16 +28,14 @@ MEAN_RESIDUAL_FRACTION = 0.0329
 FEEDFORWARD_SEED_SOI = -15.0
 
 
-@dataclass(frozen=True)
-class AdaptiveStates:
+class AdaptiveStates(NamedTuple):
     """Measured per-cycle regressors of the feedback law."""
 
     x1: float   # speed * (phi_ng^c3 + phi_di^c4)
     x2: float   # phi_ng^c9 + phi_di^c10
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     alpha_hat: float = 0.0
     beta_hat: float = 0.0
 

@@ -41,12 +41,13 @@ def _number(value, what):
     return value
 
 
-def _seed(seed):
-    """seed if it is a non-negative integer (True and False are not), else a
-    DomainError: the rule for every random generator's seed."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"rng_seed must be a non-negative integer, got {seed!r}")
-    return seed
+def _count(value, name):
+    """value if it is a non-negative integer (True and False are not), else a
+    DomainError naming it: the rule for every random generator's seed
+    (name "rng_seed") and every count of samples or iterations."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +64,10 @@ class EngineGeometry:
     ivc_angle: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
         if self.bore <= 0.0 or self.stroke <= 0.0 or self.rod_length <= 0.0:
             raise DomainError("bore, stroke and rod length must be positive")
         if self.compression_ratio <= 1.0:

@@ -8,7 +8,8 @@ the model-sensitivity and measurement-noise studies. All outputs are CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +62,7 @@ SOI_CMD_MARGIN = 5.0
 SOI_CMD_MAX = 5.0
 
 
-@dataclass
-class SegmentSummary:
+class SegmentSummary(NamedTuple):
     t_start: float
     t_end: float
     n_cycles: int
@@ -74,9 +74,8 @@ class SegmentSummary:
     err_max: float
 
 
-@dataclass
-class ScenarioSummary:
-    segments: list = field(default_factory=list)
+class ScenarioSummary(NamedTuple):
+    segments: list
     misfired: bool = False
 
 
@@ -216,9 +215,7 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
         except DomainError as exc:
             raise DomainError(f"cycle {cycle}: {exc}") from None
 
-    summary = summarize_records(records, scenario)
-    summary.misfired = misfired
-    return records, summary
+    return records, summarize_records(records, scenario)._replace(misfired=misfired)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +234,7 @@ def summarize_rows(cycle, time_s, ca50_actual, ca50_ref, scenario: Scenario) -> 
     fired = cycle >= WARMUP_CYCLES
 
     bounds = [0.0] + scenario.event_times() + [float("inf")]
-    summary = ScenarioSummary()
+    segments = []
     for t0, t1 in zip(bounds[:-1], bounds[1:]):
         mask = fired & (time_s >= t0) & (time_s < t1)
         n = int(np.count_nonzero(mask))
@@ -258,7 +255,7 @@ def summarize_rows(cycle, time_s, ca50_actual, ca50_ref, scenario: Scenario) -> 
         else:
             overshoot = max(0.0, final - float(np.min(y)))
         tail = err[-min(STEADY_WINDOW, n):]
-        summary.segments.append(SegmentSummary(
+        segments.append(SegmentSummary(
             t_start=t0,
             t_end=float(t1 if np.isfinite(t1) else time_s[mask][-1]),
             n_cycles=n,
@@ -269,12 +266,12 @@ def summarize_rows(cycle, time_s, ca50_actual, ca50_ref, scenario: Scenario) -> 
             err_min=float(np.min(tail)),
             err_max=float(np.max(tail)),
         ))
-    return summary
+    return ScenarioSummary(segments)
 
 
 def summarize_records(records, scenario: Scenario) -> ScenarioSummary:
     if not records:
-        return ScenarioSummary()
+        return ScenarioSummary([])
     return summarize_rows(
         [r.cycle_index for r in records],
         [r.time_s for r in records],
@@ -346,8 +343,7 @@ DEFAULT_PERTURBATIONS = (
 )
 
 
-@dataclass
-class SensitivityRow:
+class SensitivityRow(NamedTuple):
     quantity: str
     delta: float
     mode: str
@@ -394,8 +390,7 @@ def write_sensitivity_csv(path, rows):
 # ---------------------------------------------------------------------------
 # measurement-noise study
 
-@dataclass
-class NoiseStudyResult:
+class NoiseStudyResult(NamedTuple):
     halfwidth: float
     err_std: float
     err_max: float

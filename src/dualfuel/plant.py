@@ -22,7 +22,7 @@ from .core import (
     EngineGeometry,
     ModelCoefficients,
     OperatingPoint,
-    _seed,
+    _count,
     cylinder_volume,  # noqa: F401  (perfbench traces plant.cylinder_volume)
 )
 from .model import arrhenius_exponent, burn_duration, ca50_from_soc_bd, delay_scale
@@ -81,7 +81,7 @@ class PlantConfig:
         if not 0.0 <= 2.0 * self.ca50_noise_halfwidth < math.inf:   # the draw's span
             raise DomainError(f"ca50_noise_halfwidth must be non-negative with a finite "
                               f"span 2 * halfwidth, got {self.ca50_noise_halfwidth}")
-        _seed(self.rng_seed)
+        _count(self.rng_seed, "rng_seed")
 
     # The knock integrand's geometric factor g(theta) = r^e is fixed by the
     # config, so it is derived once per instance, as the geometry derives its

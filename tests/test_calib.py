@@ -97,6 +97,12 @@ class TestGenerateDataset:
         with pytest.raises(df.DomainError):
             df.generate_dataset(None, 0, plant_cfg, seed=1)
 
+    @pytest.mark.parametrize("n_samples", [2.5, True])
+    def test_sample_count_must_be_an_integer(self, plant_cfg, n_samples):
+        with pytest.raises(df.DomainError,
+                           match=f"n_samples must be a non-negative integer, got {n_samples}"):
+            df.generate_dataset(None, n_samples, plant_cfg, seed=1)
+
 
 class TestRmse:
     def test_self_consistency_zero(self, geom, coeffs):
@@ -196,7 +202,15 @@ class TestCalibrate:
                   for s in small_plant_dataset]
         with pytest.raises(CalibrationDiverged) as exc:
             df.calibrate(coeffs, broken, geom)
-        assert exc.value.report.rmse_history
+        # the report is the start point's: no step taken, no statistics
+        report = exc.value.report
+        assert report.iterations == 0
+        assert report.rmse_history == [report.final_rmse]
+        assert report.final_rmse > calib.DIVERGENCE_RMSE
+        assert report.coeff_history == [{name: getattr(coeffs, name)
+                                         for name in calib.CALIBRATED_FIELDS}]
+        assert report.stop_reason == ""
+        assert report.train_stats is None
 
     def test_sample_outside_domain_named(self, geom, plant_cfg):
         # the starting point is checked the way rmse checks it, so an
@@ -312,7 +326,8 @@ class TestCalibrate:
         assert report.iterations < 500
 
     @pytest.mark.parametrize("kwargs", [
-        {"max_iters": -1}, {"tol": -1e-6}, {"tol": float("nan")},
+        {"max_iters": -1}, {"max_iters": 1.5}, {"max_iters": True},
+        {"max_iters": float("nan")}, {"tol": -1e-6}, {"tol": float("nan")},
         {"tol": float("inf")},
     ])
     def test_invalid_options_rejected(self, kwargs):

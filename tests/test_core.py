@@ -84,6 +84,11 @@ class TestGeometry:
             df.EngineGeometry(**{**good, "rod_length": 0.08})
         with pytest.raises(DomainError):
             df.EngineGeometry(**{**good, "bore": 0.0})
+        # a non-finite field would give non-finite or zero derived volumes
+        for name in good:
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError, match=f"{name} must be finite, got {bad}"):
+                    df.EngineGeometry(**{**good, name: bad})
 
 
 BASE_POINT = dict(speed=1200, phi_ng=0.4, phi_di=0.4, egr=0.25, x_r=0.03,
