@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .core import (
     DomainError,
     EngineGeometry,
@@ -41,18 +43,27 @@ class ControllerState(NamedTuple):
 
 
 def compute_states(op: OperatingPoint, coeffs: ModelCoefficients) -> AdaptiveStates:
-    """Regressors from engine speed and the two equivalence ratios."""
+    """Regressors from engine speed and the two equivalence ratios; a
+    DomainError when the observer gain cannot be formed from them."""
     x1 = op.speed * fuel_term(op.phi_ng, op.phi_di, coeffs.c3, coeffs.c4)
     x2 = fuel_term(op.phi_ng, op.phi_di, coeffs.c9, coeffs.c10)
-    return AdaptiveStates(x1=x1, x2=x2)
+    states = AdaptiveStates(x1=x1, x2=x2)
+    learning_rate(states)
+    return states
 
 
 def learning_rate(states: AdaptiveStates) -> float:
-    """Normalized observer gain 1 / (x1^2 + x2^2)."""
-    norm = states.x1 ** 2 + states.x2 ** 2
-    if norm <= 0.0:
-        raise DomainError("states must not both be zero")
-    return 1.0 / norm
+    """Normalized observer gain 1 / (x1^2 + x2^2), finite and positive or a
+    DomainError: a Python float square overflows with an error, an infinite
+    regressor to a gain of 0, and two zero states divide by zero."""
+    try:
+        gain = 1.0 / (states.x1 ** 2 + states.x2 ** 2)
+    except (OverflowError, ZeroDivisionError):
+        gain = 0.0
+    if not 0.0 < gain < math.inf:
+        raise DomainError("the observer gain 1/(x1^2 + x2^2) cannot be formed "
+                          f"for x1 = {states.x1}, x2 = {states.x2}")
+    return gain
 
 
 def adaptive_soi(ref_ca50: float, states: AdaptiveStates,
@@ -97,10 +108,17 @@ def feedforward_soi(ref_ca50: float, op: OperatingPoint,
     The injection-point state uses the volume at prev_soi, the previous
     cycle's applied injection angle (the neutral angle on the first cycle),
     and the long-run mean residual fraction stands in for the true
-    per-cycle value.
+    per-cycle value. A command that is not finite raises a DomainError.
     """
-    delay, half_burn = phasing_terms(cylinder_volume(prev_soi, geom), op.speed,
-                                     op.phi_ng, op.phi_di, op.egr,
-                                     MEAN_RESIDUAL_FRACTION, op.p_ivc, op.t_ivc,
-                                     coeffs, geom)
-    return ref_ca50 - delay - half_burn
+    try:   # numpy's scalars overflow with a flag, Python's floats silently
+        with np.errstate(all="raise", under="ignore"):
+            delay, half_burn = phasing_terms(cylinder_volume(prev_soi, geom), op.speed,
+                                             op.phi_ng, op.phi_di, op.egr,
+                                             MEAN_RESIDUAL_FRACTION, op.p_ivc, op.t_ivc,
+                                             coeffs, geom)
+            command = ref_ca50 - delay - half_burn
+        if not math.isfinite(command):
+            raise FloatingPointError(f"command {command}")
+    except FloatingPointError as exc:
+        raise DomainError(f"the feedforward inversion is not finite ({exc})") from None
+    return command

@@ -22,7 +22,6 @@ from .control import (
     adaptive_update,
     compute_states,
     feedforward_soi,
-    learning_rate,
     smooth_measurement,
 )
 from .core import (
@@ -177,24 +176,9 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
             if adaptive:
                 if op is not states_op:
                     states, states_op = compute_states(op, ctrl_coeffs), op
-                    # the observer's gain must exist: a Python float square
-                    # overflows with an error, an infinite regressor to a gain of 0
-                    try:
-                        gain = learning_rate(states)
-                    except (OverflowError, DomainError):   # DomainError: both are zero
-                        gain = 0.0
-                    if not 0.0 < gain < math.inf:
-                        raise DomainError("the observer gain 1/(x1^2 + x2^2) cannot be "
-                                          f"formed for x1 = {states.x1}, x2 = {states.x2}")
                 unclamped = adaptive_soi(ref, states, ctrl)
             elif (op, ref, prev_soi) != ff_inputs:
-                try:   # numpy's scalars overflow with a flag, Python's floats silently
-                    with np.errstate(all="raise", under="ignore"):
-                        unclamped = feedforward_soi(ref, op, ctrl_coeffs, geom, prev_soi)
-                    if not math.isfinite(unclamped):
-                        raise FloatingPointError(f"command {unclamped}")
-                except FloatingPointError as exc:
-                    raise DomainError(f"the feedforward inversion is not finite ({exc})") from None
+                unclamped = feedforward_soi(ref, op, ctrl_coeffs, geom, prev_soi)
                 ff_inputs = op, ref, prev_soi
             command = prev_soi = min(max(unclamped, soi_min), SOI_CMD_MAX)
             try:
@@ -270,8 +254,6 @@ def summarize_rows(cycle, time_s, ca50_actual, ca50_ref, scenario: Scenario) -> 
 
 
 def summarize_records(records, scenario: Scenario) -> ScenarioSummary:
-    if not records:
-        return ScenarioSummary([])
     return summarize_rows(
         [r.cycle_index for r in records],
         [r.time_s for r in records],
@@ -410,8 +392,5 @@ def run_noise_study(halfwidth: float, ctrl_coeffs: ModelCoefficients | None = No
         measurement_filter_cycles=measurement_filter_cycles)
     fired = [r for r in records if r.cycle_index >= WARMUP_CYCLES]
     err = np.array([r.ca50_actual - r.ca50_ref for r in fired])
-    result = NoiseStudyResult(halfwidth=halfwidth,
-                              err_std=float(np.std(err)),
-                              err_max=float(np.max(np.abs(err))),
-                              n_cycles=len(fired))
+    result = NoiseStudyResult(halfwidth, *_spread(err, "the actual CA50 error"), len(fired))
     return result, records, summary

@@ -1,6 +1,9 @@
 """Adaptive feedback law (observer + deadbeat behaviour) and the open-loop
 model-inversion law."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from mpmath import mp, mpf, power as mp_power
@@ -45,6 +48,12 @@ class TestComputeStates:
         with pytest.raises(DomainError):
             df.compute_states(op, coeffs)
 
+    def test_gain_not_formed_rejected(self, coeffs, mid_op):
+        # speed * phi_ng^c3 is inf, so the observer gain would be 0
+        with pytest.raises(DomainError, match=re.escape(
+                "the observer gain 1/(x1^2 + x2^2) cannot be formed for x1 = inf")):
+            df.compute_states(mid_op, replace(coeffs, c3=-770.0))
+
 
 class TestLearningRate:
     def test_arithmetic(self):
@@ -62,6 +71,16 @@ class TestLearningRate:
     def test_zero_states_rejected(self):
         with pytest.raises(DomainError):
             df.learning_rate(df.AdaptiveStates(0.0, 0.0))
+
+    @pytest.mark.parametrize("x1, x2", [
+        pytest.param(1e200, 1.0, id="square-overflows"),
+        pytest.param(np.inf, 1.0, id="infinite"),
+        pytest.param(0.0, 0.0, id="zero"),
+    ])
+    def test_gain_not_formed(self, x1, x2):
+        message = f"the observer gain 1/(x1^2 + x2^2) cannot be formed for x1 = {x1}, x2 = {x2}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            df.learning_rate(df.AdaptiveStates(x1, x2))
 
 
 class TestAdaptiveLaw:
@@ -185,3 +204,8 @@ class TestFeedforward:
         for _ in range(8):
             commands.append(df.feedforward_soi(8.0, mid_op, coeffs, geom, commands[-1]))
         assert abs(commands[-1] - commands[-2]) < 1e-9
+
+    def test_inversion_not_finite(self, coeffs, geom, mid_op):
+        # p_ivc^c6 overflows in numpy scalars, which flag it rather than raise
+        with pytest.raises(DomainError, match="feedforward inversion is not finite"):
+            df.feedforward_soi(8.0, mid_op, replace(coeffs, c6=1e300), geom)

@@ -1,9 +1,11 @@
 """Count the code lines of a Python package: non-blank lines that hold a token
 outside comments and docstrings (a string that is a whole statement).
 
-    python3 tools/code_lines.py [DIR]      # default: src/dualfuel
+    python3 tools/code_lines.py [PATH]     # default: src/dualfuel
 
-Prints one line per module and the total.
+PATH is a package directory or one module. Prints one line per module and
+the total; a PATH that does not exist exits with status 1 and one line on
+stderr.
 """
 
 import sys
@@ -35,8 +37,14 @@ def code_lines(path) -> int:
 
 def main(argv=None):
     root = Path((argv or sys.argv[1:] or ["src/dualfuel"])[0])
+    if root.is_file():
+        root, paths = root.parent, [root]
+    elif root.is_dir():
+        paths = sorted(root.rglob("*.py"))
+    else:
+        sys.exit(f"code_lines: no such file or directory: {root}")
     total = 0
-    for path in sorted(root.rglob("*.py")):
+    for path in paths:
         n = code_lines(path)
         total += n
         print(f"{n:6d}  {path.relative_to(root)}")
