@@ -55,9 +55,11 @@ def compute_states(op: OperatingPoint, coeffs: ModelCoefficients) -> AdaptiveSta
 def learning_rate(states: AdaptiveStates) -> float:
     """Normalized observer gain 1 / (x1^2 + x2^2), finite and positive or a
     DomainError: a Python float square overflows with an error, an infinite
-    regressor to a gain of 0, and two zero states divide by zero."""
+    regressor to a gain of 0, and two zero states divide by zero. The states
+    are read as Python floats, so numpy scalars raise the same way."""
+    x1, x2 = float(states.x1), float(states.x2)
     try:
-        gain = 1.0 / (states.x1 ** 2 + states.x2 ** 2)
+        gain = 1.0 / (x1 ** 2 + x2 ** 2)
     except (OverflowError, ZeroDivisionError):
         gain = 0.0
     if not 0.0 < gain < math.inf:

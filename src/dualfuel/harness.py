@@ -17,7 +17,6 @@ from .calib import _check_finite, _columns, _spread
 from .control import (
     FEEDFORWARD_SEED_SOI,
     ControllerState,
-    MEAN_RESIDUAL_FRACTION,
     adaptive_soi,
     adaptive_update,
     compute_states,
@@ -28,7 +27,6 @@ from .core import (
     DomainError,
     EngineGeometry,
     ModelCoefficients,
-    OperatingPoint,
     _read_csv,
     _write_csv,
     cylinder_volume,
@@ -39,10 +37,9 @@ from .model import _check_soi, phasing_terms
 from .model import half_burn_angle, ignition_delay  # noqa: F401  (perfbench traces them)
 from .plant import MOTORED_CYCLES, CycleRecord, EnginePlant, Misfire, PlantConfig
 from .scenarios import (
-    IVC_PRESSURE_GAIN,
-    IVC_TEMP_OFFSET,
     Scenario,
     builtin_case,
+    operating_point,
     schedule_value,
 )
 
@@ -92,7 +89,7 @@ def _op_lookup(scenario: Scenario):
     evaluated per call, and while none of their values changes op_at
     returns the point it built last, so a constant stretch validates one
     point."""
-    values = {"egr": 0.0, "x_r": MEAN_RESIDUAL_FRACTION}
+    values = {}
     varying = {}
     for key, bps in scenario.schedules.items():
         fixed = _fixed_value(bps)
@@ -108,19 +105,8 @@ def _op_lookup(scenario: Scenario):
         if now == last[0]:
             return last[1]
         values.update(zip(varying, now))
-        op = OperatingPoint(
-            speed=values["speed"],
-            phi_di=values["phi_di"],
-            phi_ng=values["phi_ng"],
-            egr=values["egr"],
-            x_r=values["x_r"],
-            p_ivc=(values["p_ivc"] if "p_ivc" in values
-                   else IVC_PRESSURE_GAIN * values["p_man"]),
-            t_ivc=(values["t_ivc"] if "t_ivc" in values
-                   else values["t_man"] + IVC_TEMP_OFFSET),
-        )
-        last = now, op
-        return op
+        last = now, operating_point(values)
+        return last[1]
     return op_at
 
 
@@ -227,12 +213,8 @@ def summarize_rows(cycle, time_s, ca50_actual, ca50_ref, scenario: Scenario) -> 
         y = ca50_actual[mask]
         err = y - ca50_ref[mask]
         final = float(np.mean(y[-min(STEADY_WINDOW, n):]))
-        inside = np.abs(y - final) <= SETTLING_BAND
-        settled_from = n
-        for i in range(n - 1, -1, -1):
-            if not inside[i]:
-                break
-            settled_from = i
+        outside = np.flatnonzero(~(np.abs(y - final) <= SETTLING_BAND))
+        settled_from = int(outside[-1]) + 1 if outside.size else 0
         direction = final - float(y[0])
         if direction >= 0.0:
             overshoot = max(0.0, float(np.max(y)) - final)

@@ -8,7 +8,7 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .control import MEAN_RESIDUAL_FRACTION
-from .core import _load_json, _number
+from .core import OperatingPoint, _load_json, _number
 from .plant import PlantConfig
 
 # quantities a scenario may schedule; manifold conditions are mapped to IVC
@@ -70,10 +70,10 @@ class Scenario:
         for key in ("speed", "phi_di", "phi_ng"):
             if key not in self.schedules:
                 raise ValueError(f"scenario must schedule {key!r}")
-        if "p_ivc" not in self.schedules and "p_man" not in self.schedules:
-            raise ValueError("scenario must schedule p_ivc or p_man")
-        if "t_ivc" not in self.schedules and "t_man" not in self.schedules:
-            raise ValueError("scenario must schedule t_ivc or t_man")
+        for ivc, man in (("p_ivc", "p_man"), ("t_ivc", "t_man")):
+            both = ivc in self.schedules and man in self.schedules
+            if both or not (ivc in self.schedules or man in self.schedules):
+                raise ValueError(f"scenario must schedule {ivc} or {man}{', not both' * both}")
 
     def event_times(self):
         """Sorted distinct times at which any schedule or the reference
@@ -98,6 +98,17 @@ def _check_breakpoints(name, bps):
             raise ValueError(
                 f"schedule {name!r} breakpoint at t={bp.t} falls inside the ramp "
                 f"of the one at t={prev.t}, which ends at t={prev.t + prev.ramp_s}")
+
+
+def operating_point(values) -> OperatingPoint:
+    """The OperatingPoint of a scenario's schedule values at one time: an
+    unscheduled egr is 0 and x_r the mean residual fraction, and p_ivc/t_ivc
+    come through the bridge when the manifold conditions are scheduled."""
+    return OperatingPoint(
+        speed=values["speed"], phi_di=values["phi_di"], phi_ng=values["phi_ng"],
+        egr=values.get("egr", 0.0), x_r=values.get("x_r", MEAN_RESIDUAL_FRACTION),
+        p_ivc=values["p_ivc"] if "p_ivc" in values else IVC_PRESSURE_GAIN * values["p_man"],
+        t_ivc=values["t_ivc"] if "t_ivc" in values else values["t_man"] + IVC_TEMP_OFFSET)
 
 
 def schedule_value(bps, t: float) -> float:

@@ -76,6 +76,9 @@ class TestLearningRate:
         pytest.param(1e200, 1.0, id="square-overflows"),
         pytest.param(np.inf, 1.0, id="infinite"),
         pytest.param(0.0, 0.0, id="zero"),
+        # numpy scalars would warn before the error
+        pytest.param(np.float64(1e200), 1.0, id="numpy-square-overflows"),
+        pytest.param(np.float64(0.0), np.float64(0.0), id="numpy-zero"),
     ])
     def test_gain_not_formed(self, x1, x2):
         message = f"the observer gain 1/(x1^2 + x2^2) cannot be formed for x1 = {x1}, x2 = {x2}"
@@ -209,3 +212,10 @@ class TestFeedforward:
         # p_ivc^c6 overflows in numpy scalars, which flag it rather than raise
         with pytest.raises(DomainError, match="feedforward inversion is not finite"):
             df.feedforward_soi(8.0, mid_op, replace(coeffs, c6=1e300), geom)
+
+    @pytest.mark.parametrize("ref, command", [(np.inf, "inf"), (np.nan, "nan")])
+    def test_reference_not_finite(self, coeffs, geom, mid_op, ref, command):
+        # a non-finite reference sets no numpy flag; the command itself is checked
+        with pytest.raises(DomainError, match=re.escape(
+                f"the feedforward inversion is not finite (command {command})")):
+            df.feedforward_soi(ref, mid_op, coeffs, geom)

@@ -306,6 +306,24 @@ class TestSummary:
             scenario)
         assert resummary == summary
 
+    @pytest.mark.parametrize("outside, settling", [
+        pytest.param({}, 0, id="all-inside"),
+        pytest.param({29: 9.0}, 30, id="last-cycle-outside"),
+        pytest.param({2: np.nan}, 3, id="nan-outside"),
+    ])
+    def test_settling_cycles_from_columns(self, outside, settling):
+        # one 30-cycle segment at 8 CAD: settled from the cycle after the last
+        # one outside the band around the final value
+        case = builtin_case(1)
+        scenario = replace(case, reference=case.reference[:1])
+        y = np.full(30, 8.0)
+        for i, value in outside.items():
+            y[i] = value
+        cycle = harness.WARMUP_CYCLES + np.arange(30)
+        (segment,) = summarize_rows(cycle, 0.1 * np.arange(30), y, np.full(30, 8.0),
+                                    scenario).segments
+        assert (segment.n_cycles, segment.settling_cycles) == (30, settling)
+
     def test_header_fixed_order(self, tmp_path, case1_run):
         _, records, _ = case1_run
         path = tmp_path / "records.csv"

@@ -167,6 +167,10 @@ class TestJsonRoundTrip:
                      "scenario must schedule p_ivc or p_man", id="no-pressure"),
         pytest.param(lambda d: d["schedules"].pop("t_man"),
                      "scenario must schedule t_ivc or t_man", id="no-temperature"),
+        pytest.param(lambda d: d["schedules"].update(p_ivc=[{"t": 0.0, "value": 2.9}]),
+                     "scenario must schedule p_ivc or p_man, not both", id="both-pressure"),
+        pytest.param(lambda d: d["schedules"].update(t_ivc=[{"t": 0.0, "value": 390.0}]),
+                     "scenario must schedule t_ivc or t_man, not both", id="both-temperature"),
     ])
     def test_malformed_dict_rejected(self, edit, message):
         d = asdict(builtin_case(1))
