@@ -29,7 +29,7 @@ from .model import (
     predict_ca50,
     predict_soc,
 )
-from .plant import Misfire, PlantConfig, knock_integral_soc
+from .plant import Misfire, PlantConfig, check_phasing_order, knock_integral_soc
 
 DATASET_COLUMNS = ("speed", "t_ivc", "p_ivc", "phi_di", "phi_ng", "egr",
                    "x_r", "soi", "soc_ref", "ca50_ref")
@@ -64,6 +64,21 @@ class CalibSample:
     soi: float
     soc_ref: float
     ca50_ref: float
+
+
+def _table(dataset):
+    """The samples as a float array, one row per sample in DATASET_COLUMNS
+    order: the dataset file's layout."""
+    return np.array([(s.op.speed, s.op.t_ivc, s.op.p_ivc, s.op.phi_di, s.op.phi_ng, s.op.egr,
+                      s.op.x_r, s.soi, s.soc_ref, s.ca50_ref) for s in dataset], dtype=float)
+
+
+def _sample(speed, t_ivc, p_ivc, phi_di, phi_ng, egr, x_r, soi, soc_ref, ca50_ref):
+    """The sample of one row in DATASET_COLUMNS order. A DomainError if the
+    point is invalid or the references are out of phasing order."""
+    op = OperatingPoint(speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc)
+    check_phasing_order(soi, soc_ref, ca50_ref)
+    return CalibSample(op, soi, soc_ref, ca50_ref)
 
 
 @dataclass(frozen=True)
@@ -173,13 +188,10 @@ def _columns(dataset):
     whole-dataset prediction."""
     if not dataset:
         raise DomainError("dataset is empty")
-    cols = {name: np.array([getattr(s.op, name) for s in dataset])
-            for name in ("speed", "phi_ng", "phi_di", "egr", "x_r", "p_ivc", "t_ivc")}
-    op = OperatingPoint(**cols)
-    soi = np.array([s.soi for s in dataset])
-    soc_ref = np.array([s.soc_ref for s in dataset])
-    ca50_ref = np.array([s.ca50_ref for s in dataset])
-    return op, soi, soc_ref, ca50_ref
+    # copied: predicting from .T's strided views is slower
+    cols = dict(zip(DATASET_COLUMNS, _table(dataset).T.copy()))
+    soi, soc_ref, ca50_ref = cols.pop("soi"), cols.pop("soc_ref"), cols.pop("ca50_ref")
+    return OperatingPoint(**cols), soi, soc_ref, ca50_ref
 
 
 def _check_finite(values, what):
@@ -352,36 +364,31 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
 # CSV round trips, in core's dialect
 
 def write_dataset(path, samples):
-    _write_csv(path, DATASET_COLUMNS, (map(repr, map(float, (
-        s.op.speed, s.op.t_ivc, s.op.p_ivc, s.op.phi_di, s.op.phi_ng, s.op.egr,
-        s.op.x_r, s.soi, s.soc_ref, s.ca50_ref))) for s in samples))
+    _write_csv(path, DATASET_COLUMNS, (map(repr, row) for row in _table(samples).tolist()))
 
 
 def _read_sample(row, geom: EngineGeometry) -> CalibSample:
-    vals = dict(zip(DATASET_COLUMNS, map(float, row)))
-    for name, v in vals.items():
+    vals = list(map(float, row))
+    for name, v in zip(DATASET_COLUMNS, vals):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    soi, soc_ref, ca50_ref = vals.pop("soi"), vals.pop("soc_ref"), vals.pop("ca50_ref")
-    _check_soi(soi, geom)
-    return CalibSample(op=OperatingPoint(**vals), soi=soi, soc_ref=soc_ref, ca50_ref=ca50_ref)
+    _check_soi(vals[DATASET_COLUMNS.index("soi")], geom)
+    return _sample(*vals)
 
 
 def read_dataset(path):
     """Samples of a dataset CSV. A malformed, non-finite or out-of-domain row
-    (SOI outside the reference geometry's window included) raises a
-    ValueError naming the file and the line on which the first such row
-    starts; so does a file that core._read_csv rejects."""
+    (SOI outside the reference geometry's window, or references out of
+    phasing order, included) raises a ValueError naming the file and the
+    line on which the first such row starts; so does a file that
+    core._read_csv rejects."""
     geom = default_geometry()
     try:   # every row at once: numpy converts each cell by float()'s rules
         data = np.array(_read_csv(path, DATASET_COLUMNS, list), dtype=float)
         if not np.isfinite(data).all():
             raise ValueError("malformed dataset")
         _check_soi(data[:, DATASET_COLUMNS.index("soi")], geom)
-        return [CalibSample(OperatingPoint(speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc),
-                            soi, soc_ref, ca50_ref)
-                for speed, t_ivc, p_ivc, phi_di, phi_ng, egr, x_r, soi, soc_ref, ca50_ref
-                in data.tolist()]
+        return [_sample(*row) for row in data.tolist()]
     except ValueError:   # DomainError is a ValueError; the rows name the first bad one
         return _read_csv(path, DATASET_COLUMNS, lambda row: _read_sample(row, geom))
 

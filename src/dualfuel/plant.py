@@ -177,6 +177,15 @@ def knock_integral_value(op: OperatingPoint, soi: float, theta_end: float,
                           ) from None
 
 
+def check_phasing_order(soi: float, soc: float, ca50: float) -> None:
+    """A DomainError if start of combustion precedes injection, or CA50
+    precedes start of combustion, by more than 1e-9 CAD."""
+    if soc < soi - 1e-9:
+        raise DomainError("combustion cannot precede injection")
+    if ca50 < soc - 1e-9:
+        raise DomainError("CA50 cannot precede start of combustion")
+
+
 def quantize_soi(command: float, resolution: float) -> float:
     """Round to the actuator grid, halves away from zero."""
     n = math.floor(abs(command) / resolution + 0.5)
@@ -259,10 +268,7 @@ class EnginePlant:
             _, args, bd = seen
             soc = _march_soc(op_seen, soi_applied, cfg, args)
             ca50 = ca50_from_soc_bd(soc, bd, cfg.coeffs)
-            if soc < soi_applied - 1e-9:
-                raise DomainError("combustion cannot precede injection")
-            if ca50 < soc - 1e-9:
-                raise DomainError("CA50 cannot precede start of combustion")
+            check_phasing_order(soi_applied, soc, ca50)
             if cfg.ca50_noise_halfwidth > 0.0:
                 ca50_meas = ca50 + self.rng.uniform(-cfg.ca50_noise_halfwidth,
                                                     cfg.ca50_noise_halfwidth)

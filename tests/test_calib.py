@@ -567,6 +567,13 @@ class TestReadDataset:
             edit(rows[line - 1])
         assert self._read(tmp_path, rows) == f"{tmp_path / 'dataset.csv'}:{expected}"
 
+    def test_references_at_the_angle_before_accepted(self, tmp_path, rows):
+        # the phasing order allows a reference at the angle it may not precede
+        for column in ("soc_ref", "ca50_ref"):
+            rows[3][DATASET_COLUMNS.index(column)] = rows[3][DATASET_COLUMNS.index("soi")]
+        sample = self._read(tmp_path, rows)[2]
+        assert sample.soi == sample.soc_ref == sample.ca50_ref
+
     def test_trailing_blank_line_rejected(self, tmp_path, rows):
         assert self._read(tmp_path, [*rows, []]) == (
             f"{tmp_path / 'dataset.csv'}:18: expected 10 values, got 0")

@@ -1047,6 +1047,11 @@ class TestCliRejectsBadInput:
                      id="soi-early"),
         pytest.param(_set_cell("egr", "1.5"), "dataset.csv:4: EGR fraction",
                      id="egr-above-one"),
+        pytest.param(_set_cell("soc_ref", "-100.0"),
+                     "dataset.csv:4: combustion cannot precede injection", id="soc-before-soi"),
+        pytest.param(_set_cell("ca50_ref", "-100.0"),
+                     "dataset.csv:4: CA50 cannot precede start of combustion",
+                     id="ca50-before-soc"),
     ])
     def test_malformed_dataset_row(self, tmp_path, capsys, command, edit, expected):
         data = _edited_dataset_csv(tmp_path, 4, edit)
