@@ -49,12 +49,6 @@ LM_DAMPING_MIN = 1e-12
 LM_DAMPING_MAX = 1e10
 
 
-class CalibrationDiverged(RuntimeError):
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
-
-
 @dataclass(frozen=True)
 class CalibSample:
     """One steady-state reference point: boundary conditions, injection angle
@@ -121,8 +115,8 @@ class CalibReport(NamedTuple):
     final_rmse: float
     rmse_history: list           # the start point's RMSE, then one per accepted step
     coeff_history: list          # dict per entry of rmse_history
-    stop_reason: str = ""        # "tol", "max_iters" or "no_improving_step"
-    train_stats: ValidationStats | None = None   # of the training set
+    stop_reason: str             # "tol", "max_iters" or "no_improving_step"
+    train_stats: ValidationStats   # of the training set
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +303,8 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
     accepted step drops below tol ("tol"), when no step improves before the
     damping exceeds LM_DAMPING_MAX ("no_improving_step"), or after
     max_iters accepted steps ("max_iters").
-    A starting RMSE above DIVERGENCE_RMSE raises CalibrationDiverged; no
-    accepted step can exceed it later. The shipped coefficient set is the
+    A starting RMSE above DIVERGENCE_RMSE raises a DomainError; no accepted
+    step can exceed it later. The shipped coefficient set is the
     default starting point. Returns (report, coefficients).
     """
     if initial is None:
@@ -322,13 +316,12 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
 
     x = _pack(initial)
     # f maps a DomainError to inf; a start point outside the model domain,
-    # or an overflowing RMSE, is named instead of reported as divergence
+    # or an overflowing RMSE, is named instead
     fx = _rms(_error(predict_ca50, ca50_ref, "CA50", op, soi, initial, geom, v_soi))
+    if fx > DIVERGENCE_RMSE:
+        raise DomainError(f"initial RMSE {fx:.3g} CAD exceeds {DIVERGENCE_RMSE:g}")
     rmse_history = [fx]
     coeff_history = [dict(zip(CALIBRATED_FIELDS, x.tolist()))]
-    if fx > DIVERGENCE_RMSE:
-        raise CalibrationDiverged(f"initial RMSE {fx:.3g} CAD exceeds {DIVERGENCE_RMSE:g}",
-                                  CalibReport(0, fx, rmse_history, coeff_history))
 
     scale = np.maximum(np.abs(x), 1e-12)
     lam = LM_DAMPING_INITIAL
@@ -364,7 +357,7 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
 # CSV round trips, in core's dialect
 
 def write_dataset(path, samples):
-    _write_csv(path, DATASET_COLUMNS, (map(repr, row) for row in _table(samples).tolist()))
+    _write_csv(path, DATASET_COLUMNS, _table(samples).tolist())
 
 
 def _read_sample(row, geom: EngineGeometry) -> CalibSample:
@@ -395,7 +388,7 @@ def read_dataset(path):
 
 def write_report_csv(path, report: CalibReport):
     _write_csv(path, ("iteration", "rmse") + CALIBRATED_FIELDS,
-               ((str(i), repr(r), *(repr(c[name]) for name in CALIBRATED_FIELDS))
+               ((str(i), r, *(c[name] for name in CALIBRATED_FIELDS))
                 for i, (r, c) in enumerate(zip(report.rmse_history, report.coeff_history))))
 
 

@@ -42,8 +42,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_gen_data(args):
-    cfg = PlantConfig(geom=default_geometry(), coeffs=_coeffs(args),
-                      rng_seed=args.seed)
+    cfg = PlantConfig(geom=default_geometry(), coeffs=_coeffs(args))
     samples, misfires = calib.generate_dataset(None, args.samples, cfg,
                                                seed=args.seed)
     if not samples:
@@ -191,7 +190,7 @@ def main(argv=None):
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ValueError, OSError, calib.CalibrationDiverged) as exc:  # DomainError is a ValueError
+    except (ValueError, OSError) as exc:   # DomainError is a ValueError
         print(f"dualfuel {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -299,13 +299,16 @@ def _load_json(path):
 
 
 def _write_csv(path, header, rows):
-    """Write header and rows, each an iterable of cell strings, in the one CSV
+    """Write header and rows, each an iterable of values, in the one CSV
     dialect of the package: cells joined by commas and lines ending in \\r\\n,
-    as csv.writer writes cells that need no quoting. Callers write a float as
-    its repr, so that it reloads exactly, and a missing value as an empty cell."""
+    as csv.writer writes cells that need no quoting. A str is written as it
+    is, None as an empty cell and any other value as the repr of its float,
+    so that it reloads exactly; an integer column passes str(value)."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(cells) + "\r\n" for cells in rows)
+        fh.writelines(",".join([repr(v) if type(v) is float else v if type(v) is str
+                                else "" if v is None else repr(float(v)) for v in cells])
+                      + "\r\n" for cells in rows)
 
 
 def _read_csv(path, header, row):

@@ -250,13 +250,9 @@ def summarize_records(records, scenario: Scenario) -> ScenarioSummary:
 
 def write_records_csv(path, records):
     _write_csv(path, RECORD_COLUMNS, ((
-        str(r.cycle_index),
-        *map(repr, map(float, (r.time_s, r.op.speed, r.op.phi_di, r.op.phi_ng,
-                               r.op.egr, r.op.p_ivc, r.op.t_ivc, r.ca50_ref,
-                               r.soi_commanded, r.soi_applied, r.soc, r.bd,
-                               r.ca50_actual, r.ca50_measured))),
-        *("" if v is None else repr(float(v)) for v in (r.alpha_hat, r.beta_hat)))
-        for r in records))
+        str(r.cycle_index), r.time_s, r.op.speed, r.op.phi_di, r.op.phi_ng, r.op.egr,
+        r.op.p_ivc, r.op.t_ivc, r.ca50_ref, r.soi_commanded, r.soi_applied, r.soc, r.bd,
+        r.ca50_actual, r.ca50_measured, r.alpha_hat, r.beta_hat) for r in records))
 
 
 def _read_record(raw):
@@ -346,9 +342,7 @@ def run_sensitivity(coeffs: ModelCoefficients, dataset, geom: EngineGeometry):
 
 
 def write_sensitivity_csv(path, rows):
-    _write_csv(path, ("quantity", "delta", "mode", "ca50_err_std", "ca50_err_max"),
-               ((r.quantity, repr(r.delta), r.mode, repr(r.ca50_err_std),
-                 repr(r.ca50_err_max)) for r in rows))
+    _write_csv(path, SensitivityRow._fields, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp, mpf, pi as mp_pi, cos as mp_cos, sin as mp_sin, sqrt as mp_sqrt
 
 import dualfuel as df
-from dualfuel.core import DomainError
+from dualfuel.core import DomainError, _write_csv
 
 from conftest import random_box_op
 
@@ -276,3 +276,12 @@ class TestModelCoefficients:
 def test_box_sampler_produces_valid_points(box_rng):
     for _ in range(100):
         random_box_op(box_rng)
+
+
+def test_write_csv_cells(tmp_path):
+    # str as is, None empty, any other number as the repr of its float
+    path = tmp_path / "cells.csv"
+    _write_csv(path, ("a", "b", "c", "d", "e", "f", "g"),
+               [("x", None, 0.1, 1200, np.float64(0.25), -0.0, "1e5")])
+    with open(path, newline="") as fh:
+        assert fh.read() == "a,b,c,d,e,f,g\r\nx,,0.1,1200.0,0.25,-0.0,1e5\r\n"

@@ -701,6 +701,10 @@ class TestCliRejectsBadInput:
         assert "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_negative_seed(self, tmp_path, capsys):
+        self._rejects(["gen-data", "--seed", "-1"], tmp_path, capsys,
+                      "dualfuel gen-data: error: rng_seed must be a non-negative integer, got -1")
+
     def test_nan_duration(self, tmp_path, capsys):
         path = _scenario_json(tmp_path, lambda d: d.update(duration_s=float("nan")))
         self._rejects(["simulate", path], tmp_path, capsys, "duration_s")
