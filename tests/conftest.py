@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-import dualfuel as df
+from dualfuel.core import OperatingPoint, default_coefficients, default_geometry
 
 
 @pytest.fixture(scope="session")
 def geom():
-    return df.default_geometry()
+    return default_geometry()
 
 
 @pytest.fixture(scope="session")
 def coeffs():
-    return df.default_coefficients()
+    return default_coefficients()
 
 
 @pytest.fixture
 def mid_op():
-    return df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
-                             x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
+    return OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
+                          x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
 
 
 # operating box used throughout: the validity region of the shipped model
@@ -33,9 +33,9 @@ BOX = {
 SOI_BOX = (-20.0, -10.0)
 
 
-def random_box_op(rng) -> df.OperatingPoint:
+def random_box_op(rng) -> OperatingPoint:
     vals = {k: rng.uniform(lo, hi) for k, (lo, hi) in BOX.items()}
-    return df.OperatingPoint(**vals)
+    return OperatingPoint(**vals)
 
 
 def random_box_soi(rng) -> float:

@@ -11,9 +11,26 @@ import time
 import numpy as np
 import pytest
 
-import dualfuel as df
-from dualfuel.calib import CALIBRATED_FIELDS, CalibSample, CalibrationOptions
-from dualfuel.harness import run_sensitivity
+from dualfuel.calib import (
+    CALIBRATED_FIELDS,
+    CalibSample,
+    CalibrationOptions,
+    calibrate,
+    generate_dataset,
+    validate,
+)
+from dualfuel.control import (
+    MEAN_RESIDUAL_FRACTION,
+    AdaptiveStates,
+    ControllerState,
+    adaptive_soi,
+    adaptive_update,
+    feedforward_soi,
+)
+from dualfuel.core import OperatingPoint, cylinder_volume
+from dualfuel.harness import run_noise_study, run_scenario, run_sensitivity
+from dualfuel.model import predict_ca50, predict_soc
+from dualfuel.plant import PlantConfig, knock_integral_soc, knock_integral_value
 from dualfuel.scenarios import builtin_case
 
 from conftest import random_box_op, random_box_soi
@@ -39,19 +56,19 @@ def report(criterion, ok, detail=""):
 def warm_kernels(geom, coeffs):
     # first calls pay for imports and lazy setup; keep them out of the
     # timed sections
-    op = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
-                           x_r=0.03, p_ivc=3.0, t_ivc=390.0)
-    cfg = df.PlantConfig(geom=geom, coeffs=coeffs)
-    df.knock_integral_soc(op, -15.0, cfg)
-    df.knock_integral_value(op, -15.0, -10.0, cfg)
+    op = OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
+                        x_r=0.03, p_ivc=3.0, t_ivc=390.0)
+    cfg = PlantConfig(geom=geom, coeffs=coeffs)
+    knock_integral_soc(op, -15.0, cfg)
+    knock_integral_value(op, -15.0, -10.0, cfg)
 
 
 @pytest.fixture(scope="module")
 def full_dataset(geom, coeffs, warm_kernels):
-    cfg = df.PlantConfig(geom=geom, coeffs=coeffs)
+    cfg = PlantConfig(geom=geom, coeffs=coeffs)
     t0 = time.perf_counter()
-    samples, misfires = df.generate_dataset(None, DATASET_SIZE, cfg,
-                                            seed=DATASET_SEED)
+    samples, misfires = generate_dataset(None, DATASET_SIZE, cfg,
+                                         seed=DATASET_SEED)
     elapsed = time.perf_counter() - t0
     assert misfires == 0
     assert len(samples) == DATASET_SIZE
@@ -62,8 +79,8 @@ def full_dataset(geom, coeffs, warm_kernels):
 def calibrated(geom, coeffs, full_dataset):
     samples, _ = full_dataset
     t0 = time.perf_counter()
-    rep, fitted = df.calibrate(coeffs, samples, geom,
-                               CalibrationOptions(max_iters=500, tol=0.0))
+    rep, fitted = calibrate(coeffs, samples, geom,
+                            CalibrationOptions(max_iters=500, tol=0.0))
     elapsed = time.perf_counter() - t0
     return rep, fitted, elapsed
 
@@ -74,10 +91,10 @@ def test_criterion1_deadbeat_and_lyapunov():
     worst_err = 0.0
     worst_decrement = 0.0
     for _ in range(1000):
-        x = df.AdaptiveStates(rng.uniform(500.0, 5000.0), rng.uniform(0.5, 5.0))
+        x = AdaptiveStates(rng.uniform(500.0, 5000.0), rng.uniform(0.5, 5.0))
         y_d = rng.uniform(4.0, 12.0)
-        ctrl = df.ControllerState(alpha_hat=rng.uniform(-5e-3, 5e-3),
-                                  beta_hat=rng.uniform(0.0, 3.0))
+        ctrl = ControllerState(alpha_hat=rng.uniform(-5e-3, 5e-3),
+                               beta_hat=rng.uniform(0.0, 3.0))
         alpha, beta = rng.uniform(-5e-3, 5e-3), rng.uniform(0.5, 3.0)
         step_at = rng.integers(3, 6)
         errors = []
@@ -86,7 +103,7 @@ def test_criterion1_deadbeat_and_lyapunov():
             if k == step_at:   # parameter step mid-trial
                 alpha, beta = rng.uniform(-5e-3, 5e-3), rng.uniform(0.5, 3.0)
                 v_prev = None
-            u = df.adaptive_soi(y_d, x, ctrl)
+            u = adaptive_soi(y_d, x, ctrl)
             y = u + alpha * x.x1 + beta * x.x2
             v = (y_d - y) ** 2
             if v_prev is not None:
@@ -94,7 +111,7 @@ def test_criterion1_deadbeat_and_lyapunov():
                                       abs((v - v_prev) + v_prev))
             v_prev = v
             errors.append(abs(y - y_d))
-            ctrl = df.adaptive_update(y, y_d, x, ctrl)
+            ctrl = adaptive_update(y, y_d, x, ctrl)
         # within 2 cycles of start and of the step
         worst_err = max(worst_err, max(errors[2:int(step_at)], default=0.0))
         worst_err = max(worst_err, max(errors[int(step_at) + 2:]))
@@ -110,15 +127,15 @@ def test_criterion2_feedforward_inversion(geom, coeffs):
     worst = 0.0
     for _ in range(1000):
         base = random_box_op(rng)
-        op = df.OperatingPoint(speed=base.speed, phi_ng=base.phi_ng,
-                               phi_di=base.phi_di, egr=base.egr,
-                               x_r=df.MEAN_RESIDUAL_FRACTION,
-                               p_ivc=base.p_ivc, t_ivc=base.t_ivc)
+        op = OperatingPoint(speed=base.speed, phi_ng=base.phi_ng,
+                            phi_di=base.phi_di, egr=base.egr,
+                            x_r=MEAN_RESIDUAL_FRACTION,
+                            p_ivc=base.p_ivc, t_ivc=base.t_ivc)
         ref = rng.uniform(4.0, 12.0)
         prev_soi = rng.uniform(-20.0, -10.0)
-        cmd = df.feedforward_soi(ref, op, coeffs, geom, prev_soi)
-        achieved = df.predict_ca50(op, cmd, coeffs, geom,
-                                   v_soi=df.cylinder_volume(prev_soi, geom))
+        cmd = feedforward_soi(ref, op, coeffs, geom, prev_soi)
+        achieved = predict_ca50(op, cmd, coeffs, geom,
+                                v_soi=cylinder_volume(prev_soi, geom))
         worst = max(worst, abs(achieved - ref))
     ok = worst <= 1e-9
     assert report("C2 feedforward inversion", ok, f"worst defect {worst:.2e}")
@@ -128,10 +145,10 @@ def test_criterion3_reference_step_case(geom, calibrated, warm_kernels):
     """Benchmark transient 1 against the full plant, 0.1 CAD quantization."""
     _, fitted, _ = calibrated
     t0 = time.perf_counter()
-    _, summary_fb = df.run_scenario(builtin_case(1, "adaptive"),
-                                    ctrl_coeffs=fitted, geom=geom)
-    _, summary_ff = df.run_scenario(builtin_case(1, "feedforward"),
-                                    ctrl_coeffs=fitted, geom=geom)
+    _, summary_fb = run_scenario(builtin_case(1, "adaptive"),
+                                 ctrl_coeffs=fitted, geom=geom)
+    _, summary_ff = run_scenario(builtin_case(1, "feedforward"),
+                                 ctrl_coeffs=fitted, geom=geom)
     elapsed = time.perf_counter() - t0
 
     fb_settle = max(s.settling_cycles for s in summary_fb.segments)
@@ -149,10 +166,10 @@ def test_criterion4_remaining_cases(geom, calibrated, warm_kernels):
     ok = True
     details = []
     for n in range(2, 7):
-        _, fb = df.run_scenario(builtin_case(n, "adaptive"),
-                                ctrl_coeffs=fitted, geom=geom)
-        _, ff = df.run_scenario(builtin_case(n, "feedforward"),
-                                ctrl_coeffs=fitted, geom=geom)
+        _, fb = run_scenario(builtin_case(n, "adaptive"),
+                             ctrl_coeffs=fitted, geom=geom)
+        _, ff = run_scenario(builtin_case(n, "feedforward"),
+                             ctrl_coeffs=fitted, geom=geom)
         fb_err = max(max(abs(s.err_min), abs(s.err_max)) for s in fb.segments)
         ff_err = max(max(abs(s.err_min), abs(s.err_max)) for s in ff.segments)
         ok = ok and fb_err <= 0.15 and ff_err <= 1.5
@@ -167,18 +184,18 @@ def test_criterion4_remaining_cases(geom, calibrated, warm_kernels):
 def test_criterion5_quadrature_refinement(geom, coeffs, warm_kernels):
     """Step-halving stability and the crossing condition."""
     rng = np.random.default_rng(105)
-    cfg_coarse = df.PlantConfig(geom=geom, coeffs=coeffs, quad_step=0.1)
-    cfg_fine = df.PlantConfig(geom=geom, coeffs=coeffs, quad_step=0.05)
+    cfg_coarse = PlantConfig(geom=geom, coeffs=coeffs, quad_step=0.1)
+    cfg_fine = PlantConfig(geom=geom, coeffs=coeffs, quad_step=0.05)
     worst_shift = 0.0
     worst_integral = 0.0
     for _ in range(100):
         op = random_box_op(rng)
         soi = random_box_soi(rng)
-        a = df.knock_integral_soc(op, soi, cfg_coarse)
-        b = df.knock_integral_soc(op, soi, cfg_fine)
+        a = knock_integral_soc(op, soi, cfg_coarse)
+        b = knock_integral_soc(op, soi, cfg_fine)
         worst_shift = max(worst_shift, abs(a - b))
         worst_integral = max(worst_integral,
-                             abs(df.knock_integral_value(op, soi, a, cfg_coarse) - 1.0))
+                             abs(knock_integral_value(op, soi, a, cfg_coarse) - 1.0))
     ok = worst_shift < 0.01 and worst_integral <= 1e-6
     assert report("C5 quadrature refinement", ok,
                   f"max SOC shift {worst_shift:.2e} CAD, "
@@ -197,18 +214,18 @@ def test_criterion6_calibration(geom, coeffs, full_dataset, calibrated):
         op = random_box_op(rng)
         soi = random_box_soi(rng)
         ident.append(CalibSample(op=op, soi=soi,
-                                 soc_ref=df.predict_soc(op, soi, coeffs, geom),
-                                 ca50_ref=df.predict_ca50(op, soi, coeffs, geom)))
+                                 soc_ref=predict_soc(op, soi, coeffs, geom),
+                                 ca50_ref=predict_ca50(op, soi, coeffs, geom)))
     start = coeffs.replace(**{n: getattr(coeffs, n) * 1.2
                               for n in CALIBRATED_FIELDS})
     t0 = time.perf_counter()
-    rep_ident, _ = df.calibrate(start, ident, geom,
-                                CalibrationOptions(max_iters=500, tol=0.0))
+    rep_ident, _ = calibrate(start, ident, geom,
+                             CalibrationOptions(max_iters=500, tol=0.0))
     ident_time = time.perf_counter() - t0
 
     monotone = all(b <= a for a, b in zip(rep_ident.rmse_history,
                                           rep_ident.rmse_history[1:]))
-    stats = df.validate(fitted, samples, geom)
+    stats = validate(fitted, samples, geom)
     total_time = gen_time + fit_time + ident_time
     ok = (rep_ident.final_rmse < 0.05 and monotone
           and stats.ca50_err_std <= 1.0 and stats.ca50_err_max <= 3.0
@@ -231,7 +248,7 @@ def test_criterion7_sensitivity_table(geom, full_dataset, calibrated):
     samples, _ = full_dataset
     _, fitted, _ = calibrated
     rows = run_sensitivity(fitted, samples, geom)
-    stats = df.validate(fitted, samples, geom)
+    stats = validate(fitted, samples, geom)
 
     ran_all = len(rows) == 13
     zero_exact = (rows[0].ca50_err_std == stats.ca50_err_std
@@ -260,8 +277,8 @@ def test_criterion7_sensitivity_table(geom, full_dataset, calibrated):
 def test_criterion8_noise_study(geom, calibrated, warm_kernels):
     """Adaptive loop under +/-0.5 CAD uniform measurement noise."""
     _, fitted, _ = calibrated
-    result, records, _ = df.run_noise_study(0.5, ctrl_coeffs=fitted, geom=geom,
-                                            seed=8)
+    result, records, _ = run_noise_study(0.5, ctrl_coeffs=fitted, geom=geom,
+                                         seed=8)
     bounded = all(np.isfinite(r.ca50_actual) and abs(r.ca50_actual) < 50.0
                   for r in records)
     ok = (bounded and result.err_std <= 1.2 and result.n_cycles >= 95

@@ -7,14 +7,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-import dualfuel as df
-from dualfuel import calib
+from dualfuel import calib, model
 from dualfuel.calib import (
     CALIBRATED_FIELDS,
     DATASET_COLUMNS,
     CalibSample,
     CalibrationOptions,
+    SampleRanges,
+    calibrate,
+    generate_dataset,
     read_dataset,
+    rmse,
+    split_dataset,
+    validate,
     write_dataset,
     write_report_csv,
     write_report_summary,
@@ -22,19 +27,27 @@ from dualfuel.calib import (
     _latin_hypercube,
     _read_sample,
 )
-from dualfuel.model import ca50_jacobian
+from dualfuel.core import (
+    DomainError,
+    OperatingPoint,
+    cylinder_volume,
+    default_coefficients,
+    default_geometry,
+)
+from dualfuel.model import ca50_jacobian, predict_ca50, predict_soc
+from dualfuel.plant import PlantConfig
 
 from conftest import random_box_op, random_box_soi
 
 
 @pytest.fixture(scope="module")
 def plant_cfg():
-    return df.PlantConfig(geom=df.default_geometry(), coeffs=df.default_coefficients())
+    return PlantConfig(geom=default_geometry(), coeffs=default_coefficients())
 
 
 @pytest.fixture(scope="module")
 def small_plant_dataset(plant_cfg):
-    samples, misfires = df.generate_dataset(None, 128, plant_cfg, seed=9)
+    samples, misfires = generate_dataset(None, 128, plant_cfg, seed=9)
     assert misfires == 0
     return samples
 
@@ -47,34 +60,34 @@ def model_dataset(coeffs, geom, n, seed):
         op = random_box_op(rng)
         soi = random_box_soi(rng)
         samples.append(CalibSample(op=op, soi=soi,
-                                   soc_ref=df.predict_soc(op, soi, coeffs, geom),
-                                   ca50_ref=df.predict_ca50(op, soi, coeffs, geom)))
+                                   soc_ref=predict_soc(op, soi, coeffs, geom),
+                                   ca50_ref=predict_ca50(op, soi, coeffs, geom)))
     return samples
 
 
 class TestGenerateDataset:
     def test_deterministic_for_seed(self, plant_cfg):
-        a, _ = df.generate_dataset(None, 16, plant_cfg, seed=4)
-        b, _ = df.generate_dataset(None, 16, plant_cfg, seed=4)
+        a, _ = generate_dataset(None, 16, plant_cfg, seed=4)
+        b, _ = generate_dataset(None, 16, plant_cfg, seed=4)
         assert a == b
 
     def test_seed_changes_samples(self, plant_cfg):
-        a, _ = df.generate_dataset(None, 16, plant_cfg, seed=4)
-        b, _ = df.generate_dataset(None, 16, plant_cfg, seed=5)
+        a, _ = generate_dataset(None, 16, plant_cfg, seed=4)
+        b, _ = generate_dataset(None, 16, plant_cfg, seed=5)
         assert a != b
 
     def test_single_sample_in_delay_band(self, geom, coeffs):
         # matched polytrope keeps the plant inside the model's stated
         # 1-10 CAD injection-to-combustion band
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, plant_poly_exp=coeffs.k_c)
-        samples, misfires = df.generate_dataset(None, 1, cfg, seed=2)
+        cfg = PlantConfig(geom=geom, coeffs=coeffs, plant_poly_exp=coeffs.k_c)
+        samples, misfires = generate_dataset(None, 1, cfg, seed=2)
         assert misfires == 0 and len(samples) == 1
         s = samples[0]
         assert s.soi + 1.0 < s.soc_ref < s.soi + 10.0
         assert s.ca50_ref > s.soc_ref
 
     def test_samples_respect_ranges(self, small_plant_dataset):
-        r = df.SampleRanges()
+        r = SampleRanges()
         for s in small_plant_dataset:
             assert r.speed[0] <= s.op.speed <= r.speed[1]
             assert r.egr[0] <= s.op.egr <= r.egr[1]
@@ -83,9 +96,9 @@ class TestGenerateDataset:
 
     def test_box_scaling_matches_per_element_formula(self, plant_cfg):
         # the whole-array scaling of the draws is exact, element by element
-        samples, misfires = df.generate_dataset(None, 64, plant_cfg, seed=9)
+        samples, misfires = generate_dataset(None, 64, plant_cfg, seed=9)
         u = _latin_hypercube(64, 8, np.random.default_rng(9))
-        bounds = dataclasses.asdict(df.SampleRanges())
+        bounds = dataclasses.asdict(SampleRanges())
         expected = [{name: float(lo + (hi - lo) * x)
                      for (name, (lo, hi)), x in zip(bounds.items(), row)}
                     for row in u]
@@ -93,26 +106,26 @@ class TestGenerateDataset:
         assert misfires == 0 and got == expected
 
     def test_requires_at_least_one_sample(self, plant_cfg):
-        with pytest.raises(df.DomainError):
-            df.generate_dataset(None, 0, plant_cfg, seed=1)
+        with pytest.raises(DomainError):
+            generate_dataset(None, 0, plant_cfg, seed=1)
 
     @pytest.mark.parametrize("n_samples", [2.5, True])
     def test_sample_count_must_be_an_integer(self, plant_cfg, n_samples):
-        with pytest.raises(df.DomainError,
+        with pytest.raises(DomainError,
                            match=f"n_samples must be a non-negative integer, got {n_samples}"):
-            df.generate_dataset(None, n_samples, plant_cfg, seed=1)
+            generate_dataset(None, n_samples, plant_cfg, seed=1)
 
 
 class TestRmse:
     def test_self_consistency_zero(self, geom, coeffs):
         samples = model_dataset(coeffs, geom, 32, seed=1)
-        assert df.rmse(coeffs, samples, geom) == pytest.approx(0.0, abs=1e-12)
+        assert rmse(coeffs, samples, geom) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_sample_absolute_error(self, geom, coeffs):
         s = model_dataset(coeffs, geom, 1, seed=2)[0]
         shifted = CalibSample(op=s.op, soi=s.soi, soc_ref=s.soc_ref,
                               ca50_ref=s.ca50_ref + 0.75)
-        assert df.rmse(coeffs, [shifted], geom) == pytest.approx(0.75, rel=1e-12)
+        assert rmse(coeffs, [shifted], geom) == pytest.approx(0.75, rel=1e-12)
 
     def test_homogeneous_in_errors(self, geom, coeffs):
         base = model_dataset(coeffs, geom, 16, seed=3)
@@ -122,47 +135,47 @@ class TestRmse:
                            ca50_ref=s.ca50_ref + e) for s, e in zip(base, errs)]
         two = [CalibSample(op=s.op, soi=s.soi, soc_ref=s.soc_ref,
                            ca50_ref=s.ca50_ref + 2 * e) for s, e in zip(base, errs)]
-        assert df.rmse(coeffs, two, geom) == pytest.approx(
-            2.0 * df.rmse(coeffs, one, geom), rel=1e-12)
+        assert rmse(coeffs, two, geom) == pytest.approx(
+            2.0 * rmse(coeffs, one, geom), rel=1e-12)
 
     def test_empty_dataset_rejected(self, geom, coeffs):
-        with pytest.raises(df.DomainError):
-            df.rmse(coeffs, [], geom)
+        with pytest.raises(DomainError):
+            rmse(coeffs, [], geom)
 
     def test_error_not_finite_named(self, geom, coeffs, small_plant_dataset):
         # numpy gives inf where a float power raises; no warning is printed
-        with pytest.raises(df.DomainError,
+        with pytest.raises(DomainError,
                            match=r"^sample 0: the ignition-delay scale .* is inf, not "
                                  r"finite and positive$"):
-            df.rmse(coeffs.replace(c4=-1e10), small_plant_dataset, geom)
+            rmse(coeffs.replace(c4=-1e10), small_plant_dataset, geom)
 
     def test_overflowing_rmse_rejected(self, geom, coeffs, small_plant_dataset):
         # every error is finite, near 1e300, but their squares overflow
-        with pytest.raises(df.DomainError,
+        with pytest.raises(DomainError,
                            match=r"^the CA50 RMSE is not finite \(inf\)$"):
-            df.rmse(coeffs.replace(c1=1e300), small_plant_dataset, geom)
+            rmse(coeffs.replace(c1=1e300), small_plant_dataset, geom)
 
     def test_objective_is_rmse_and_inf_outside_the_domain(self, geom, coeffs,
                                                           small_plant_dataset):
         op, soi, _, ca50_ref = _columns(small_plant_dataset)
-        f = calib._objective(coeffs, op, soi, df.cylinder_volume(soi, geom), ca50_ref,
+        f = calib._objective(coeffs, op, soi, cylinder_volume(soi, geom), ca50_ref,
                              geom)
-        assert f(calib._pack(coeffs)) == df.rmse(coeffs, small_plant_dataset, geom)
+        assert f(calib._pack(coeffs)) == rmse(coeffs, small_plant_dataset, geom)
         for edit in ({"c4": -1e10}, {"c6": 1e300}, {"c1": 1e300}):
             assert f(calib._pack(coeffs.replace(**edit))) == float("inf"), edit
 
 
 class TestCalibrate:
     def test_zero_iterations_returns_initial(self, geom, coeffs, small_plant_dataset):
-        report, out = df.calibrate(coeffs, small_plant_dataset, geom,
-                                   CalibrationOptions(max_iters=0))
+        report, out = calibrate(coeffs, small_plant_dataset, geom,
+                                CalibrationOptions(max_iters=0))
         assert out == coeffs
         assert report.iterations == 0
-        assert report.final_rmse == df.rmse(coeffs, small_plant_dataset, geom)
+        assert report.final_rmse == rmse(coeffs, small_plant_dataset, geom)
 
     def test_rmse_trace_non_increasing(self, geom, coeffs, small_plant_dataset):
-        report, _ = df.calibrate(coeffs, small_plant_dataset, geom,
-                                 CalibrationOptions(max_iters=60))
+        report, _ = calibrate(coeffs, small_plant_dataset, geom,
+                              CalibrationOptions(max_iters=60))
         assert all(b <= a for a, b in zip(report.rmse_history,
                                           report.rmse_history[1:]))
         assert report.iterations == len(report.rmse_history) - 1
@@ -172,25 +185,25 @@ class TestCalibrate:
         samples = model_dataset(coeffs, geom, 64, seed=5)
         start = coeffs.replace(**{n: getattr(coeffs, n) * 1.1
                                   for n in CALIBRATED_FIELDS})
-        f0 = df.rmse(start, samples, geom)
-        report, fitted = df.calibrate(start, samples, geom,
-                                      CalibrationOptions(max_iters=150))
+        f0 = rmse(start, samples, geom)
+        report, fitted = calibrate(start, samples, geom,
+                                   CalibrationOptions(max_iters=150))
         assert report.final_rmse < 0.25 * f0
-        assert df.rmse(fitted, samples, geom) == report.final_rmse
+        assert rmse(fitted, samples, geom) == report.final_rmse
 
     def test_default_initial_guess_is_shipped(self, geom, small_plant_dataset):
-        report, _ = df.calibrate(None, small_plant_dataset, geom,
-                                 CalibrationOptions(max_iters=0))
-        shipped = df.rmse(df.default_coefficients(), small_plant_dataset, geom)
+        report, _ = calibrate(None, small_plant_dataset, geom,
+                              CalibrationOptions(max_iters=0))
+        shipped = rmse(default_coefficients(), small_plant_dataset, geom)
         assert report.rmse_history[0] == shipped
         assert np.isfinite(report.final_rmse)
 
     def test_seed_deterministic_end_to_end(self, geom, coeffs, plant_cfg):
         outs = []
         for _ in range(2):
-            samples, _ = df.generate_dataset(None, 64, plant_cfg, seed=8)
-            report, fitted = df.calibrate(coeffs, samples, geom,
-                                          CalibrationOptions(max_iters=40))
+            samples, _ = generate_dataset(None, 64, plant_cfg, seed=8)
+            report, fitted = calibrate(coeffs, samples, geom,
+                                       CalibrationOptions(max_iters=40))
             outs.append((report.rmse_history, fitted))
         assert outs[0][0] == outs[1][0]
         assert outs[0][1] == outs[1][1]
@@ -199,16 +212,16 @@ class TestCalibrate:
         broken = [CalibSample(op=s.op, soi=s.soi, soc_ref=s.soc_ref,
                               ca50_ref=s.ca50_ref + 1e5)
                   for s in small_plant_dataset]
-        with pytest.raises(df.DomainError, match=r"^initial RMSE 1e\+05 CAD exceeds 1000$"):
-            df.calibrate(coeffs, broken, geom)
+        with pytest.raises(DomainError, match=r"^initial RMSE 1e\+05 CAD exceeds 1000$"):
+            calibrate(coeffs, broken, geom)
 
     def test_sample_outside_domain_named(self, geom, plant_cfg):
         # the starting point is checked the way rmse checks it, so an
         # out-of-window SOI is a DomainError naming the row, not divergence
-        samples, _ = df.generate_dataset(None, 20, plant_cfg, seed=4)
+        samples, _ = generate_dataset(None, 20, plant_cfg, seed=4)
         samples[3] = dataclasses.replace(samples[3], soi=40.0)
-        with pytest.raises(df.DomainError, match="sample 3: SOI must lie in"):
-            df.calibrate(None, samples, geom)
+        with pytest.raises(DomainError, match="sample 3: SOI must lie in"):
+            calibrate(None, samples, geom)
 
     @pytest.mark.parametrize("edit", [{"c4": -1e10}, {"c6": 1e300}])
     def test_start_without_finite_error_named(self, geom, coeffs, small_plant_dataset,
@@ -217,32 +230,32 @@ class TestCalibrate:
         # error (c6) is not finite, with no warning before it
         expected = {"c4": r"the ignition-delay scale .* is inf, not finite and positive",
                     "c6": r"the CA50 error is not finite \(inf\)"}[next(iter(edit))]
-        with pytest.raises(df.DomainError, match=rf"^sample 0: {expected}$"):
-            df.calibrate(coeffs.replace(**edit), small_plant_dataset, geom)
+        with pytest.raises(DomainError, match=rf"^sample 0: {expected}$"):
+            calibrate(coeffs.replace(**edit), small_plant_dataset, geom)
 
     def test_rmse_names_sample_outside_domain(self, geom, coeffs, small_plant_dataset):
         samples = list(small_plant_dataset[:10])
         samples[6] = dataclasses.replace(samples[6], soi=-150.0)
-        with pytest.raises(df.DomainError, match="sample 6: SOI must lie in"):
-            df.rmse(coeffs, samples, geom)
+        with pytest.raises(DomainError, match="sample 6: SOI must lie in"):
+            rmse(coeffs, samples, geom)
 
     def test_jacobian_matches_central_differences(self, geom, coeffs,
                                                   small_plant_dataset):
         # every column of the analytic Jacobian agrees with a central
         # difference of predict_ca50, also on a sample without natural gas
         # (phi_ng = 0, where phi_ng^c ln phi_ng is continued by 0)
-        no_gas = df.OperatingPoint(speed=1300.0, phi_ng=0.0, phi_di=0.3, egr=0.2,
-                                   x_r=0.03, p_ivc=3.5, t_ivc=390.0)
+        no_gas = OperatingPoint(speed=1300.0, phi_ng=0.0, phi_di=0.3, egr=0.2,
+                                x_r=0.03, p_ivc=3.5, t_ivc=390.0)
         samples = small_plant_dataset + [CalibSample(op=no_gas, soi=-15.0,
                                                      soc_ref=0.0, ca50_ref=0.0)]
         op, soi, _, _ = _columns(samples)
-        _, jac = ca50_jacobian(op, soi, coeffs, geom, df.cylinder_volume(soi, geom))
+        _, jac = ca50_jacobian(op, soi, coeffs, geom, cylinder_volume(soi, geom))
         assert set(jac) == set(CALIBRATED_FIELDS)
         for name in CALIBRATED_FIELDS:
             value = getattr(coeffs, name)
             h = 1e-6 * abs(value)
-            up = df.predict_ca50(op, soi, coeffs.replace(**{name: value + h}), geom)
-            down = df.predict_ca50(op, soi, coeffs.replace(**{name: value - h}), geom)
+            up = predict_ca50(op, soi, coeffs.replace(**{name: value + h}), geom)
+            down = predict_ca50(op, soi, coeffs.replace(**{name: value - h}), geom)
             fd = (up - down) / (2.0 * h)
             assert np.all(np.isfinite(jac[name])), name
             assert np.max(np.abs(jac[name] - fd)) <= 1e-6 * np.max(np.abs(fd)), name
@@ -253,8 +266,8 @@ class TestCalibrate:
         # that CA50 must be predict_ca50's, bit for bit
         op, soi, _, _ = _columns(small_plant_dataset)
         for c in (coeffs, coeffs.replace(c6=-0.5, k_c=1.3, c8=1.1)):
-            ca50, _ = ca50_jacobian(op, soi, c, geom, df.cylinder_volume(soi, geom))
-            assert np.array_equal(ca50, df.predict_ca50(op, soi, c, geom))
+            ca50, _ = ca50_jacobian(op, soi, c, geom, cylinder_volume(soi, geom))
+            assert np.array_equal(ca50, predict_ca50(op, soi, c, geom))
 
     def test_one_volume_and_one_jacobian_per_iteration(self, geom, coeffs,
                                                        small_plant_dataset, monkeypatch):
@@ -271,10 +284,10 @@ class TestCalibrate:
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(df.model, "cylinder_volume")
+        counted(model, "cylinder_volume")
         counted(calib, "ca50_jacobian")
-        report, _ = df.calibrate(coeffs, small_plant_dataset, geom,
-                                 CalibrationOptions(max_iters=500, tol=0.0))
+        report, _ = calibrate(coeffs, small_plant_dataset, geom,
+                              CalibrationOptions(max_iters=500, tol=0.0))
         passes = report.iterations + (report.stop_reason == "no_improving_step")
         assert report.iterations > 0
         assert calls["cylinder_volume"] <= 3
@@ -283,11 +296,11 @@ class TestCalibrate:
     def test_unidentified_coefficient_does_not_raise(self, geom, coeffs, plant_cfg):
         # with EGR = 0 everywhere the c1 column of the Jacobian is zero: the
         # fit leaves c1 alone and still lowers the RMSE monotonically
-        no_egr = df.SampleRanges(egr=(0.0, 0.0))
-        samples, _ = df.generate_dataset(no_egr, 64, plant_cfg, seed=10)
+        no_egr = SampleRanges(egr=(0.0, 0.0))
+        samples, _ = generate_dataset(no_egr, 64, plant_cfg, seed=10)
         assert all(s.op.egr == 0.0 for s in samples)
-        report, fitted = df.calibrate(coeffs, samples, geom,
-                                      CalibrationOptions(max_iters=60))
+        report, fitted = calibrate(coeffs, samples, geom,
+                                   CalibrationOptions(max_iters=60))
         trace = report.rmse_history
         assert all(b <= a for a, b in zip(trace, trace[1:]))
         assert report.final_rmse < 0.1 * trace[0]
@@ -295,23 +308,23 @@ class TestCalibrate:
 
     def test_stops_by_tol(self, geom, coeffs, small_plant_dataset):
         options = CalibrationOptions(tol=1e-6)
-        report, _ = df.calibrate(coeffs, small_plant_dataset, geom, options)
+        report, _ = calibrate(coeffs, small_plant_dataset, geom, options)
         assert report.stop_reason == "tol"
         gains = -np.diff(report.rmse_history)
         assert gains[-1] < options.tol and np.all(gains[:-1] >= options.tol)
 
     @pytest.mark.parametrize("max_iters", [0, 2])
     def test_stops_by_max_iters(self, geom, coeffs, small_plant_dataset, max_iters):
-        report, _ = df.calibrate(coeffs, small_plant_dataset, geom,
-                                 CalibrationOptions(max_iters=max_iters, tol=0.0))
+        report, _ = calibrate(coeffs, small_plant_dataset, geom,
+                              CalibrationOptions(max_iters=max_iters, tol=0.0))
         assert report.stop_reason == "max_iters"
         assert report.iterations == max_iters
 
     def test_stops_when_no_step_improves(self, geom, coeffs):
         # references from the model itself: the start is already the optimum
         samples = model_dataset(coeffs, geom, 32, seed=11)
-        report, _ = df.calibrate(coeffs, samples, geom,
-                                 CalibrationOptions(max_iters=500, tol=0.0))
+        report, _ = calibrate(coeffs, samples, geom,
+                              CalibrationOptions(max_iters=500, tol=0.0))
         assert report.stop_reason == "no_improving_step"
         assert report.iterations < 500
 
@@ -327,36 +340,36 @@ class TestCalibrate:
 
 class TestSplitDataset:
     def test_partition_disjoint_and_complete(self, small_plant_dataset):
-        train, holdout = df.split_dataset(small_plant_dataset, 0.2, seed=1)
+        train, holdout = split_dataset(small_plant_dataset, 0.2, seed=1)
         assert len(holdout) == round(0.2 * len(small_plant_dataset))
         assert len(train) + len(holdout) == len(small_plant_dataset)
         seen = {id(s) for s in train} | {id(s) for s in holdout}
         assert len(seen) == len(small_plant_dataset)
 
     def test_deterministic(self, small_plant_dataset):
-        a = df.split_dataset(small_plant_dataset, 0.2, seed=1)
-        b = df.split_dataset(small_plant_dataset, 0.2, seed=1)
+        a = split_dataset(small_plant_dataset, 0.2, seed=1)
+        b = split_dataset(small_plant_dataset, 0.2, seed=1)
         assert a == b
 
     def test_zero_fraction_keeps_all(self, small_plant_dataset):
-        train, holdout = df.split_dataset(small_plant_dataset, 0.0)
+        train, holdout = split_dataset(small_plant_dataset, 0.0)
         assert train == small_plant_dataset and holdout == []
 
     def test_invalid_fraction_rejected(self, small_plant_dataset):
-        with pytest.raises(df.DomainError):
-            df.split_dataset(small_plant_dataset, 1.0)
+        with pytest.raises(DomainError):
+            split_dataset(small_plant_dataset, 1.0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_invalid_seed_rejected(self, small_plant_dataset, seed):
         # the plant config's rng_seed rule
-        with pytest.raises(df.DomainError, match="rng_seed must be a non-negative integer"):
-            df.split_dataset(small_plant_dataset, 0.2, seed=seed)
+        with pytest.raises(DomainError, match="rng_seed must be a non-negative integer"):
+            split_dataset(small_plant_dataset, 0.2, seed=seed)
 
 
 class TestValidate:
     def test_perfect_coefficients_zero_stats(self, geom, coeffs):
         samples = model_dataset(coeffs, geom, 32, seed=6)
-        stats = df.validate(coeffs, samples, geom)
+        stats = validate(coeffs, samples, geom)
         assert stats.soc_err_std == pytest.approx(0.0, abs=1e-12)
         assert stats.ca50_err_max == pytest.approx(0.0, abs=1e-12)
         assert stats.soc_within_1cad == 1.0
@@ -366,21 +379,21 @@ class TestValidate:
     def test_regression_against_plant(self, geom, coeffs, small_plant_dataset):
         # pinned after the first run: shipped coefficients vs the default
         # plant carry the polytrope mismatch
-        stats = df.validate(coeffs, small_plant_dataset, geom)
+        stats = validate(coeffs, small_plant_dataset, geom)
         assert stats.soc_err_std == pytest.approx(0.9419150546576686, rel=1e-6)
         assert stats.ca50_err_max == pytest.approx(6.645806663599151, rel=1e-6)
 
     def test_sample_outside_domain_named(self, geom, coeffs, small_plant_dataset):
         samples = list(small_plant_dataset[:10])
         samples[4] = dataclasses.replace(samples[4], soi=40.0)
-        with pytest.raises(df.DomainError, match="^sample 4: SOI must lie in"):
-            df.validate(coeffs, samples, geom)
+        with pytest.raises(DomainError, match="^sample 4: SOI must lie in"):
+            validate(coeffs, samples, geom)
 
     def test_overflowing_std_named(self, geom, coeffs, small_plant_dataset):
         # every error is finite, near 1e300, but np.std squares them
-        with pytest.raises(df.DomainError, match=r"^the standard deviation of the SOC "
+        with pytest.raises(DomainError, match=r"^the standard deviation of the SOC "
                                                  r"error is not finite \(inf\)$"):
-            df.validate(coeffs.replace(c1=1e300), small_plant_dataset, geom)
+            validate(coeffs.replace(c1=1e300), small_plant_dataset, geom)
 
 
 class TestCsvRoundTrips:
@@ -390,8 +403,8 @@ class TestCsvRoundTrips:
         assert read_dataset(path) == small_plant_dataset
 
     def test_report_files(self, tmp_path, geom, coeffs, small_plant_dataset):
-        report, _ = df.calibrate(coeffs, small_plant_dataset, geom,
-                                 CalibrationOptions(max_iters=5))
+        report, _ = calibrate(coeffs, small_plant_dataset, geom,
+                              CalibrationOptions(max_iters=5))
         write_report_csv(tmp_path / "report.csv", report)
         write_report_summary(tmp_path / "summary.txt", report)
         lines = (tmp_path / "report.csv").read_text().splitlines()
@@ -401,8 +414,8 @@ class TestCsvRoundTrips:
 
     def test_report_bytes_match_csv_writer(self, tmp_path, geom, coeffs,
                                            small_plant_dataset):
-        report, _ = df.calibrate(coeffs, small_plant_dataset, geom,
-                                 CalibrationOptions(max_iters=3))
+        report, _ = calibrate(coeffs, small_plant_dataset, geom,
+                              CalibrationOptions(max_iters=3))
         report.rmse_history.append(0.1 + 0.2)
         report.coeff_history.append(dict.fromkeys(CALIBRATED_FIELDS, -0.0) | {"c5": 1e300})
         write_report_csv(tmp_path / "new.csv", report)
@@ -420,8 +433,8 @@ class TestCsvRoundTrips:
 
     def test_summary_names_stop_reason(self, tmp_path, geom, coeffs,
                                        small_plant_dataset):
-        report, _ = df.calibrate(coeffs, small_plant_dataset, geom,
-                                 CalibrationOptions(max_iters=1))
+        report, _ = calibrate(coeffs, small_plant_dataset, geom,
+                              CalibrationOptions(max_iters=1))
         write_report_summary(tmp_path / "summary.txt", report)
         assert "stop reason         max_iters" in (
             tmp_path / "summary.txt").read_text().splitlines()
@@ -459,7 +472,7 @@ def _csv_writer_dataset(path, samples):
 def _read_one_row_at_a_time(path):
     """read_dataset as it was written, one row at a time: the reference for
     which files it accepts, the samples it returns and its messages."""
-    geom = df.default_geometry()
+    geom = default_geometry()
     samples = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -487,12 +500,12 @@ def _write_rows(path, rows):
 class TestDatasetCsvFormat:
     def test_writer_bytes_match_csv_writer(self, tmp_path, small_plant_dataset):
         edge = [
-            CalibSample(op=df.OperatingPoint(speed=1e300, phi_ng=-0.0, phi_di=0.1 + 0.2,
-                                             egr=-0.0, x_r=1e-300, p_ivc=1e-300,
-                                             t_ivc=np.float64(0.1)),
+            CalibSample(op=OperatingPoint(speed=1e300, phi_ng=-0.0, phi_di=0.1 + 0.2,
+                                          egr=-0.0, x_r=1e-300, p_ivc=1e-300,
+                                          t_ivc=np.float64(0.1)),
                         soi=np.float64(-15.1), soc_ref=-0.0, ca50_ref=0.1 + 0.2),
-            CalibSample(op=df.OperatingPoint(*map(np.float64, (1300.0, 0.4, 0.3, 0.2, 0.03,
-                                                               3.5, 390.0))),
+            CalibSample(op=OperatingPoint(*map(np.float64, (1300.0, 0.4, 0.3, 0.2, 0.03,
+                                                            3.5, 390.0))),
                         soi=-12.0, soc_ref=np.float64(-1e-300), ca50_ref=1e300),
         ]
         data = [*small_plant_dataset[:8], *edge]

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dualfuel as df
 from dualfuel import cli
+from dualfuel.calib import generate_dataset, write_dataset
+from dualfuel.core import default_coefficients, default_geometry
+from dualfuel.plant import PlantConfig
 from dualfuel.scenarios import CONTROLLERS, PLANT_KEYS, builtin_case
 
 EXTREMES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 770.0, -770.0, 400.0, -400.0,
@@ -25,7 +27,7 @@ EXTREMES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 770.0, -770.0, 400.0, -400.0,
 # the shipped coefficients as a file, without the derived c7 that a file
 # may carry, so that a replaced c11 or Wiebe shape is not rejected for
 # contradicting the shipped c7
-SHIPPED = {k: v for k, v in df.default_coefficients().to_dict().items() if k != "c7"}
+SHIPPED = {k: v for k, v in default_coefficients().to_dict().items() if k != "c7"}
 
 # one or two keys of a coefficient file, c7 included, set to extreme values
 coefficient_files = st.dictionaries(
@@ -67,9 +69,9 @@ def _expire(signum, frame):
 def inputs(tmp_path_factory):
     """A 16-sample dataset and the scenario files the commands read."""
     root = tmp_path_factory.mktemp("inputs")
-    cfg = df.PlantConfig(geom=df.default_geometry(), coeffs=df.default_coefficients())
-    samples, _ = df.generate_dataset(None, 16, cfg, seed=1)
-    df.write_dataset(root / "dataset.csv", samples)
+    cfg = PlantConfig(geom=default_geometry(), coeffs=default_coefficients())
+    samples, _ = generate_dataset(None, 16, cfg, seed=1)
+    write_dataset(root / "dataset.csv", samples)
     for controller in CONTROLLERS:
         d = asdict(builtin_case(1, controller=controller))
         d["schedules"]["phi_ng"] = [{"t": 0.0, "value": 0.0}]   # diesel only

@@ -8,14 +8,25 @@ the frozen literals stay auditable.
 import json
 import math
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf, pi as mp_pi, cos as mp_cos, sin as mp_sin, sqrt as mp_sqrt
 
-import dualfuel as df
-from dualfuel.core import DomainError, _write_csv
+from dualfuel.core import (
+    DomainError,
+    EngineGeometry,
+    ModelCoefficients,
+    OperatingPoint,
+    cylinder_volume,
+    load_coefficients,
+    polytropic_state_at_soi,
+    save_coefficients,
+    _write_csv,
+)
 
 from conftest import random_box_op
 
@@ -41,24 +52,24 @@ class TestGeometry:
         assert 6 * geom.displaced_volume * 1e3 == pytest.approx(12.4, rel=0.01)
 
     def test_volume_at_tdc_is_clearance(self, geom):
-        assert df.cylinder_volume(0.0, geom) == pytest.approx(geom.clearance_volume, rel=1e-14)
+        assert cylinder_volume(0.0, geom) == pytest.approx(geom.clearance_volume, rel=1e-14)
 
     def test_volume_at_bdc_is_total(self, geom):
         expected = geom.clearance_volume + geom.displaced_volume
-        assert df.cylinder_volume(180.0, geom) == pytest.approx(expected, rel=1e-12)
+        assert cylinder_volume(180.0, geom) == pytest.approx(expected, rel=1e-12)
 
     def test_volume_matches_exact_kinematics(self, geom):
         for theta in (-148.5, -90.0, -15.0, 7.5, 120.0):
-            assert df.cylinder_volume(theta, geom) == pytest.approx(
+            assert cylinder_volume(theta, geom) == pytest.approx(
                 float(mp_volume(theta)), rel=1e-12)
 
     def test_volume_symmetric(self, geom):
         theta = np.linspace(0.0, 180.0, 181)
-        np.testing.assert_allclose(df.cylinder_volume(theta, geom),
-                                   df.cylinder_volume(-theta, geom), rtol=1e-14)
+        np.testing.assert_allclose(cylinder_volume(theta, geom),
+                                   cylinder_volume(-theta, geom), rtol=1e-14)
 
     def test_ivc_volume_is_volume_at_ivc(self, geom):
-        assert geom.ivc_volume == df.cylinder_volume(geom.ivc_angle, geom)
+        assert geom.ivc_volume == cylinder_volume(geom.ivc_angle, geom)
 
     def test_ivc_volume_is_a_python_float(self, geom):
         # the plant's scalar march divides by it and raises to a power at
@@ -79,16 +90,16 @@ class TestGeometry:
         good = dict(bore=0.126, stroke=0.166, rod_length=0.251,
                     compression_ratio=17.0, ivc_angle=-148.5)
         with pytest.raises(DomainError):
-            df.EngineGeometry(**{**good, "compression_ratio": 1.0})
+            EngineGeometry(**{**good, "compression_ratio": 1.0})
         with pytest.raises(DomainError):
-            df.EngineGeometry(**{**good, "rod_length": 0.08})
+            EngineGeometry(**{**good, "rod_length": 0.08})
         with pytest.raises(DomainError):
-            df.EngineGeometry(**{**good, "bore": 0.0})
+            EngineGeometry(**{**good, "bore": 0.0})
         # a non-finite field would give non-finite or zero derived volumes
         for name in good:
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(DomainError, match=f"{name} must be finite, got {bad}"):
-                    df.EngineGeometry(**{**good, name: bad})
+                    EngineGeometry(**{**good, name: bad})
 
 
 BASE_POINT = dict(speed=1200, phi_ng=0.4, phi_di=0.4, egr=0.25, x_r=0.03,
@@ -116,8 +127,8 @@ def column_point(**bad):
 
 class TestOperatingPoint:
     def test_valid_point_accepted(self):
-        df.OperatingPoint(speed=1200, phi_ng=0.4, phi_di=0.4, egr=0.25,
-                          x_r=0.03, p_ivc=3.0, t_ivc=390.0)
+        OperatingPoint(speed=1200, phi_ng=0.4, phi_di=0.4, egr=0.25,
+                       x_r=0.03, p_ivc=3.0, t_ivc=390.0)
 
     @pytest.mark.parametrize("bad", [
         (dict(speed=0.0), "speed"), (dict(egr=-0.1), "egr"), (dict(egr=1.0), "egr"),
@@ -136,21 +147,21 @@ class TestOperatingPoint:
         # the message names the bad field, whatever the kind of value
         bad, field = bad
         with pytest.raises(DomainError, match=re.escape(POINT_MESSAGES[field])):
-            df.OperatingPoint(**{**BASE_POINT, **bad})
+            OperatingPoint(**{**BASE_POINT, **bad})
 
 
 class TestPolytropic:
     def test_identity_at_equal_volumes(self):
-        p, t = df.polytropic_state_at_soi(3.0, 390.0, 1e-3, 1e-3, 1.3)
+        p, t = polytropic_state_at_soi(3.0, 390.0, 1e-3, 1e-3, 1.3)
         assert p == 3.0 and t == 390.0
 
     def test_unit_exponent_leaves_temperature(self):
-        _, t = df.polytropic_state_at_soi(3.0, 390.0, 2e-3, 1e-3, 1.0)
+        _, t = polytropic_state_at_soi(3.0, 390.0, 2e-3, 1e-3, 1.0)
         assert t == pytest.approx(390.0, rel=1e-14)
 
     def test_compression_example(self):
         # frozen from mpmath: 2.85 * 10^1.0546 and 372.56 * 10^0.0546
-        p, t = df.polytropic_state_at_soi(2.85, 372.56, 1e-2, 1e-3, 1.0546)
+        p, t = polytropic_state_at_soi(2.85, 372.56, 1e-2, 1e-3, 1.0546)
         assert p == pytest.approx(32.318028530408393, rel=1e-12)
         assert t == pytest.approx(422.47034067680530, rel=1e-12)
         # and matches the coarse engineering numbers
@@ -164,24 +175,24 @@ class TestPolytropic:
             v0 = box_rng.uniform(1e-3, 3e-3)
             v1 = box_rng.uniform(1e-4, v0)
             k = box_rng.uniform(1.01, 1.4)
-            p1, t1 = df.polytropic_state_at_soi(p0, t0, v0, v1, k)
-            p2, t2 = df.polytropic_state_at_soi(p1, t1, v1, v0, k)
+            p1, t1 = polytropic_state_at_soi(p0, t0, v0, v1, k)
+            p2, t2 = polytropic_state_at_soi(p1, t1, v1, v0, k)
             assert p2 == pytest.approx(p0, rel=1e-12)
             assert t2 == pytest.approx(t0, rel=1e-12)
 
     def test_state_not_finite_rejected(self):
         # a Python float power raises OverflowError, numpy's gives inf
         with pytest.raises(DomainError, match="not finite for k_c = 10000000000.0"):
-            df.polytropic_state_at_soi(3.0, 390.0, 2e-3, 1e-3, 1e10)
+            polytropic_state_at_soi(3.0, 390.0, 2e-3, 1e-3, 1e10)
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="k_c = 439.0"):
             # T_SOI overflows alone: 390 * 5^438 is inf, 3 * 5^439 is not
-            df.polytropic_state_at_soi(3.0, 390.0, 5e-3, np.array([5e-3, 1e-3]), 439.0)
+            polytropic_state_at_soi(3.0, 390.0, 5e-3, np.array([5e-3, 1e-3]), 439.0)
 
     def test_nonpositive_volume_rejected(self):
         with pytest.raises(DomainError):
-            df.polytropic_state_at_soi(3.0, 390.0, 0.0, 1e-3, 1.3)
+            polytropic_state_at_soi(3.0, 390.0, 0.0, 1e-3, 1.3)
         with pytest.raises(DomainError):
-            df.polytropic_state_at_soi(3.0, 390.0, 1e-2, np.array([1e-3, 0.0, 2e-3]), 1.3)
+            polytropic_state_at_soi(3.0, 390.0, 1e-2, np.array([1e-3, 0.0, 2e-3]), 1.3)
 
 
 class TestModelCoefficients:
@@ -225,7 +236,7 @@ class TestModelCoefficients:
         # the file that save_coefficients writes carries c7, which from_dict
         # reads only after the shape is checked
         with pytest.raises(DomainError, match="half-burn fraction"):
-            df.ModelCoefficients.from_dict({**coeffs.to_dict(), **shape})
+            ModelCoefficients.from_dict({**coeffs.to_dict(), **shape})
 
     @pytest.mark.parametrize("edit, expected", [
         pytest.param(lambda d: d.update(c3=None), "'c3' must be a number", id="null"),
@@ -237,12 +248,12 @@ class TestModelCoefficients:
         d = coeffs.to_dict()
         edit(d)
         with pytest.raises(ValueError, match=expected):
-            df.ModelCoefficients.from_dict(d)
+            ModelCoefficients.from_dict(d)
 
     def test_json_round_trip(self, tmp_path, coeffs):
         path = tmp_path / "coeffs.json"
-        df.save_coefficients(path, coeffs)
-        loaded = df.load_coefficients(path)
+        save_coefficients(path, coeffs)
+        loaded = load_coefficients(path)
         assert loaded == coeffs
         # the serialised form carries the derived c7 for reference
         assert json.loads(path.read_text())["c7"] == pytest.approx(coeffs.c7)
@@ -255,22 +266,22 @@ class TestModelCoefficients:
         # c1*egr + c2 > 0 on egr in [0, 1) holds iff c2 > 0 and c1 + c2 > 0;
         # ModelCoefficients itself accepts the point, as calibration trials need
         path = tmp_path / "coeffs.json"
-        df.save_coefficients(path, coeffs.replace(c1=c1_over_c2 * coeffs.c2))
+        save_coefficients(path, coeffs.replace(c1=c1_over_c2 * coeffs.c2))
         if accepted:
-            assert df.load_coefficients(path).c1 == c1_over_c2 * coeffs.c2
+            assert load_coefficients(path).c1 == c1_over_c2 * coeffs.c2
         else:
             with pytest.raises(DomainError, match="c1 \\+ c2 > 0"):
-                df.load_coefficients(path)
+                load_coefficients(path)
 
     def test_inconsistent_c7_rejected(self, coeffs):
         # a file's c7 must equal c11 / half_burn_fraction within 1e-9 relative
         d = coeffs.to_dict()
-        assert df.ModelCoefficients.from_dict({**d, "c7": d["c7"] * (1.0 + 5e-10)}) == coeffs
+        assert ModelCoefficients.from_dict({**d, "c7": d["c7"] * (1.0 + 5e-10)}) == coeffs
         for c7 in (d["c7"] * 2.0, d["c7"] * (1.0 + 2e-9), float("nan")):
             with pytest.raises(DomainError, match=re.escape(
                     f"coefficient 'c7' = {c7} contradicts c11 / half_burn_fraction = "
                     f"{coeffs.c7}")):
-                df.ModelCoefficients.from_dict({**d, "c7": c7})
+                ModelCoefficients.from_dict({**d, "c7": c7})
 
 
 def test_box_sampler_produces_valid_points(box_rng):
@@ -285,3 +296,13 @@ def test_write_csv_cells(tmp_path):
                [("x", None, 0.1, 1200, np.float64(0.25), -0.0, "1e5")])
     with open(path, newline="") as fh:
         assert fh.read() == "a,b,c,d,e,f,g\r\nx,,0.1,1200.0,0.25,-0.0,1e5\r\n"
+
+
+def test_package_top_level_binds_only_the_version():
+    # every name is imported from its module: a fresh `import dualfuel`
+    # binds no public name, only __version__
+    code = ("import json, dualfuel; print(json.dumps([dualfuel.__version__, "
+            "sorted(n for n in vars(dualfuel) if not n.startswith('_'))]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert json.loads(out) == ["0.1.0", []]

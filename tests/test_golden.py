@@ -1,12 +1,13 @@
 """The CLI workflow's outputs against committed copies in tests/golden/.
 
 One run at the CLI defaults: gen-data, calibrate, the 12 built-in runs,
-sensitivity and noise-study. The summaries must match exactly. The
-coefficients, the sensitivity rows, the case-1 record CSVs and every 25th
-row of the dataset are compared number by number with a relative tolerance
-of 1e-12, so that a libm that rounds differently passes while any real
-change fails. A change that moves a number rewrites tests/golden/ in its own
-diff (``PYTHONPATH=src python tests/test_golden.py``) and says why.
+sensitivity and noise-study. The summaries must match exactly. Every
+other file is compared number by number with a relative tolerance of
+1e-12: the coefficients, the calibration report, the sensitivity rows, the
+12 record CSVs, the noise-study records and every 25th row of the dataset.
+A libm that rounds differently passes while any real change fails. A
+change that moves a number rewrites tests/golden/ in its own diff
+(``PYTHONPATH=src python tests/test_golden.py``) and says why.
 """
 
 import contextlib
@@ -30,8 +31,9 @@ EXACT = ["calibration_summary.txt",
          *(f"case{n}_{c}_summary.txt" for n in CASES for c in CONTROLLERS)]
 # the header and every DATASET_STRIDE-th row of dataset.csv (1054 rows)
 DATASET_ROWS, DATASET_STRIDE = "dataset_rows.csv", 25
-NUMERIC = ["coefficients.json", "sensitivity.csv",
-           *(f"case1_{c}_records.csv" for c in CONTROLLERS), DATASET_ROWS]
+NUMERIC = ["coefficients.json", "calibration_report.csv", "sensitivity.csv",
+           *(f"case{n}_{c}_records.csv" for n in CASES for c in CONTROLLERS),
+           "noise_records.csv", DATASET_ROWS]
 
 
 def run_workflow(out: Path):

@@ -10,29 +10,46 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import dualfuel as df
 from dualfuel import calib, cli, harness, scenarios
-from dualfuel.calib import DATASET_COLUMNS
-from dualfuel.control import FEEDFORWARD_SEED_SOI
-from dualfuel.plant import CycleRecord, EnginePlant
+from dualfuel.calib import DATASET_COLUMNS, generate_dataset, validate, write_dataset
+from dualfuel.control import (
+    FEEDFORWARD_SEED_SOI,
+    MEAN_RESIDUAL_FRACTION,
+    ControllerState,
+    adaptive_soi,
+    compute_states,
+    feedforward_soi,
+)
+from dualfuel.core import (
+    DomainError,
+    OperatingPoint,
+    default_coefficients,
+    default_geometry,
+)
+from dualfuel.model import burn_duration
+from dualfuel.plant import CycleRecord, EnginePlant, PlantConfig, knock_integral_soc
 from dualfuel.harness import (
     DEFAULT_PERTURBATIONS,
     RECORD_COLUMNS,
     SOI_CMD_MARGIN,
     SOI_CMD_MAX,
     SensitivityRow,
-    _op_lookup,
     read_records_csv,
+    run_noise_study,
+    run_scenario,
     run_sensitivity,
     summarize_rows,
     write_records_csv,
     write_sensitivity_csv,
+    _op_lookup,
 )
 from dualfuel.scenarios import (
     IVC_PRESSURE_GAIN,
     IVC_TEMP_OFFSET,
     Breakpoint,
+    Scenario,
     builtin_case,
+    load_scenario,
     schedule_value,
 )
 
@@ -40,15 +57,15 @@ from dualfuel.scenarios import (
 @pytest.fixture(scope="module")
 def case1_run():
     scenario = builtin_case(1)
-    return scenario, *df.run_scenario(scenario)
+    return scenario, *run_scenario(scenario)
 
 
 def _op_from_schedules(sc, t):
     """The point at time t built from schedule_value of every schedule."""
     v = {key: schedule_value(bps, t) for key, bps in sc.schedules.items()}
-    return df.OperatingPoint(
+    return OperatingPoint(
         speed=v["speed"], phi_di=v["phi_di"], phi_ng=v["phi_ng"],
-        egr=v.get("egr", 0.0), x_r=v.get("x_r", df.MEAN_RESIDUAL_FRACTION),
+        egr=v.get("egr", 0.0), x_r=v.get("x_r", MEAN_RESIDUAL_FRACTION),
         p_ivc=v["p_ivc"] if "p_ivc" in v else IVC_PRESSURE_GAIN * v["p_man"],
         t_ivc=v["t_ivc"] if "t_ivc" in v else v["t_man"] + IVC_TEMP_OFFSET)
 
@@ -70,7 +87,7 @@ class TestOpAt:
         assert op.t_ivc == pytest.approx(300.0 + 90.0)
 
     def test_direct_ivc_schedule_wins(self):
-        sc = df.Scenario(
+        sc = Scenario(
             duration_s=1.0, controller="adaptive",
             schedules={"speed": [Breakpoint(0.0, 1200.0)],
                        "phi_di": [Breakpoint(0.0, 0.4)],
@@ -82,7 +99,7 @@ class TestOpAt:
         op = _op_lookup(sc)(0.5)
         assert op.p_ivc == 3.1 and op.t_ivc == 395.0
         # unscheduled residual fraction falls back to the long-run mean
-        assert op.x_r == df.MEAN_RESIDUAL_FRACTION
+        assert op.x_r == MEAN_RESIDUAL_FRACTION
 
     @pytest.mark.parametrize("make", [
         *[pytest.param(lambda n=n: builtin_case(n), id=f"case{n}") for n in range(1, 7)],
@@ -92,36 +109,36 @@ class TestOpAt:
         # the per-run lookup, called at each cycle's time in order, gives
         # the point that every schedule's own value builds
         sc = make()
-        records, _ = df.run_scenario(sc)
+        records, _ = run_scenario(sc)
         op_at = _op_lookup(sc)
         for r in records:
             assert op_at(r.time_s) == _op_from_schedules(sc, r.time_s)
 
     def test_constant_schedules_validate_less_than_once_per_cycle(self, monkeypatch):
         validations = [0]
-        validate = df.OperatingPoint.__post_init__
+        validate = OperatingPoint.__post_init__
 
         def counting(op):
             validations[0] += 1
             validate(op)
-        monkeypatch.setattr(df.OperatingPoint, "__post_init__", counting)
-        records, _ = df.run_scenario(builtin_case(1))
+        monkeypatch.setattr(OperatingPoint, "__post_init__", counting)
+        records, _ = run_scenario(builtin_case(1))
         assert validations[0] < len(records)
 
 
 class TestRunScenario:
     def test_zero_duration_empty(self):
         sc = builtin_case(1)
-        empty = df.Scenario(duration_s=0.0, controller="adaptive",
-                            schedules=sc.schedules, reference=sc.reference,
-                            plant=sc.plant)
-        records, summary = df.run_scenario(empty)
+        empty = Scenario(duration_s=0.0, controller="adaptive",
+                         schedules=sc.schedules, reference=sc.reference,
+                         plant=sc.plant)
+        records, summary = run_scenario(empty)
         assert records == [] and summary.segments == []
 
     def test_deterministic(self):
         sc = builtin_case(3)
-        a = df.run_scenario(sc)
-        b = df.run_scenario(sc)
+        a = run_scenario(sc)
+        b = run_scenario(sc)
         assert a[0] == b[0]
         assert a[1] == b[1]
 
@@ -138,7 +155,7 @@ class TestRunScenario:
         assert after_step[1].ca50_ref == 10.0
 
     def test_feedforward_records_blank_observer(self):
-        records, _ = df.run_scenario(builtin_case(1, controller="feedforward"))
+        records, _ = run_scenario(builtin_case(1, controller="feedforward"))
         assert all(r.alpha_hat is None and r.beta_hat is None for r in records)
 
     def test_adaptive_records_observer(self, case1_run):
@@ -152,7 +169,7 @@ class TestRunScenario:
         sc = builtin_case(1)
         sc = replace(sc, reference=[Breakpoint(0.0, 8.0), Breakpoint(3.0, 40.0),
                                     Breakpoint(5.0, 8.0)])
-        records, summary = df.run_scenario(sc)
+        records, summary = run_scenario(sc)
         after = [r for r in records if r.time_s >= 5.0]
         assert sum(r.soi_commanded == SOI_CMD_MAX for r in after) <= 2
         assert abs(records[-1].alpha_hat) < 0.01
@@ -165,7 +182,7 @@ class TestRunScenario:
         sc = builtin_case(1, controller="feedforward")
         sc = replace(sc, reference=[Breakpoint(0.0, 8.0), Breakpoint(3.0, 40.0),
                                     Breakpoint(5.0, 8.0)])
-        _, summary = df.run_scenario(sc)
+        _, summary = run_scenario(sc)
         assert summary.segments[-1].overshoot <= 0.5
 
     @pytest.mark.parametrize("controller", scenarios.CONTROLLERS)
@@ -174,11 +191,11 @@ class TestRunScenario:
 
         def fail_at_cycle_5(plant, *args, **kwargs):
             if plant.cycle_index == 5:
-                raise df.DomainError("the plant failed")
+                raise DomainError("the plant failed")
             return step_cycle(plant, *args, **kwargs)
         monkeypatch.setattr(EnginePlant, "step_cycle", fail_at_cycle_5)
-        with pytest.raises(df.DomainError) as exc:
-            df.run_scenario(builtin_case(1, controller=controller))
+        with pytest.raises(DomainError) as exc:
+            run_scenario(builtin_case(1, controller=controller))
         assert str(exc.value) == "cycle 5: the plant failed"
 
     def test_observer_error_names_the_cycle_it_learns_from(self, monkeypatch):
@@ -189,11 +206,11 @@ class TestRunScenario:
         def fail_after_cycle_5(*args):
             calls.append(None)
             if len(calls) == 4:
-                raise df.DomainError("the observer failed")
+                raise DomainError("the observer failed")
             return update(*args)
         monkeypatch.setattr(harness, "adaptive_update", fail_after_cycle_5)
-        with pytest.raises(df.DomainError) as exc:
-            df.run_scenario(builtin_case(1))
+        with pytest.raises(DomainError) as exc:
+            run_scenario(builtin_case(1))
         assert str(exc.value) == "cycle 5: the observer failed"
 
     def test_misfire_aborts_with_partial_stream(self):
@@ -202,9 +219,9 @@ class TestRunScenario:
         cold["t_ivc"] = [Breakpoint(0.0, 390.0), Breakpoint(2.0, 60.0)]
         cold["p_ivc"] = [Breakpoint(0.0, 2.9), Breakpoint(2.0, 1.0)]
         del cold["t_man"], cold["p_man"]
-        bad = df.Scenario(duration_s=10.0, controller="adaptive",
-                          schedules=cold, reference=sc.reference, plant=sc.plant)
-        records, summary = df.run_scenario(bad)
+        bad = Scenario(duration_s=10.0, controller="adaptive",
+                       schedules=cold, reference=sc.reference, plant=sc.plant)
+        records, summary = run_scenario(bad)
         assert summary.misfired
         assert 0 < len(records) < 40
 
@@ -232,26 +249,26 @@ class TestPerPointReuse:
         # for its own inputs, and every command equals the controller law
         # applied to the point the schedules give at its time
         sc = make()
-        records, summary = df.run_scenario(sc)
+        records, summary = run_scenario(sc)
         assert not summary.misfired
-        geom, coeffs = df.default_geometry(), df.default_coefficients()
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, **sc.plant)
+        geom, coeffs = default_geometry(), default_coefficients()
+        cfg = PlantConfig(geom=geom, coeffs=coeffs, **sc.plant)
         op_at = _op_lookup(sc)
         prev_soi = FEEDFORWARD_SEED_SOI
         for rec in records:
             op = op_at(rec.time_s)
             if sc.controller == "adaptive":
-                command = df.adaptive_soi(rec.ca50_ref, df.compute_states(op, coeffs),
-                                          df.ControllerState(rec.alpha_hat, rec.beta_hat))
+                command = adaptive_soi(rec.ca50_ref, compute_states(op, coeffs),
+                                       ControllerState(rec.alpha_hat, rec.beta_hat))
             else:
-                command = df.feedforward_soi(rec.ca50_ref, op, coeffs, geom, prev_soi)
+                command = feedforward_soi(rec.ca50_ref, op, coeffs, geom, prev_soi)
             assert rec.soi_commanded == min(max(command, geom.ivc_angle + SOI_CMD_MARGIN),
                                             SOI_CMD_MAX)
             prev_soi = rec.soi_commanded
             if rec.cycle_index >= harness.WARMUP_CYCLES:
-                assert rec.soc == df.knock_integral_soc(rec.op, rec.soi_applied, cfg)
-                assert rec.bd == df.burn_duration(rec.op.egr + rec.op.x_r, rec.op.phi_ng,
-                                                  rec.op.phi_di, coeffs)
+                assert rec.soc == knock_integral_soc(rec.op, rec.soi_applied, cfg)
+                assert rec.bd == burn_duration(rec.op.egr + rec.op.x_r, rec.op.phi_ng,
+                                               rec.op.phi_di, coeffs)
 
     def test_adaptive_regressors_once_per_commanded_point(self, monkeypatch):
         calls = []
@@ -262,7 +279,7 @@ class TestPerPointReuse:
             return compute_states(op, coeffs)
         monkeypatch.setattr(harness, "compute_states", counting)
         sc = builtin_case(1)
-        records, _ = df.run_scenario(sc)
+        records, _ = run_scenario(sc)
         op_at = _op_lookup(sc)
         assert len(calls) <= len({op_at(r.time_s) for r in records})
 
@@ -274,7 +291,7 @@ class TestPerPointReuse:
             calls[0] += 1
             return feedforward_soi(*args)
         monkeypatch.setattr(harness, "feedforward_soi", counting)
-        records, _ = df.run_scenario(builtin_case(1, controller="feedforward"))
+        records, _ = run_scenario(builtin_case(1, controller="feedforward"))
         assert calls[0] < len(records)
 
 
@@ -336,7 +353,7 @@ class TestSummary:
         d = asdict(builtin_case(1))
         d["schedules"]["speed"] = [{"t": 0, "value": 1200}]
         (tmp_path / "sc.json").write_text(json.dumps(d))
-        records, _ = df.run_scenario(df.load_scenario(tmp_path / "sc.json"))
+        records, _ = run_scenario(load_scenario(tmp_path / "sc.json"))
         assert records[0].op.speed == 1200 and isinstance(records[0].op.speed, int)
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
@@ -346,8 +363,8 @@ class TestSummary:
 
     def test_records_bytes_match_csv_writer(self, tmp_path, case1_run):
         _, records, _ = case1_run
-        op = df.OperatingPoint(speed=1e300, phi_ng=-0.0, phi_di=0.1 + 0.2, egr=-0.0,
-                               x_r=1e-300, p_ivc=np.float64(0.1), t_ivc=390.0)
+        op = OperatingPoint(speed=1e300, phi_ng=-0.0, phi_di=0.1 + 0.2, egr=-0.0,
+                            x_r=1e-300, p_ivc=np.float64(0.1), t_ivc=390.0)
         edge = [CycleRecord(200, 0.1 + 0.2, op, np.float64(0.1), -0.0, 1e-300, 1e300,
                             -1e-300, np.float64(-0.0), 8.0),
                 CycleRecord(201, np.float64(20.1), op, -15.0, -15.0, -14.0, 20.0, 1.0,
@@ -422,7 +439,7 @@ class TestSummary:
     @pytest.mark.parametrize("controller", ["adaptive", "feedforward"])
     def test_observer_cells_read_back(self, tmp_path, controller):
         # the feedforward loop has no observer: its cells are blank, read as None
-        records, _ = df.run_scenario(builtin_case(1, controller=controller))
+        records, _ = run_scenario(builtin_case(1, controller=controller))
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
         assert [(r["alpha_hat"], r["beta_hat"]) for r in read_records_csv(path)] == [
@@ -443,15 +460,15 @@ class TestSummary:
 
 @pytest.fixture(scope="module")
 def dataset(geom, coeffs):
-    cfg = df.PlantConfig(geom=geom, coeffs=coeffs)
-    samples, _ = df.generate_dataset(None, 200, cfg, seed=12)
+    cfg = PlantConfig(geom=geom, coeffs=coeffs)
+    samples, _ = generate_dataset(None, 200, cfg, seed=12)
     return samples
 
 
 class TestSensitivity:
     def test_zero_row_equals_baseline_validation(self, dataset, geom, coeffs):
         rows = run_sensitivity(coeffs, dataset, geom)
-        stats = df.validate(coeffs, dataset, geom)
+        stats = validate(coeffs, dataset, geom)
         assert rows[0].quantity == "none"
         assert rows[0].ca50_err_std == stats.ca50_err_std
         assert rows[0].ca50_err_max == stats.ca50_err_max
@@ -488,7 +505,7 @@ class TestSensitivity:
             return v * (1.0 + delta) if mode == "rel" else v + delta
         perturbed = [replace(s, op=replace(s.op, **{quantity: perturb(getattr(s.op, quantity))}))
                      for s in dataset]
-        stats = df.validate(coeffs, perturbed, geom)
+        stats = validate(coeffs, perturbed, geom)
         rows = run_sensitivity(coeffs, dataset, geom)
         row, = [r for r in rows if (r.quantity, r.delta) == (quantity, delta)]
         assert row.ca50_err_std == stats.ca50_err_std
@@ -515,29 +532,29 @@ class TestSensitivity:
     def test_soi_outside_model_window_rejected(self, dataset, geom, coeffs, soi):
         bad = list(dataset)
         bad[7] = replace(bad[7], soi=soi)
-        with pytest.raises(df.DomainError, match="SOI must lie in"):
+        with pytest.raises(DomainError, match="SOI must lie in"):
             run_sensitivity(coeffs, bad, geom)
 
 
 class TestNoiseStudy:
     def test_zero_halfwidth_reduces_to_clean_run(self):
-        result, records, _ = df.run_noise_study(0.0, seed=4)
+        result, records, _ = run_noise_study(0.0, seed=4)
         assert all(r.ca50_measured == r.ca50_actual for r in records)
         sc = builtin_case(1, seed=4)
-        clean = df.Scenario(duration_s=10.0, controller="adaptive",
-                            schedules=sc.schedules, reference=sc.reference[:1],
-                            plant={**sc.plant, "rng_seed": 4})
-        reference_records, _ = df.run_scenario(clean)
+        clean = Scenario(duration_s=10.0, controller="adaptive",
+                         schedules=sc.schedules, reference=sc.reference[:1],
+                         plant={**sc.plant, "rng_seed": 4})
+        reference_records, _ = run_scenario(clean)
         assert records == reference_records
 
     def test_seed_reproducible(self):
-        a = df.run_noise_study(0.5, seed=6)
-        b = df.run_noise_study(0.5, seed=6)
+        a = run_noise_study(0.5, seed=6)
+        b = run_noise_study(0.5, seed=6)
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_noise_perturbs_loop(self):
-        clean, _, _ = df.run_noise_study(0.0, seed=4)
-        noisy, records, _ = df.run_noise_study(0.5, seed=4)
+        clean, _, _ = run_noise_study(0.0, seed=4)
+        noisy, records, _ = run_noise_study(0.5, seed=4)
         assert noisy.err_std > clean.err_std
         assert any(r.ca50_measured != r.ca50_actual for r in records[2:])
 
@@ -655,10 +672,10 @@ class TestCli:
 
 
 def _dataset_csv(tmp_path, n_samples=16):
-    cfg = df.PlantConfig(geom=df.default_geometry(), coeffs=df.default_coefficients())
-    samples, _ = df.generate_dataset(None, n_samples, cfg, seed=1)
+    cfg = PlantConfig(geom=default_geometry(), coeffs=default_coefficients())
+    samples, _ = generate_dataset(None, n_samples, cfg, seed=1)
     path = tmp_path / "dataset.csv"
-    df.write_dataset(path, samples)
+    write_dataset(path, samples)
     return str(path)
 
 
@@ -822,13 +839,13 @@ class TestCliRejectsBadInput:
         # the float power phi_di ** c4 overflows on the scalar path
         pytest.param(lambda d: {**d, "c4": -1e10}, "phi^c overflows", id="overflowing-c4"),
         pytest.param(lambda d: {**d, "c7": 2.0 * d["c7"]},
-                     f"coefficient 'c7' = {2.0 * df.default_coefficients().c7} contradicts "
-                     f"c11 / half_burn_fraction = {df.default_coefficients().c7}",
+                     f"coefficient 'c7' = {2.0 * default_coefficients().c7} contradicts "
+                     f"c11 / half_burn_fraction = {default_coefficients().c7}",
                      id="inconsistent-c7"),
     ])
     def test_bad_coefficients_file(self, tmp_path, capsys, document, expected):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(document(df.default_coefficients().to_dict())))
+        path.write_text(json.dumps(document(default_coefficients().to_dict())))
         self._rejects(["simulate", "--case", "1", "--coeffs", str(path)], tmp_path,
                       capsys, expected)
 
@@ -920,7 +937,7 @@ class TestCliRejectsBadInput:
         # numpy gives inf and nan where a float power raises; no warning may
         # come before the one error line
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**df.default_coefficients().to_dict(), **edit}))
+        path.write_text(json.dumps({**default_coefficients().to_dict(), **edit}))
         data = _dataset_csv(tmp_path)
         self._rejects([command, "--data", data, "--coeffs", str(path)], tmp_path, capsys,
                       expected)
@@ -940,7 +957,7 @@ class TestCliRejectsBadInput:
     ])
     def test_feedforward_inversion_not_finite(self, tmp_path, capsys, edit, expected):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**df.default_coefficients().to_dict(), **edit}))
+        path.write_text(json.dumps({**default_coefficients().to_dict(), **edit}))
         self._rejects(["simulate", "--case", "1", "--controller", "feedforward",
                        "--coeffs", str(path)], tmp_path, capsys, expected)
 
@@ -954,7 +971,7 @@ class TestCliRejectsBadInput:
     ])
     def test_adaptive_gain_not_formed(self, tmp_path, capsys, command, edit):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**df.default_coefficients().to_dict(), **edit}))
+        path.write_text(json.dumps({**default_coefficients().to_dict(), **edit}))
         self._rejects([*command, "--coeffs", str(path)], tmp_path, capsys,
                       "cycle 0: the observer gain 1/(x1^2 + x2^2) cannot be formed")
 
@@ -967,7 +984,7 @@ class TestCliRejectsBadInput:
             d["controller"] = controller
             d["schedules"]["phi_ng"] = [{"t": 0.0, "value": 0.0}]
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**df.default_coefficients().to_dict(), exponent: -0.5}))
+        path.write_text(json.dumps({**default_coefficients().to_dict(), exponent: -0.5}))
         self._rejects(["simulate", _scenario_json(tmp_path, edit), "--coeffs", str(path)],
                       tmp_path, capsys,
                       "cycle 0: an absent fuel (phi = 0) has no value under a negative "
@@ -976,14 +993,14 @@ class TestCliRejectsBadInput:
     def test_gen_data_integrand_overflows(self, tmp_path, capsys):
         # p_ivc^c6 is finite, but the integrand's r^e overflows in the march
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**df.default_coefficients().to_dict(), "c6": 400.0}))
+        path.write_text(json.dumps({**default_coefficients().to_dict(), "c6": 400.0}))
         self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
                       capsys, "the knock integrand overflows for c6 = 400.0")
 
     def test_gen_data_delay_scale_underflows(self, tmp_path, capsys):
         # phi^1e300 underflows to 0 for both fuels, and the integrand divides by it
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**df.default_coefficients().to_dict(),
+        path.write_text(json.dumps({**default_coefficients().to_dict(),
                                     "c3": 1e300, "c4": 1e300}))
         self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
                       capsys, "the ignition-delay scale (c1*egr + c2) * N * (phi_ng^c3 + "
@@ -992,7 +1009,7 @@ class TestCliRejectsBadInput:
     def test_gen_data_delay_scale_overflows(self, tmp_path, capsys):
         # (c1*egr + c2) * N overflows to inf in Python floats without an error
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**df.default_coefficients().to_dict(), "c1": 1.7e308}))
+        path.write_text(json.dumps({**default_coefficients().to_dict(), "c1": 1.7e308}))
         self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
                       capsys, "dualfuel gen-data: error: the ignition-delay scale (c1*egr + "
                       "c2) * N * (phi_ng^c3 + phi_di^c4) is inf, not finite and positive\n")
@@ -1007,7 +1024,7 @@ class TestCliRejectsBadInput:
         # the model shares the plant's delay-scale rule: phi^1e300 is 0 for
         # both fuels, and the delay would be 0 for every point
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**df.default_coefficients().to_dict(),
+        path.write_text(json.dumps({**default_coefficients().to_dict(),
                                     "c3": 1e300, "c4": 1e300}))
         data = _dataset_csv(tmp_path)
         argv = [arg.format(data=data) for arg in argv]
@@ -1019,7 +1036,7 @@ class TestCliRejectsBadInput:
     def test_gen_data_all_misfire(self, tmp_path, capsys):
         # c6 = 50 freezes the charge: every sample misfires
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({**df.default_coefficients().to_dict(), "c6": 50.0}))
+        path.write_text(json.dumps({**default_coefficients().to_dict(), "c6": 50.0}))
         self._rejects(["gen-data", "--samples", "5", "--coeffs", str(path)], tmp_path,
                       capsys, "all 5 samples misfired")
 

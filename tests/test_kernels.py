@@ -9,10 +9,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import dualfuel as df
 from dualfuel import _kernels
+from dualfuel.core import OperatingPoint, cylinder_volume, polytropic_state_at_soi
 from dualfuel.model import ignition_delay
-from dualfuel.plant import MISFIRE_LIMIT, _kernel_args
+from dualfuel.plant import MISFIRE_LIMIT, PlantConfig, _kernel_args
 
 from conftest import random_box_op, random_box_soi
 
@@ -23,7 +23,7 @@ def _args(op, cfg):
 
 @pytest.fixture
 def cfg(geom, coeffs):
-    return df.PlantConfig(geom=geom, coeffs=coeffs)
+    return PlantConfig(geom=geom, coeffs=coeffs)
 
 
 def test_integrand_matches_reference_formula(cfg, geom, coeffs, box_rng):
@@ -31,12 +31,12 @@ def test_integrand_matches_reference_formula(cfg, geom, coeffs, box_rng):
     # model's ignition delay at the instantaneous polytropic state: volume ->
     # polytropic state -> ignition_delay, on a grid and one angle at a time
     theta = np.linspace(-20.0, 10.0, 61)
-    vol = df.cylinder_volume(theta, geom)
+    vol = cylinder_volume(theta, geom)
     for _ in range(25):
         op = random_box_op(box_rng)
         a, denom, *geo = _args(op, cfg)
-        p, t = df.polytropic_state_at_soi(op.p_ivc, op.t_ivc, geom.ivc_volume, vol,
-                                          cfg.plant_poly_exp)
+        p, t = polytropic_state_at_soi(op.p_ivc, op.t_ivc, geom.ivc_volume, vol,
+                                       cfg.plant_poly_exp)
         expected = 1.0 / ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di, p, t,
                                         coeffs)
         np.testing.assert_allclose(_kernels._integrand_numpy(theta, a, denom, *geo),
@@ -51,8 +51,8 @@ def test_scalar_and_numpy_marches_agree(cfg, box_rng):
     # the scalar march is the reference: it takes the same nodes one at a
     # time and stops at the crossing; the vectorised march must agree with
     # it, fired or misfired
-    freezing = df.OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
-                                 x_r=0.03, p_ivc=1.0, t_ivc=60.0)
+    freezing = OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
+                              x_r=0.03, p_ivc=1.0, t_ivc=60.0)
     points = [(random_box_op(box_rng), random_box_soi(box_rng)) for _ in range(120)]
     for op, soi in points + [(freezing, -15.0)]:
         args = (soi, cfg.quad_step, MISFIRE_LIMIT) + _args(op, cfg)
@@ -66,8 +66,8 @@ def test_scalar_and_numpy_marches_agree(cfg, box_rng):
 
 def test_misfire_returns_nan(cfg):
     # freezing charge: the integrand never accumulates to 1
-    op = df.OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
-                           x_r=0.03, p_ivc=1.0, t_ivc=60.0)
+    op = OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
+                        x_r=0.03, p_ivc=1.0, t_ivc=60.0)
     args = (-15.0, cfg.quad_step, MISFIRE_LIMIT) + _args(op, cfg)
     soc, reached = _kernels.march(*args)
     assert math.isnan(soc)
@@ -89,8 +89,8 @@ def test_march_evaluates_nodes_up_to_the_crossing(cfg, box_rng, monkeypatch):
                                        if not n.startswith("_")})
     counting_math.exp = exp
     monkeypatch.setattr(_kernels, "math", counting_math)
-    freezing = df.OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
-                                 x_r=0.03, p_ivc=1.0, t_ivc=60.0)
+    freezing = OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
+                              x_r=0.03, p_ivc=1.0, t_ivc=60.0)
     points = [(random_box_op(box_rng), random_box_soi(box_rng)) for _ in range(50)]
     for op, soi in points + [(freezing, -15.0)]:
         calls[0] = 0

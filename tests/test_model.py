@@ -6,17 +6,27 @@ import numpy as np
 import pytest
 from mpmath import exp as mp_exp, mp, mpf, power as mp_power
 
-import dualfuel as df
-from dualfuel.core import DomainError
+from dualfuel.control import feedforward_soi
+from dualfuel.core import (
+    DomainError,
+    OperatingPoint,
+    cylinder_volume,
+    polytropic_state_at_soi,
+)
 from dualfuel.model import (
     SOI_LATEST,
+    burn_duration,
+    ca50_from_soc_bd,
     ca50_jacobian,
     delay_scale,
     fuel_term,
     half_burn_angle,
     ignition_delay,
     phasing_terms,
+    predict_ca50,
+    predict_soc,
 )
+from dualfuel.plant import PlantConfig, knock_integral_soc
 
 from conftest import random_box_op, random_box_soi
 
@@ -71,20 +81,20 @@ class TestIgnitionDelay:
 
 class TestPredictSoc:
     def test_adds_delay_to_soi(self, coeffs, geom, mid_op):
-        soc = df.predict_soc(mid_op, -15.0, coeffs, geom)
-        v_ivc = df.cylinder_volume(geom.ivc_angle, geom)
-        v_soi = df.cylinder_volume(-15.0, geom)
-        p, t = df.polytropic_state_at_soi(mid_op.p_ivc, mid_op.t_ivc, v_ivc,
-                                          v_soi, coeffs.k_c)
+        soc = predict_soc(mid_op, -15.0, coeffs, geom)
+        v_ivc = cylinder_volume(geom.ivc_angle, geom)
+        v_soi = cylinder_volume(-15.0, geom)
+        p, t = polytropic_state_at_soi(mid_op.p_ivc, mid_op.t_ivc, v_ivc,
+                                       v_soi, coeffs.k_c)
         assert soc == pytest.approx(
             -15.0 + ignition_delay(mid_op.egr, mid_op.speed, mid_op.phi_ng,
                                    mid_op.phi_di, p, t, coeffs), rel=1e-14)
 
     def test_soi_window_enforced(self, coeffs, geom, mid_op):
         with pytest.raises(DomainError):
-            df.predict_soc(mid_op, geom.ivc_angle - 1.0, coeffs, geom)
+            predict_soc(mid_op, geom.ivc_angle - 1.0, coeffs, geom)
         with pytest.raises(DomainError):
-            df.predict_soc(mid_op, SOI_LATEST + 1.0, coeffs, geom)
+            predict_soc(mid_op, SOI_LATEST + 1.0, coeffs, geom)
 
     def test_soi_outside_window_named(self, coeffs, geom, mid_op):
         # on an array the first sample outside the window is named; a plain
@@ -92,44 +102,44 @@ class TestPredictSoc:
         window = f"SOI must lie in [{geom.ivc_angle}, {SOI_LATEST}] deg aTDC"
         soi = np.array([-15.0, -12.0, SOI_LATEST + 1.0, geom.ivc_angle - 1.0])
         with pytest.raises(DomainError) as exc:
-            df.predict_ca50(mid_op, soi, coeffs, geom)
+            predict_ca50(mid_op, soi, coeffs, geom)
         assert str(exc.value) == "sample 2: " + window
         with pytest.raises(DomainError) as exc:
-            df.predict_ca50(mid_op, SOI_LATEST + 1.0, coeffs, geom)
+            predict_ca50(mid_op, SOI_LATEST + 1.0, coeffs, geom)
         assert str(exc.value) == window
 
     def test_broadcasts_over_soi(self, coeffs, geom, mid_op):
         soi = np.array([-18.0, -15.0, -12.0])
-        soc = df.predict_soc(mid_op, soi, coeffs, geom)
-        for s, expected in zip(soc, (df.predict_soc(mid_op, x, coeffs, geom) for x in soi)):
+        soc = predict_soc(mid_op, soi, coeffs, geom)
+        for s, expected in zip(soc, (predict_soc(mid_op, x, coeffs, geom) for x in soi)):
             assert s == pytest.approx(expected, rel=1e-14)
 
 
 class TestBurnDuration:
     def test_unit_bases(self, coeffs):
-        assert df.burn_duration(0.0, 1.0, 1.0, coeffs) == pytest.approx(
+        assert burn_duration(0.0, 1.0, 1.0, coeffs) == pytest.approx(
             2.0 * coeffs.c7, rel=1e-14)
 
     def test_dilution_lengthens_burn(self, coeffs, box_rng):
         for _ in range(100):
             phi_ng, phi_di = box_rng.uniform(0.2, 0.7), box_rng.uniform(0.2, 0.5)
             x = box_rng.uniform(0.0, 0.4)
-            assert df.burn_duration(x + 0.05, phi_ng, phi_di, coeffs) > \
-                df.burn_duration(x, phi_ng, phi_di, coeffs)
+            assert burn_duration(x + 0.05, phi_ng, phi_di, coeffs) > \
+                burn_duration(x, phi_ng, phi_di, coeffs)
 
     def test_no_pilot_fuel_rejected(self, coeffs):
         with pytest.raises(DomainError):
-            df.burn_duration(0.2, 0.4, 0.0, coeffs)
+            burn_duration(0.2, 0.4, 0.0, coeffs)
 
 
 class TestCa50Composition:
     def test_zero_burn_duration(self, coeffs):
-        assert df.ca50_from_soc_bd(-7.0, 0.0, coeffs) == -7.0
+        assert ca50_from_soc_bd(-7.0, 0.0, coeffs) == -7.0
 
     def test_half_burn_at_unit_scale(self, coeffs):
         # a = ln2 makes the half-burn fraction exactly 1
         unit = coeffs.replace(wiebe_a=float(np.log(2.0)), wiebe_b=1.5)
-        assert df.ca50_from_soc_bd(-7.0, 6.0, unit) == pytest.approx(-1.0, rel=1e-12)
+        assert ca50_from_soc_bd(-7.0, 6.0, unit) == pytest.approx(-1.0, rel=1e-12)
 
     def test_half_burn_fraction_is_wiebe_half_point(self, coeffs):
         # the Wiebe profile 1 - exp(-a * f**b) burns half the mass at f
@@ -141,16 +151,16 @@ class TestCa50Composition:
         for _ in range(50):
             soc = box_rng.uniform(-15.0, 0.0)
             bd = box_rng.uniform(1.0, 30.0)
-            lhs = df.ca50_from_soc_bd(soc, 2.0 * bd, coeffs) - soc
-            rhs = 2.0 * (df.ca50_from_soc_bd(soc, bd, coeffs) - soc)
+            lhs = ca50_from_soc_bd(soc, 2.0 * bd, coeffs) - soc
+            rhs = 2.0 * (ca50_from_soc_bd(soc, bd, coeffs) - soc)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_unit_point_offset(self, coeffs):
         # X_d = 0, both phis 1: CA50 - SOC = 2 * c11
         offset = half_burn_angle(0.0, 1.0, 1.0, coeffs)
         assert offset == pytest.approx(2.6718, rel=1e-12)
-        bd = df.burn_duration(0.0, 1.0, 1.0, coeffs)
-        assert df.ca50_from_soc_bd(0.0, bd, coeffs) == pytest.approx(offset, rel=1e-12)
+        bd = burn_duration(0.0, 1.0, 1.0, coeffs)
+        assert ca50_from_soc_bd(0.0, bd, coeffs) == pytest.approx(offset, rel=1e-12)
 
 
 class TestPredictCa50:
@@ -158,25 +168,25 @@ class TestPredictCa50:
         for _ in range(100):
             op = random_box_op(box_rng)
             soi = random_box_soi(box_rng)
-            ca50 = df.predict_ca50(op, soi, coeffs, geom)
-            soc = df.predict_soc(op, soi, coeffs, geom)
+            ca50 = predict_ca50(op, soi, coeffs, geom)
+            soc = predict_soc(op, soi, coeffs, geom)
             term = half_burn_angle(op.egr + op.x_r, op.phi_ng, op.phi_di, coeffs)
             assert ca50 == soc + term
 
     def test_closed_form_collapse(self, coeffs, geom):
         # no dilution, unit phis, vanishing Arrhenius term
         tiny = coeffs.replace(c5=1e-300)
-        op = df.OperatingPoint(speed=1200.0, phi_ng=1.0, phi_di=1.0, egr=0.0,
-                               x_r=0.0, p_ivc=3.0, t_ivc=390.0)
-        ca50 = df.predict_ca50(op, -15.0, tiny, geom)
+        op = OperatingPoint(speed=1200.0, phi_ng=1.0, phi_di=1.0, egr=0.0,
+                            x_r=0.0, p_ivc=3.0, t_ivc=390.0)
+        ca50 = predict_ca50(op, -15.0, tiny, geom)
         expected = -15.0 + tiny.c2 * 1200.0 * 2.0 + 2.0 * tiny.c11
         assert ca50 == pytest.approx(expected, rel=1e-14)
 
     def test_regression_point(self, coeffs, geom):
         # frozen from the mpmath pipeline at the pinned injection state:
         # delay 7.6675879673037314 plus half-burn 5.4355225970374248 (X_d = 0.25)
-        op = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
-                               x_r=0.0, p_ivc=2.85, t_ivc=372.56)
+        op = OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
+                            x_r=0.0, p_ivc=2.85, t_ivc=372.56)
         delay = ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di,
                                32.30, 422.4, coeffs)
         term = half_burn_angle(0.25, 0.4, 0.4, coeffs)
@@ -186,20 +196,20 @@ class TestPredictCa50:
 
     def test_unit_slope_in_soi_with_fixed_injection_volume(self, coeffs, geom, box_rng):
         # with the injection volume pinned, SOI enters purely additively
-        v_fix = df.cylinder_volume(-15.0, geom)
+        v_fix = cylinder_volume(-15.0, geom)
         for _ in range(100):
             op = random_box_op(box_rng)
             soi = box_rng.uniform(-20.0, -11.0)
             delta = box_rng.uniform(0.1, 1.0)
-            a = df.predict_ca50(op, soi, coeffs, geom, v_soi=v_fix)
-            b = df.predict_ca50(op, soi + delta, coeffs, geom, v_soi=v_fix)
+            a = predict_ca50(op, soi, coeffs, geom, v_soi=v_fix)
+            b = predict_ca50(op, soi + delta, coeffs, geom, v_soi=v_fix)
             assert b - a == pytest.approx(delta, abs=1e-12)
 
 
 def _op_without(fuel):
     """A point whose fuel (phi_ng or phi_di) is 0."""
-    op = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=1e-12, egr=0.25,
-                           x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
+    op = OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=1e-12, egr=0.25,
+                        x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
     object.__setattr__(op, fuel, 0.0)   # phi_di = 0 bypasses the type guard
     return op
 
@@ -217,7 +227,7 @@ class TestFuelTerm:
     def test_overflowing_dilution_power_is_a_domain_error(self, coeffs):
         steep = coeffs.replace(c8=1e10)
         with pytest.raises(DomainError, match="c8 overflows"):
-            df.burn_duration(0.3, 0.4, 0.3, steep)
+            burn_duration(0.3, 0.4, 0.3, steep)
         with pytest.raises(DomainError, match="c8 overflows"):
             half_burn_angle(0.3, 0.4, 0.3, steep)
 
@@ -227,11 +237,11 @@ class TestFuelTerm:
 
     # ignition_delay, burn_duration and compute_states have their own tests
     @pytest.mark.parametrize("evaluate", [
-        lambda op, c, g: df.predict_soc(op, -15.0, c, g),
-        lambda op, c, g: df.predict_ca50(op, -15.0, c, g),
-        lambda op, c, g: ca50_jacobian(op, -15.0, c, g, df.cylinder_volume(-15.0, g)),
-        lambda op, c, g: df.feedforward_soi(8.0, op, c, g),
-        lambda op, c, g: df.knock_integral_soc(op, -15.0, df.PlantConfig(geom=g, coeffs=c)),
+        lambda op, c, g: predict_soc(op, -15.0, c, g),
+        lambda op, c, g: predict_ca50(op, -15.0, c, g),
+        lambda op, c, g: ca50_jacobian(op, -15.0, c, g, cylinder_volume(-15.0, g)),
+        lambda op, c, g: feedforward_soi(8.0, op, c, g),
+        lambda op, c, g: knock_integral_soc(op, -15.0, PlantConfig(geom=g, coeffs=c)),
     ], ids=["predict_soc", "predict_ca50", "ca50_jacobian", "feedforward_soi",
             "knock_integral_soc"])
     def test_every_caller_applies_the_rule(self, coeffs, geom, evaluate):
@@ -270,11 +280,11 @@ class TestDelayScale:
                         np.full(2, 0.4), coeffs.replace(c2=0.0, c3=-1e10))
 
     @pytest.mark.parametrize("evaluate", [
-        lambda op, c, g: df.predict_soc(op, -15.0, c, g),
-        lambda op, c, g: df.predict_ca50(op, -15.0, c, g),
-        lambda op, c, g: ca50_jacobian(op, -15.0, c, g, df.cylinder_volume(-15.0, g)),
-        lambda op, c, g: df.feedforward_soi(8.0, op, c, g),
-        lambda op, c, g: df.knock_integral_soc(op, -15.0, df.PlantConfig(geom=g, coeffs=c)),
+        lambda op, c, g: predict_soc(op, -15.0, c, g),
+        lambda op, c, g: predict_ca50(op, -15.0, c, g),
+        lambda op, c, g: ca50_jacobian(op, -15.0, c, g, cylinder_volume(-15.0, g)),
+        lambda op, c, g: feedforward_soi(8.0, op, c, g),
+        lambda op, c, g: knock_integral_soc(op, -15.0, PlantConfig(geom=g, coeffs=c)),
         lambda op, c, g: ignition_delay(op.egr, op.speed, op.phi_ng, op.phi_di, 32.0,
                                         420.0, c),
     ], ids=["predict_soc", "predict_ca50", "ca50_jacobian", "feedforward_soi",
@@ -289,14 +299,14 @@ class TestPhasingTerms:
         for _ in range(50):
             op = random_box_op(box_rng)
             soi = random_box_soi(box_rng)
-            delay, half_burn = phasing_terms(df.cylinder_volume(soi, geom), op.speed,
+            delay, half_burn = phasing_terms(cylinder_volume(soi, geom), op.speed,
                                              op.phi_ng, op.phi_di, op.egr, op.x_r,
                                              op.p_ivc, op.t_ivc, coeffs, geom)
-            assert soi + delay + half_burn == df.predict_ca50(op, soi, coeffs, geom)
-            assert soi + delay == df.predict_soc(op, soi, coeffs, geom)
+            assert soi + delay + half_burn == predict_ca50(op, soi, coeffs, geom)
+            assert soi + delay == predict_soc(op, soi, coeffs, geom)
 
     def test_accepts_inputs_outside_the_operating_domain(self, coeffs, geom):
         # the sensitivity study perturbs EGR and the residual fraction below 0
-        delay, half_burn = phasing_terms(df.cylinder_volume(-15.0, geom), 1200.0, 0.4,
+        delay, half_burn = phasing_terms(cylinder_volume(-15.0, geom), 1200.0, 0.4,
                                          0.4, -0.05, -0.03, 3.5, 390.0, coeffs, geom)
         assert np.isfinite(delay) and np.isfinite(half_burn)

@@ -10,11 +10,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dualfuel as df
 from dualfuel import _kernels
-from dualfuel.core import DomainError
-from dualfuel.plant import (MISFIRE_LIMIT, MOTORED_CYCLES, QUAD_STEP_MIN, CycleRecord,
-                            Misfire, _kernel_args, quantize_soi)
+from dualfuel.calib import generate_dataset
+from dualfuel.core import (
+    DomainError,
+    EngineGeometry,
+    OperatingPoint,
+    default_coefficients,
+    default_geometry,
+)
+from dualfuel.harness import run_scenario
+from dualfuel.model import predict_soc
+from dualfuel.plant import (
+    MISFIRE_LIMIT,
+    MOTORED_CYCLES,
+    QUAD_STEP_MIN,
+    CycleRecord,
+    EnginePlant,
+    Misfire,
+    PlantConfig,
+    knock_integral_soc,
+    knock_integral_value,
+    quantize_soi,
+    _kernel_args,
+)
 from dualfuel.scenarios import builtin_case
 
 from conftest import BOX, SOI_BOX, random_box_op, random_box_soi
@@ -22,13 +41,13 @@ from conftest import BOX, SOI_BOX, random_box_op, random_box_soi
 
 @pytest.fixture
 def cfg(geom, coeffs):
-    return df.PlantConfig(geom=geom, coeffs=coeffs)
+    return PlantConfig(geom=geom, coeffs=coeffs)
 
 
 @pytest.fixture
 def cfg_matched(geom, coeffs):
     # polytrope matched to the model so differences isolate the freezing step
-    return df.PlantConfig(geom=geom, coeffs=coeffs, plant_poly_exp=coeffs.k_c)
+    return PlantConfig(geom=geom, coeffs=coeffs, plant_poly_exp=coeffs.k_c)
 
 
 class TestPlantConfig:
@@ -47,49 +66,49 @@ class TestPlantConfig:
     ])
     def test_invalid_config_rejected(self, geom, coeffs, bad):
         with pytest.raises(DomainError):
-            df.PlantConfig(geom=geom, coeffs=coeffs, **bad)
+            PlantConfig(geom=geom, coeffs=coeffs, **bad)
 
     def test_quad_step_floor_bounds_the_march(self, geom, coeffs):
         # a step too small to move the angle (soi + step * i == soi) made the
         # march loop forever (1e-300 above); the floor itself is accepted
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, quad_step=QUAD_STEP_MIN)
+        cfg = PlantConfig(geom=geom, coeffs=coeffs, quad_step=QUAD_STEP_MIN)
         assert (MISFIRE_LIMIT - geom.ivc_angle) / cfg.quad_step < 21000
 
     def test_overflowing_pressure_power_is_a_domain_error(self, geom, coeffs):
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs.replace(c6=1e300))
+        cfg = PlantConfig(geom=geom, coeffs=coeffs.replace(c6=1e300))
         with pytest.raises(DomainError, match="p_ivc\\^c6 overflows"):
-            df.knock_integral_soc(HOT_OP, -15.0, cfg)
+            knock_integral_soc(HOT_OP, -15.0, cfg)
 
     def test_overflowing_compression_power_is_a_domain_error(self, geom, coeffs):
         # p_ivc^c6 stays finite, but the integrand's r^e (e = k*c6 - k + 1)
         # overflows in the march's Python floats
-        op = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
-                               x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs.replace(c6=400.0))
+        op = OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
+                            x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
+        cfg = PlantConfig(geom=geom, coeffs=coeffs.replace(c6=400.0))
         with pytest.raises(DomainError, match="knock integrand overflows for c6 = 400.0"):
-            df.knock_integral_soc(op, -15.0, cfg)
+            knock_integral_soc(op, -15.0, cfg)
         with pytest.raises(DomainError, match="knock integrand overflows for c6 = 400.0"):
-            df.knock_integral_value(op, -15.0, -10.0, cfg)
+            knock_integral_value(op, -15.0, -10.0, cfg)
 
 
-HOT_OP = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
-                           x_r=0.0329, p_ivc=32.30, t_ivc=422.4)
+HOT_OP = OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
+                        x_r=0.0329, p_ivc=32.30, t_ivc=422.4)
 
 
 def _constant_volume_geometry():
     # compression ratio barely above 1: the volume (hence the polytropic
     # trace) is constant to ~1e-6 over the whole window, so freezing the
     # charge state at injection is exact
-    return df.EngineGeometry(bore=0.126, stroke=0.166, rod_length=0.251,
-                             compression_ratio=1.0 + 1e-6, ivc_angle=-148.5)
+    return EngineGeometry(bore=0.126, stroke=0.166, rod_length=0.251,
+                          compression_ratio=1.0 + 1e-6, ivc_angle=-148.5)
 
 
 class TestKnockIntegralSoc:
     def test_frozen_trace_matches_closed_form(self, coeffs):
         geom_cv = _constant_volume_geometry()
-        cfg0 = df.PlantConfig(geom=geom_cv, coeffs=coeffs)
-        soc_quad = df.knock_integral_soc(HOT_OP, -15.0, cfg0)
-        soc_model = df.predict_soc(HOT_OP, -15.0, coeffs, geom_cv)
+        cfg0 = PlantConfig(geom=geom_cv, coeffs=coeffs)
+        soc_quad = knock_integral_soc(HOT_OP, -15.0, cfg0)
+        soc_model = predict_soc(HOT_OP, -15.0, coeffs, geom_cv)
         assert abs(soc_quad - soc_model) < 1e-4
         assert abs(soc_quad - soc_model) < cfg0.quad_step / 2
 
@@ -98,61 +117,61 @@ class TestKnockIntegralSoc:
         for _ in range(20):
             op = random_box_op(box_rng)
             soi = random_box_soi(box_rng)
-            fine = df.PlantConfig(geom=cfg.geom, coeffs=cfg.coeffs,
-                                  quad_step=cfg.quad_step / 2)
-            a = df.knock_integral_soc(op, soi, cfg)
-            b = df.knock_integral_soc(op, soi, fine)
+            fine = PlantConfig(geom=cfg.geom, coeffs=cfg.coeffs,
+                               quad_step=cfg.quad_step / 2)
+            a = knock_integral_soc(op, soi, cfg)
+            b = knock_integral_soc(op, soi, fine)
             assert abs(a - b) < 0.01
 
     def test_integral_is_one_at_soc(self, cfg, box_rng):
         for _ in range(50):
             op = random_box_op(box_rng)
             soi = random_box_soi(box_rng)
-            soc = df.knock_integral_soc(op, soi, cfg)
-            assert df.knock_integral_value(op, soi, soc, cfg) == pytest.approx(
+            soc = knock_integral_soc(op, soi, cfg)
+            assert knock_integral_value(op, soi, soc, cfg) == pytest.approx(
                 1.0, abs=1e-6)
 
     def test_integral_end_before_injection_rejected(self, cfg, mid_op):
         with pytest.raises(DomainError, match="theta_end must not precede soi"):
-            df.knock_integral_value(mid_op, -15.0, -15.5, cfg)
+            knock_integral_value(mid_op, -15.0, -15.5, cfg)
 
     def test_soc_monotone_in_soi(self, cfg, box_rng):
         delta = 0.5
         for _ in range(50):
             op = random_box_op(box_rng)
             soi = box_rng.uniform(-20.0, -11.0)
-            a = df.knock_integral_soc(op, soi, cfg)
-            b = df.knock_integral_soc(op, soi + delta, cfg)
+            a = knock_integral_soc(op, soi, cfg)
+            b = knock_integral_soc(op, soi + delta, cfg)
             assert 0.0 < b - a < 2.0 * delta
 
     @settings(deadline=None, derandomize=True)
-    @given(op=st.builds(df.OperatingPoint,
+    @given(op=st.builds(OperatingPoint,
                         **{k: st.floats(lo, hi) for k, (lo, hi) in BOX.items()}),
            commands=st.lists(st.floats(*SOI_BOX), min_size=2, max_size=8))
     def test_soc_non_decreasing_on_actuator_grid(self, op, commands):
         # quantized angles repeat; equal angles must give equal SOCs
-        cfg = df.PlantConfig(geom=df.default_geometry(),
-                             coeffs=df.default_coefficients())
+        cfg = PlantConfig(geom=default_geometry(),
+                          coeffs=default_coefficients())
         sois = sorted(quantize_soi(c, cfg.soi_resolution) for c in commands)
-        socs = [df.knock_integral_soc(op, soi, cfg) for soi in sois]
+        socs = [knock_integral_soc(op, soi, cfg) for soi in sois]
         for (soi_a, a), (soi_b, b) in zip(zip(sois, socs), zip(sois[1:], socs[1:])):
             assert a < b if soi_a < soi_b else a == b
 
     def test_pre_ivc_injection_rejected(self, cfg, mid_op):
         with pytest.raises(DomainError):
-            df.knock_integral_soc(mid_op, cfg.geom.ivc_angle - 5.0, cfg)
+            knock_integral_soc(mid_op, cfg.geom.ivc_angle - 5.0, cfg)
 
     def test_misfire_raises(self, cfg):
-        op = df.OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
-                               x_r=0.03, p_ivc=1.0, t_ivc=60.0)
+        op = OperatingPoint(speed=1500.0, phi_ng=0.2, phi_di=0.2, egr=0.4,
+                            x_r=0.03, p_ivc=1.0, t_ivc=60.0)
         with pytest.raises(Misfire):
-            df.knock_integral_soc(op, -15.0, cfg)
+            knock_integral_soc(op, -15.0, cfg)
 
 
 def frozen_state_gap(op, soi, cfg):
     """Quadrature SOC minus the closed form that freezes the state at injection."""
-    frozen = df.predict_soc(op, soi, cfg.coeffs, cfg.geom)
-    return df.knock_integral_soc(op, soi, cfg) - frozen
+    frozen = predict_soc(op, soi, cfg.coeffs, cfg.geom)
+    return knock_integral_soc(op, soi, cfg) - frozen
 
 
 class TestSimplificationGap:
@@ -160,8 +179,8 @@ class TestSimplificationGap:
         # matched polytrope over a constant-volume window: the closed form
         # is the exact inverse of the quadrature
         geom_cv = _constant_volume_geometry()
-        cfg0 = df.PlantConfig(geom=geom_cv, coeffs=coeffs,
-                              plant_poly_exp=coeffs.k_c)
+        cfg0 = PlantConfig(geom=geom_cv, coeffs=coeffs,
+                           plant_poly_exp=coeffs.k_c)
         assert frozen_state_gap(HOT_OP, -15.0, cfg0) == pytest.approx(
             0.0, abs=1e-4)
 
@@ -174,7 +193,7 @@ class TestSimplificationGap:
         for _ in range(200):
             op = random_box_op(box_rng)
             soi = random_box_soi(box_rng)
-            delay = df.predict_soc(op, soi, coeffs, cfg_matched.geom) - soi
+            delay = predict_soc(op, soi, coeffs, cfg_matched.geom) - soi
             gaps.append(abs(frozen_state_gap(op, soi, cfg_matched)))
             delays.append(delay)
         gaps = np.array(gaps)
@@ -218,7 +237,7 @@ class TestQuantize:
 
 class TestStepCycle:
     def test_first_two_cycles_motored(self, cfg, mid_op):
-        plant = df.EnginePlant(cfg)
+        plant = EnginePlant(cfg)
         for _ in range(2):
             rec = plant.step_cycle(-15.0, mid_op)
             assert rec.soc == rec.bd == rec.ca50_actual == rec.ca50_measured == 0.0
@@ -226,9 +245,9 @@ class TestStepCycle:
         assert rec.ca50_actual > rec.soc > rec.soi_applied
 
     def test_constant_schedule_fixed_point(self, geom, coeffs, mid_op):
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, ca50_noise_halfwidth=0.0,
-                             egr_lag_cycles=0)
-        plant = df.EnginePlant(cfg)
+        cfg = PlantConfig(geom=geom, coeffs=coeffs, ca50_noise_halfwidth=0.0,
+                          egr_lag_cycles=0)
+        plant = EnginePlant(cfg)
         records = [plant.step_cycle(-15.0, mid_op) for _ in range(10)]
         fired = records[2:]
         assert all(r.ca50_measured == r.ca50_actual for r in fired)
@@ -236,44 +255,44 @@ class TestStepCycle:
         assert all(r.soc == fired[0].soc for r in fired)
 
     def test_cycle_period(self, cfg, mid_op):
-        plant = df.EnginePlant(cfg)
+        plant = EnginePlant(cfg)
         for _ in range(100):
             plant.step_cycle(-15.0, mid_op)
         # 1200 RPM four-stroke: 10 cycles per second
         assert plant.time_s == pytest.approx(10.0, rel=1e-12)
 
     def test_quantization_applied(self, cfg, mid_op):
-        plant = df.EnginePlant(cfg)
+        plant = EnginePlant(cfg)
         rec = plant.step_cycle(-14.97, mid_op)
         assert rec.soi_applied == pytest.approx(-15.0)
         assert rec.soi_commanded == -14.97
 
     def test_deterministic_streams(self, geom, coeffs, mid_op):
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, rng_seed=77)
+        cfg = PlantConfig(geom=geom, coeffs=coeffs, rng_seed=77)
         runs = []
         for _ in range(2):
-            plant = df.EnginePlant(cfg)
+            plant = EnginePlant(cfg)
             runs.append([plant.step_cycle(-15.0 + 0.01 * k, mid_op)
                          for k in range(20)])
         for a, b in zip(*runs):
             assert a == b
 
     def test_noise_is_seeded_and_bounded(self, geom, coeffs, mid_op):
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, ca50_noise_halfwidth=0.3,
-                             rng_seed=3)
-        plant = df.EnginePlant(cfg)
+        cfg = PlantConfig(geom=geom, coeffs=coeffs, ca50_noise_halfwidth=0.3,
+                          rng_seed=3)
+        plant = EnginePlant(cfg)
         recs = [plant.step_cycle(-15.0, mid_op) for _ in range(30)]
         noise = np.array([r.ca50_measured - r.ca50_actual for r in recs[2:]])
         assert np.all(np.abs(noise) <= 0.3)
         assert np.any(noise != 0.0)
 
     def test_egr_lag_first_order(self, geom, coeffs, mid_op):
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, egr_lag_cycles=3,
-                             ca50_noise_halfwidth=0.0)
-        plant = df.EnginePlant(cfg)
+        cfg = PlantConfig(geom=geom, coeffs=coeffs, egr_lag_cycles=3,
+                          ca50_noise_halfwidth=0.0)
+        plant = EnginePlant(cfg)
         low = mid_op
-        high = df.OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.45,
-                                 x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
+        high = OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.45,
+                              x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
         plant.step_cycle(-15.0, low)
         seen = [plant.step_cycle(-15.0, high).op.egr for _ in range(30)]
         gain = 1.0 - np.exp(-1.0 / 3.0)
@@ -288,9 +307,9 @@ class TestAngleMemo:
 
     def test_plants_of_different_configs_keep_their_own_values(self, geom, coeffs,
                                                                mid_op):
-        plants = [df.EnginePlant(df.PlantConfig(geom=geom, coeffs=coeffs,
-                                                plant_poly_exp=k,
-                                                ca50_noise_halfwidth=0.0))
+        plants = [EnginePlant(PlantConfig(geom=geom, coeffs=coeffs,
+                                          plant_poly_exp=k,
+                                          ca50_noise_halfwidth=0.0))
                   for k in (1.30, 1.36)]
         commands = [-15.0, -14.5, -15.3, -14.97, -14.0, -15.0, -14.5, -13.2] * 2
         for command in commands:
@@ -298,8 +317,8 @@ class TestAngleMemo:
             for plant in plants:
                 rec = plant.step_cycle(command, mid_op)
                 if rec.cycle_index >= MOTORED_CYCLES:
-                    assert rec.soc == df.knock_integral_soc(rec.op, rec.soi_applied,
-                                                            plant.cfg)
+                    assert rec.soc == knock_integral_soc(rec.op, rec.soi_applied,
+                                                         plant.cfg)
                     socs.append(rec.soc)
             assert len(set(socs)) == len(socs)
 
@@ -316,11 +335,11 @@ class TestAngleMemo:
             return counted
         monkeypatch.setattr(_kernels, "_compression", counting)
         sc = builtin_case(1)
-        step = df.PlantConfig(geom=df.default_geometry(), coeffs=df.default_coefficients(),
-                              **sc.plant).quad_step
+        step = PlantConfig(geom=default_geometry(), coeffs=default_coefficients(),
+                           **sc.plant).quad_step
         for _ in range(2):   # a second run starts from nothing
             computed.clear()
-            records, _ = df.run_scenario(sc)
+            records, _ = run_scenario(sc)
             visited = {rec.soi_applied + step * i for rec in records[MOTORED_CYCLES:]
                        for i in range(math.ceil((rec.soc - rec.soi_applied) / step) + 1)}
             assert computed.keys() == visited
@@ -346,24 +365,24 @@ class TestConfigGeometricFactor:
 
     def test_dataset_builds_g_once(self, geom, coeffs, monkeypatch):
         built = _counting_compression(monkeypatch)
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs)
-        samples, misfires = df.generate_dataset(None, 50, cfg, seed=3)
+        cfg = PlantConfig(geom=geom, coeffs=coeffs)
+        samples, misfires = generate_dataset(None, 50, cfg, seed=3)
         assert len(samples) + misfires == 50
         assert built[0] == 1
 
     def test_plant_and_soc_share_the_config_g(self, geom, coeffs, mid_op, monkeypatch):
         built = _counting_compression(monkeypatch)
-        cfg = df.PlantConfig(geom=geom, coeffs=coeffs, ca50_noise_halfwidth=0.0)
-        plant = df.EnginePlant(cfg)
+        cfg = PlantConfig(geom=geom, coeffs=coeffs, ca50_noise_halfwidth=0.0)
+        plant = EnginePlant(cfg)
         records = [plant.step_cycle(-15.0, mid_op) for _ in range(MOTORED_CYCLES + 2)]
-        assert records[-1].soc == df.knock_integral_soc(mid_op, -15.0, cfg)
+        assert records[-1].soc == knock_integral_soc(mid_op, -15.0, cfg)
         assert built[0] == 1
 
     def test_each_config_marches_with_its_own_g(self, geom, coeffs, box_rng):
-        other = df.EngineGeometry(bore=0.13, stroke=0.16, rod_length=0.26,
-                                  compression_ratio=16.0, ivc_angle=-140.0)
-        cfgs = [df.PlantConfig(geom=geom, coeffs=coeffs),
-                df.PlantConfig(geom=other, coeffs=coeffs, plant_poly_exp=1.36)]
+        other = EngineGeometry(bore=0.13, stroke=0.16, rod_length=0.26,
+                               compression_ratio=16.0, ivc_angle=-140.0)
+        cfgs = [PlantConfig(geom=geom, coeffs=coeffs),
+                PlantConfig(geom=other, coeffs=coeffs, plant_poly_exp=1.36)]
         for _ in range(20):   # the two configs alternate, so a shared g shows
             op, soi = random_box_op(box_rng), random_box_soi(box_rng)
             for cfg in cfgs:
@@ -373,13 +392,13 @@ class TestConfigGeometricFactor:
                 a, denom = _kernel_args(op, cfg)[:2]
                 want, _ = _kernels._march_scalar(soi, cfg.quad_step, MISFIRE_LIMIT,
                                                  a, denom, *geo)
-                assert df.knock_integral_soc(op, soi, cfg) == want
+                assert knock_integral_soc(op, soi, cfg) == want
 
     def test_pickled_config_rebuilds_g(self, cfg, mid_op):
-        soc = df.knock_integral_soc(mid_op, -15.0, cfg)
+        soc = knock_integral_soc(mid_op, -15.0, cfg)
         again = pickle.loads(pickle.dumps(cfg))
         assert again == cfg
-        assert df.knock_integral_soc(mid_op, -15.0, again) == soc
+        assert knock_integral_soc(mid_op, -15.0, again) == soc
 
 
 class TestCycleRecord:
@@ -387,12 +406,12 @@ class TestCycleRecord:
         assert CycleRecord._fields == (
             "cycle_index", "time_s", "op", "soi_commanded", "soi_applied", "soc",
             "bd", "ca50_actual", "ca50_measured", "ca50_ref", "alpha_hat", "beta_hat")
-        rec = df.EnginePlant(cfg).step_cycle(-15.0, mid_op)
+        rec = EnginePlant(cfg).step_cycle(-15.0, mid_op)
         with pytest.raises(AttributeError):
             rec.soc = 1.0
 
     def _fired_cycle(self, cfg, op):
-        engine = df.EnginePlant(cfg)
+        engine = EnginePlant(cfg)
         for _ in range(MOTORED_CYCLES):
             engine.step_cycle(-15.0, op)   # motored cycles carry zeros, unchecked
         return engine.step_cycle(-15.0, op)

@@ -15,10 +15,32 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dualfuel as df
-from dualfuel.control import FEEDFORWARD_SEED_SOI, MEAN_RESIDUAL_FRACTION
-from dualfuel.harness import SOI_CMD_MARGIN, SOI_CMD_MAX, WARMUP_CYCLES
-from dualfuel.plant import MOTORED_CYCLES, CycleRecord, Misfire, quantize_soi
+from dualfuel.control import (
+    FEEDFORWARD_SEED_SOI,
+    MEAN_RESIDUAL_FRACTION,
+    ControllerState,
+    adaptive_soi,
+    adaptive_update,
+    compute_states,
+    feedforward_soi,
+    smooth_measurement,
+)
+from dualfuel.core import (
+    ModelCoefficients,
+    OperatingPoint,
+    default_coefficients,
+    default_geometry,
+)
+from dualfuel.harness import SOI_CMD_MARGIN, SOI_CMD_MAX, WARMUP_CYCLES, run_scenario
+from dualfuel.model import burn_duration, ca50_from_soc_bd
+from dualfuel.plant import (
+    MOTORED_CYCLES,
+    CycleRecord,
+    Misfire,
+    PlantConfig,
+    knock_integral_soc,
+    quantize_soi,
+)
 from dualfuel.scenarios import (
     CONTROLLERS,
     IVC_PRESSURE_GAIN,
@@ -29,32 +51,32 @@ from dualfuel.scenarios import (
 )
 
 
-def reference_run(scenario: Scenario, ctrl_coeffs: df.ModelCoefficients):
+def reference_run(scenario: Scenario, ctrl_coeffs: ModelCoefficients):
     """(records, misfired) of scenario, with nothing kept from one cycle to
     the next but the loop's own state: time, EGR lag, controller state,
     previous command, pending reference and the noise generator."""
-    geom = df.default_geometry()
-    cfg = df.PlantConfig(geom=geom, coeffs=df.default_coefficients(), **scenario.plant)
+    geom = default_geometry()
+    cfg = PlantConfig(geom=geom, coeffs=default_coefficients(), **scenario.plant)
     rng = np.random.default_rng(cfg.rng_seed)
     lag = 1.0 - math.exp(-1.0 / cfg.egr_lag_cycles) if cfg.egr_lag_cycles > 0 else 1.0
     adaptive = scenario.controller == "adaptive"
-    ctrl = df.ControllerState()
+    ctrl = ControllerState()
     prev_soi, egr_seen, filtered = FEEDFORWARD_SEED_SOI, None, None
     pending_ref = schedule_value(scenario.reference, 0.0)
     t, cycle, records = 0.0, 0, []
     while t < scenario.duration_s - 1e-12:
         ref, pending_ref = pending_ref, schedule_value(scenario.reference, t)
         v = {key: schedule_value(bps, t) for key, bps in scenario.schedules.items()}
-        op = df.OperatingPoint(
+        op = OperatingPoint(
             speed=v["speed"], phi_ng=v["phi_ng"], phi_di=v["phi_di"],
             egr=v.get("egr", 0.0), x_r=v.get("x_r", MEAN_RESIDUAL_FRACTION),
             p_ivc=v["p_ivc"] if "p_ivc" in v else IVC_PRESSURE_GAIN * v["p_man"],
             t_ivc=v["t_ivc"] if "t_ivc" in v else v["t_man"] + IVC_TEMP_OFFSET)
         if adaptive:
-            states = df.compute_states(op, ctrl_coeffs)
-            unclamped = df.adaptive_soi(ref, states, ctrl)
+            states = compute_states(op, ctrl_coeffs)
+            unclamped = adaptive_soi(ref, states, ctrl)
         else:
-            unclamped = df.feedforward_soi(ref, op, ctrl_coeffs, geom, prev_soi)
+            unclamped = feedforward_soi(ref, op, ctrl_coeffs, geom, prev_soi)
         command = prev_soi = min(max(unclamped, geom.ivc_angle + SOI_CMD_MARGIN),
                                  SOI_CMD_MAX)
         # the plant: intake lag, actuator grid, then the cycle's combustion
@@ -64,11 +86,11 @@ def reference_run(scenario: Scenario, ctrl_coeffs: df.ModelCoefficients):
         soc = bd = ca50 = measured = 0.0
         if cycle >= MOTORED_CYCLES:
             try:
-                soc = df.knock_integral_soc(op_seen, soi, cfg)
+                soc = knock_integral_soc(op_seen, soi, cfg)
             except Misfire:
                 return records, True
-            bd = df.burn_duration(egr_seen + op.x_r, op.phi_ng, op.phi_di, cfg.coeffs)
-            ca50 = measured = df.ca50_from_soc_bd(soc, bd, cfg.coeffs)
+            bd = burn_duration(egr_seen + op.x_r, op.phi_ng, op.phi_di, cfg.coeffs)
+            ca50 = measured = ca50_from_soc_bd(soc, bd, cfg.coeffs)
             h = cfg.ca50_noise_halfwidth
             if h > 0.0:
                 measured = ca50 + rng.uniform(-h, h)
@@ -76,8 +98,8 @@ def reference_run(scenario: Scenario, ctrl_coeffs: df.ModelCoefficients):
                                    ref, ctrl.alpha_hat if adaptive else None,
                                    ctrl.beta_hat if adaptive else None))
         if adaptive and cycle >= WARMUP_CYCLES:
-            filtered = df.smooth_measurement(filtered, measured, 0.0)
-            ctrl = df.adaptive_update(filtered, ref + (command - unclamped), states, ctrl)
+            filtered = smooth_measurement(filtered, measured, 0.0)
+            ctrl = adaptive_update(filtered, ref + (command - unclamped), states, ctrl)
         cycle += 1
         t += 120.0 / op.speed
     return records, False
@@ -133,9 +155,9 @@ def scenarios(draw):
 @given(scenario=scenarios(), c5_factor=st.sampled_from((1.0, 1.05)))
 def test_run_scenario_equals_the_reference_loop(scenario, c5_factor):
     # the controller's model differs from the plant's when c5_factor is not 1
-    ctrl_coeffs = df.default_coefficients()
+    ctrl_coeffs = default_coefficients()
     ctrl_coeffs = ctrl_coeffs.replace(c5=ctrl_coeffs.c5 * c5_factor)
-    records, summary = df.run_scenario(scenario, ctrl_coeffs=ctrl_coeffs)
+    records, summary = run_scenario(scenario, ctrl_coeffs=ctrl_coeffs)
     expected, misfired = reference_run(scenario, ctrl_coeffs)
     assert summary.misfired == misfired
     assert len(records) == len(expected)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dualfuel as df
 from dualfuel.scenarios import (
     Breakpoint,
+    Scenario,
     builtin_case,
+    load_scenario,
     scenario_from_dict,
     schedule_value,
 )
@@ -52,10 +53,10 @@ class TestScheduleValue:
 
     def test_unordered_breakpoints_rejected(self):
         with pytest.raises(ValueError):
-            df.Scenario(duration_s=10.0, controller="adaptive",
-                        schedules={"speed": [Breakpoint(t=5.0, value=1.0),
-                                             Breakpoint(t=0.0, value=2.0)]},
-                        reference=[Breakpoint(t=0.0, value=8.0)])
+            Scenario(duration_s=10.0, controller="adaptive",
+                     schedules={"speed": [Breakpoint(t=5.0, value=1.0),
+                                          Breakpoint(t=0.0, value=2.0)]},
+                     reference=[Breakpoint(t=0.0, value=8.0)])
 
     def test_negative_ramp_rejected(self):
         with pytest.raises(ValueError):
@@ -80,15 +81,15 @@ class TestScheduleValue:
 class TestScenarioValidation:
     def test_unknown_schedule_key_rejected(self):
         with pytest.raises(ValueError):
-            df.Scenario(duration_s=10.0, controller="adaptive",
-                        schedules={"boost": [Breakpoint(t=0.0, value=1.0)]},
-                        reference=[Breakpoint(t=0.0, value=8.0)])
+            Scenario(duration_s=10.0, controller="adaptive",
+                     schedules={"boost": [Breakpoint(t=0.0, value=1.0)]},
+                     reference=[Breakpoint(t=0.0, value=8.0)])
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(ValueError):
-            df.Scenario(duration_s=10.0, controller="pid",
-                        schedules={"speed": [Breakpoint(t=0.0, value=1200.0)]},
-                        reference=[Breakpoint(t=0.0, value=8.0)])
+            Scenario(duration_s=10.0, controller="pid",
+                     schedules={"speed": [Breakpoint(t=0.0, value=1200.0)]},
+                     reference=[Breakpoint(t=0.0, value=8.0)])
 
     @pytest.mark.parametrize("duration_s", [float("nan"), float("inf"), -1.0])
     def test_bad_duration_rejected(self, duration_s):
@@ -121,7 +122,7 @@ class TestJsonRoundTrip:
         sc = builtin_case(case, controller=controller)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(asdict(sc), indent=2))
-        loaded = df.load_scenario(path)
+        loaded = load_scenario(path)
         assert loaded == sc
         # serialised forms are identical too
         assert asdict(loaded) == asdict(sc)
