@@ -392,7 +392,8 @@ def write_report_csv(path, report: CalibReport):
                 for i, (r, c) in enumerate(zip(report.rmse_history, report.coeff_history))))
 
 
-def write_report_summary(path, report: CalibReport):
+def write_report_summary(path, report: CalibReport) -> str:
+    """Write the report's text, one line per figure, and return it."""
     stats = report.train_stats
     lines = [
         f"iterations          {report.iterations}",
@@ -401,5 +402,7 @@ def write_report_summary(path, report: CalibReport):
         f"SOC error std/max   {stats.soc_err_std:.4f} / {stats.soc_err_max:.4f} CAD",
         f"CA50 error std/max  {stats.ca50_err_std:.4f} / {stats.ca50_err_max:.4f} CAD",
     ]
+    text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+    return text

@@ -67,10 +67,8 @@ def cmd_calibrate(args):
     out = _outdir(args)
     save_coefficients(out / "coefficients.json", coeffs)
     calib.write_report_csv(out / "calibration_report.csv", report)
-    calib.write_report_summary(out / "calibration_summary.txt", report)
-    print(f"calibrated on {len(train)} samples in {report.iterations} "
-          f"iterations (stopped: {report.stop_reason}), "
-          f"final RMSE {report.final_rmse:.6f} CAD")
+    summary = calib.write_report_summary(out / "calibration_summary.txt", report)
+    print(f"calibrated on {len(train)} samples\n{summary}", end="")
     if stats is not None:
         print(f"holdout ({stats.n_samples}): CA50 err std {stats.ca50_err_std:.6f} "
               f"max {stats.ca50_err_max:.6f} CAD")
@@ -104,13 +102,7 @@ def cmd_simulate(args):
                          f"{harness.WARMUP_CYCLES} are motored); no output written")
     out = _outdir(args)
     harness.write_records_csv(out / f"{name}_records.csv", records)
-    harness.write_summary_txt(out / f"{name}_summary.txt", summary)
-    if summary.misfired:
-        print("MISFIRE: aborted early, partial stream written")
-    for i, s in enumerate(summary.segments):
-        print(f"segment {i}: settling {s.settling_cycles} cycles, "
-              f"overshoot {s.overshoot:.3f} CAD, "
-              f"steady err [{s.err_min:+.3f}, {s.err_max:+.3f}] CAD")
+    print(harness.write_summary_txt(out / f"{name}_summary.txt", summary), end="")
     print(f"wrote {len(records)} cycles to {out / (name + '_records.csv')}")
     return 0
 

@@ -35,10 +35,37 @@ def holds(cond, reduce=np.all) -> bool:
 
 
 def _number(value, what):
-    """value if it is a real number (JSON true/false are not), else ValueError."""
+    """value if it is a real number (JSON true/false are not) that converts to
+    a float, else ValueError: JSON allows an integer of any length."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a number, got {type(value).__name__}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got an integer too large "
+                         "for a float") from None
     return value
+
+
+def _expect(value, kind, what):
+    """value if it has the JSON type kind (dict or list), else ValueError."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {name}, got {type(value).__name__}")
+    return value
+
+
+def _fields_of(cls, d, what, extra=()):
+    """d, a JSON object, as keyword arguments of the dataclass cls, which may
+    also carry the keys in extra. Any other key, and a missing field without
+    a default, raise a ValueError naming the key as a {what}."""
+    for key in d:
+        if key not in cls.__dataclass_fields__ and key not in extra:
+            raise ValueError(f"unknown {what} {key!r}")
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"missing {what} {f.name!r}")
+    return d
 
 
 def _count(value, name):
@@ -238,19 +265,9 @@ class ModelCoefficients:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelCoefficients":
-        if not isinstance(d, dict):
-            raise ValueError(f"coefficients must be a JSON object, got {type(d).__name__}")
-        known = {f.name for f in fields(cls)} | {"c7"}
-        for key in d:
-            if key not in known:
-                raise ValueError(f"unknown coefficient {key!r}")
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in d:
-                kwargs[f.name] = float(_number(d[f.name], f"coefficient {f.name!r}"))
-            elif f.default is MISSING:
-                raise ValueError(f"missing coefficient {f.name!r}")
-        coeffs = cls(**kwargs)
+        _fields_of(cls, _expect(d, dict, "coefficients"), "coefficient", extra=("c7",))
+        coeffs = cls(**{f.name: float(_number(d[f.name], f"coefficient {f.name!r}"))
+                        for f in fields(cls) if f.name in d})
         if "c7" in d:
             c7 = float(_number(d["c7"], "coefficient 'c7'"))
             if not abs(c7 - coeffs.c7) <= 1e-9 * coeffs.c7:

@@ -273,7 +273,8 @@ def read_records_csv(path):
     return _read_csv(path, RECORD_COLUMNS, _read_record)
 
 
-def write_summary_txt(path, summary: ScenarioSummary):
+def write_summary_txt(path, summary: ScenarioSummary) -> str:
+    """Write the summary's text, one line per segment, and return it."""
     lines = []
     if summary.misfired:
         lines.append("MISFIRE: run aborted, partial stream below")
@@ -284,8 +285,10 @@ def write_summary_txt(path, summary: ScenarioSummary):
             f"overshoot={s.overshoot:.4f}  peak|err|={s.peak_abs_error:.4f}  "
             f"steady err=[{s.err_min:+.4f},{s.err_max:+.4f}] CAD"
         )
+    text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
+    return text
 
 
 # ---------------------------------------------------------------------------

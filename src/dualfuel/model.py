@@ -75,8 +75,14 @@ def _wiebe_term(scale, x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
 
 
 def burn_duration(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
-    """Burn duration [CAD]: c7 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10)."""
-    return _wiebe_term(coeffs.c7, x_d, phi_ng, phi_di, coeffs)
+    """Burn duration [CAD]: c7 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10), for
+    the plant's plain floats. A value that is not finite is a DomainError:
+    the product of two finite powers overflows to inf without raising."""
+    bd = _wiebe_term(coeffs.c7, x_d, phi_ng, phi_di, coeffs)
+    if not bd < np.inf:
+        raise DomainError("the burn duration c7 * (1 + X_d)^c8 * (phi_ng^c9 + phi_di^c10) "
+                          "overflows")
+    return bd
 
 
 def half_burn_angle(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):

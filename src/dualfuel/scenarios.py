@@ -5,10 +5,10 @@ built-in benchmark transients."""
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .control import MEAN_RESIDUAL_FRACTION
-from .core import OperatingPoint, _load_json, _number
+from .core import OperatingPoint, _expect, _fields_of, _load_json, _number
 from .plant import PlantConfig
 
 # quantities a scenario may schedule; manifold conditions are mapped to IVC
@@ -127,35 +127,14 @@ def schedule_value(bps, t: float) -> float:
 # ---------------------------------------------------------------------------
 # JSON loading
 
-def _expect(value, kind, what):
-    """value if it has the JSON type kind (dict or list), else ValueError."""
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "a list"
-        raise ValueError(f"{what} must be {name}, got {type(value).__name__}")
-    return value
-
-
-def _fields_of(cls, d):
-    """d, a JSON object, as keyword arguments of the dataclass cls. A key that
-    is not a field, and a missing field without a default, raise a ValueError."""
-    kind = cls.__name__.lower()
-    for key in d:
-        if key not in cls.__dataclass_fields__:
-            raise ValueError(f"unknown {kind} key {key!r}")
-    for f in fields(cls):
-        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"{kind} is missing key {f.name!r}")
-    return d
-
-
 def _breakpoints_from_list(name, bps) -> list:
-    return [Breakpoint(**_fields_of(Breakpoint,
-                                    _expect(bp, dict, f"breakpoint of {name!r}")))
+    return [Breakpoint(**_fields_of(Breakpoint, _expect(bp, dict, f"breakpoint of {name!r}"),
+                                    "breakpoint key"))
             for bp in _expect(bps, list, f"schedule {name!r}")]
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    _fields_of(Scenario, _expect(d, dict, "scenario"))
+    _fields_of(Scenario, _expect(d, dict, "scenario"), "scenario key")
     return Scenario(
         duration_s=float(_number(d["duration_s"], "scenario key 'duration_s'")),
         controller=d["controller"],

@@ -1,4 +1,4 @@
-"""Acceptance suite: the eight exit criteria, one test per criterion.
+"""Acceptance suite: the nine exit criteria, one test per criterion.
 
 Each test prints a single PASS/FAIL line (run with -s to see them inline).
 Criterion 7 bounds the absolute CA50 error that the input perturbations add
@@ -6,6 +6,7 @@ to the calibrated model's worst error, not its ratio to that worst error;
 see its docstring for why.
 """
 
+import math
 import time
 
 import numpy as np
@@ -28,10 +29,16 @@ from dualfuel.control import (
     feedforward_soi,
 )
 from dualfuel.core import OperatingPoint, cylinder_volume
-from dualfuel.harness import run_noise_study, run_scenario, run_sensitivity
+from dualfuel.harness import (
+    SETTLING_BAND,
+    WARMUP_CYCLES,
+    run_noise_study,
+    run_scenario,
+    run_sensitivity,
+)
 from dualfuel.model import predict_ca50, predict_soc
 from dualfuel.plant import PlantConfig, knock_integral_soc, knock_integral_value
-from dualfuel.scenarios import builtin_case
+from dualfuel.scenarios import CONTROLLERS, builtin_case
 
 from conftest import random_box_op, random_box_soi
 
@@ -44,6 +51,10 @@ DATASET_SIZE = 1054
 INFLATION_FACTOR = 1.5
 REFERENCE_BASELINE_MAX_CAD = 2.19
 INFLATION_BOUND_CAD = (INFLATION_FACTOR - 1.0) * REFERENCE_BASELINE_MAX_CAD
+
+# C9: the paper's headline claims for its two controllers
+PAPER_SETTLING_CYCLES = 5
+PAPER_STEADY_ERR_CAD = {"adaptive": 0.1, "feedforward": 1.5}
 
 
 def report(criterion, ok, detail=""):
@@ -286,3 +297,44 @@ def test_criterion8_noise_study(geom, calibrated, warm_kernels):
     assert report("C8 noise study", ok,
                   f"{result.n_cycles} fired cycles, actual err std "
                   f"{result.err_std:.3f} CAD, max {result.err_max:.3f} CAD")
+
+
+def cycles_to_settle_after_ramps(records, scenario, summary):
+    """Per segment of summary, the cycles to settle counted from the first
+    fired cycle at or after the end of the last ramp among the breakpoints
+    that start at the segment's start, with summarize_rows's band, final
+    value and settled index."""
+    breakpoints = [bp for bps in (*scenario.schedules.values(), scenario.reference)
+                   for bp in bps]
+    counts = []
+    for s in summary.segments:
+        t_end = min([t for t in scenario.event_times() if t > s.t_start], default=math.inf)
+        ramps_end = max(bp.t + bp.ramp_s for bp in breakpoints if bp.t == s.t_start)
+        y = np.array([r.ca50_actual for r in records if r.cycle_index >= WARMUP_CYCLES
+                      and ramps_end <= r.time_s < t_end])
+        outside = np.flatnonzero(~(np.abs(y - s.final_value) <= SETTLING_BAND))
+        counts.append(int(outside[-1]) + 1 if outside.size else 0)
+    return counts
+
+
+def test_criterion9_paper_headline_claims(geom, calibrated, warm_kernels):
+    """The paper's three numbers on the 12 built-in runs: every segment
+    settles within 5 fired cycles of its last ramp's end, and the steady
+    |CA50 error| stays below 0.1 CAD adaptive and 1.5 CAD feedforward."""
+    _, fitted, _ = calibrated
+    settle = dict.fromkeys(CONTROLLERS, 0)
+    steady = dict.fromkeys(CONTROLLERS, 0.0)
+    for n in range(1, 7):
+        for controller in CONTROLLERS:
+            scenario = builtin_case(n, controller)
+            records, summary = run_scenario(scenario, ctrl_coeffs=fitted, geom=geom)
+            settle[controller] = max(settle[controller], *cycles_to_settle_after_ramps(
+                records, scenario, summary))
+            steady[controller] = max(steady[controller], *(
+                max(abs(s.err_min), abs(s.err_max)) for s in summary.segments))
+    ok = (max(settle.values()) <= PAPER_SETTLING_CYCLES
+          and all(steady[c] < PAPER_STEADY_ERR_CAD[c] for c in CONTROLLERS))
+    assert report("C9 paper headline claims", ok, "; ".join(
+        f"{c}: settle {settle[c]} cyc (margin {PAPER_SETTLING_CYCLES - settle[c]}), "
+        f"steady |err| {steady[c]:.4f} CAD (margin {PAPER_STEADY_ERR_CAD[c] - steady[c]:.4f})"
+        for c in CONTROLLERS))

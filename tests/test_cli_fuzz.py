@@ -21,8 +21,9 @@ from dualfuel.core import default_coefficients, default_geometry
 from dualfuel.plant import PlantConfig
 from dualfuel.scenarios import CONTROLLERS, PLANT_KEYS, builtin_case
 
+# 10**400, an integer that JSON allows but no float holds
 EXTREMES = (0.0, 1e-300, -1e-300, 1e300, -1e300, 770.0, -770.0, 400.0, -400.0,
-            50.0, -50.0, 1e10, -1e10)
+            50.0, -50.0, 1e10, -1e10, 10**400)
 
 # the shipped coefficients as a file, without the derived c7 that a file
 # may carry, so that a replaced c11 or Wiebe shape is not rejected for
@@ -36,7 +37,8 @@ coefficient_files = st.dictionaries(
 
 # values of a scenario's plant block, as JSON writes them (NaN, Infinity)
 PLANT_VALUES = (float("nan"), float("inf"), float("-inf"), True, False, -1, -1.0, 0,
-                0.0, 1e300, -1e300, 1e-300, -1e-300, 1e-310, 0.5, 3, 2.5, 1e10, 10**30)
+                0.0, 1e300, -1e300, 1e-300, -1e-300, 1e-310, 0.5, 3, 2.5, 1e10, 10**30,
+                10**400)
 
 # numeric flags of each command and the values they take; an int flag gets
 # ints and a float flag floats, so that argparse accepts every value

@@ -624,10 +624,12 @@ class TestCli:
             d["schedules"]["p_ivc"] = [{"t": 0.0, "value": 2.9}, {"t": 2.0, "value": 1.0}]
         path = _scenario_json(tmp_path, cold)
         assert cli.main(["simulate", path, "--out", str(tmp_path)]) == 0
-        assert "MISFIRE: aborted early, partial stream written\n" in capsys.readouterr().out
-        summary = (tmp_path / "bad_summary.txt").read_text().splitlines()
-        assert summary[0] == "MISFIRE: run aborted, partial stream below"
-        assert (tmp_path / "bad_records.csv").exists()
+        # stdout is the summary file's text, then the line naming the records
+        summary = (tmp_path / "bad_summary.txt").read_text()
+        records = tmp_path / "bad_records.csv"
+        n_cycles = len(records.read_text().splitlines()) - 1
+        assert capsys.readouterr().out == summary + f"wrote {n_cycles} cycles to {records}\n"
+        assert summary.splitlines()[0] == "MISFIRE: run aborted, partial stream below"
 
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()
@@ -657,18 +659,18 @@ class TestCli:
     def test_calibrate_reports_stop_reason(self, tmp_path, capsys):
         data = _dataset_csv(tmp_path)
         assert cli.main(["calibrate", "--data", data, "--out", str(tmp_path)]) == 0
-        assert "(stopped: tol)" in capsys.readouterr().out
         summary = (tmp_path / "calibration_summary.txt").read_text()
+        assert summary in capsys.readouterr().out
         assert "stop reason         tol" in summary.splitlines()
 
     def test_calibrate_prints_rmse_as_summary_does(self, tmp_path, capsys):
         # fits reach about 1e-3 CAD, so four decimals would hide the figure
         data = _dataset_csv(tmp_path)
         assert cli.main(["calibrate", "--data", data, "--out", str(tmp_path)]) == 0
-        printed = capsys.readouterr().out.split("final RMSE ")[1].split()[0]
         summary = (tmp_path / "calibration_summary.txt").read_text()
-        assert f"final CA50 RMSE     {printed} CAD" in summary.splitlines()
-        assert float(printed) < 0.01 and printed != f"{float(printed):.4f}"
+        assert summary in capsys.readouterr().out
+        rmse = summary.split("final CA50 RMSE     ")[1].split()[0]
+        assert float(rmse) < 0.01 and rmse != f"{float(rmse):.4f}"
 
 
 def _dataset_csv(tmp_path, n_samples=16):
@@ -818,13 +820,15 @@ class TestCliRejectsBadInput:
     @pytest.mark.parametrize("document, expected", [
         pytest.param(lambda d: {k: v for k, v in d.items() if k != "c5"},
                      "missing coefficient 'c5'", id="missing-c5"),
-        pytest.param(lambda d: [d], "must be a JSON object, got list", id="list"),
+        pytest.param(lambda d: [d], "coefficients must be an object, got list", id="list"),
         pytest.param(lambda d: {**d, "c5": float("nan")}, "'c5' must be finite",
                      id="nan-c5"),
         pytest.param(lambda d: {**d, "c2": float("nan")}, "'c2' must be finite",
                      id="nan-c2"),
         pytest.param(lambda d: {**d, "c1": float("inf")}, "'c1' must be finite",
                      id="inf-c1"),
+        pytest.param(lambda d: {**d, "c5": 10**400}, "coefficient 'c5' must be finite, "
+                     "got an integer too large for a float", id="huge-integer-c5"),
         pytest.param(lambda d: {**d, "c1": -1.0}, "c1*egr + c2 must be positive",
                      id="negative-delay-scale"),
         pytest.param(lambda d: {**d, "c2": 0.0}, "c1*egr + c2 must be positive",
@@ -1013,6 +1017,16 @@ class TestCliRejectsBadInput:
         self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
                       capsys, "dualfuel gen-data: error: the ignition-delay scale (c1*egr + "
                       "c2) * N * (phi_ng^c3 + phi_di^c4) is inf, not finite and positive\n")
+
+    def test_gen_data_burn_duration_overflows(self, tmp_path, capsys):
+        # each power is finite, but their product overflows to inf without an
+        # error, and the dataset's CA50 references would be inf
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**default_coefficients().to_dict(),
+                                    "c8": 770.0, "c10": -400.0}))
+        self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
+                      capsys, "dualfuel gen-data: error: the burn duration c7 * (1 + X_d)^c8 "
+                      "* (phi_ng^c9 + phi_di^c10) overflows\n")
 
     @pytest.mark.parametrize("argv, where", [
         (["validate", "--data", "{data}"], "sample 0"),

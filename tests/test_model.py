@@ -131,6 +131,12 @@ class TestBurnDuration:
         with pytest.raises(DomainError):
             burn_duration(0.2, 0.4, 0.0, coeffs)
 
+    def test_overflowing_product_rejected(self, coeffs):
+        # 1.3^770 and 0.2^-400 are finite floats; their product is not
+        steep = coeffs.replace(c8=770.0, c10=-400.0)
+        with pytest.raises(DomainError, match="burn duration .* overflows"):
+            burn_duration(0.3, 0.4, 0.2, steep)
+
 
 class TestCa50Composition:
     def test_zero_burn_duration(self, coeffs):

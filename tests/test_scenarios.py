@@ -132,11 +132,11 @@ class TestJsonRoundTrip:
         assert scenario_from_dict(asdict(sc)) == sc
 
     @pytest.mark.parametrize("edit, message", [
-        pytest.param(lambda d: d.pop("controller"), "missing key 'controller'",
+        pytest.param(lambda d: d.pop("controller"), "missing scenario key 'controller'",
                      id="no-controller"),
-        pytest.param(lambda d: d.pop("reference"), "missing key 'reference'",
+        pytest.param(lambda d: d.pop("reference"), "missing scenario key 'reference'",
                      id="no-reference"),
-        pytest.param(lambda d: d["reference"][0].pop("value"), "missing key 'value'",
+        pytest.param(lambda d: d["reference"][0].pop("value"), "missing breakpoint key 'value'",
                      id="breakpoint-without-value"),
         pytest.param(lambda d: d["schedules"]["speed"][0].update(v=1.0),
                      "unknown breakpoint key 'v'", id="unknown-breakpoint-key"),
@@ -154,6 +154,16 @@ class TestJsonRoundTrip:
                      "breakpoint value must be a number, got bool", id="bool-value"),
         pytest.param(lambda d: d.update(duration_s=[10.0]),
                      "'duration_s' must be a number, got list", id="list-duration"),
+        # JSON allows an integer of any length; float() of this one overflows
+        pytest.param(lambda d: d.update(duration_s=10**400),
+                     "scenario key 'duration_s' must be finite, got an integer too large "
+                     "for a float", id="huge-integer-duration"),
+        pytest.param(lambda d: d["reference"][0].update(value=10**400),
+                     "breakpoint value must be finite, got an integer too large for a float",
+                     id="huge-integer-value"),
+        pytest.param(lambda d: d["plant"].update(rng_seed=10**400),
+                     "plant key 'rng_seed' must be finite, got an integer too large for a "
+                     "float", id="huge-integer-plant-value"),
         pytest.param(lambda d: d.update(plnt={"ca50_noise_halfwidth": 0.0}),
                      "unknown scenario key 'plnt'", id="unknown-top-level-key"),
         pytest.param(lambda d: d["plant"].update(soi_resolution="0.1"),
