@@ -67,14 +67,6 @@ def _table(dataset):
                       s.op.x_r, s.soi, s.soc_ref, s.ca50_ref) for s in dataset], dtype=float)
 
 
-def _sample(speed, t_ivc, p_ivc, phi_di, phi_ng, egr, x_r, soi, soc_ref, ca50_ref):
-    """The sample of one row in DATASET_COLUMNS order. A DomainError if the
-    point is invalid or the references are out of phasing order."""
-    op = OperatingPoint(speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc)
-    check_phasing_order(soi, soc_ref, ca50_ref)
-    return CalibSample(op, soi, soc_ref, ca50_ref)
-
-
 @dataclass(frozen=True)
 class SampleRanges:
     """Sampling box for dataset generation (min, max per quantity)."""
@@ -153,6 +145,7 @@ def generate_dataset(ranges: SampleRanges | None, n_samples: int,
             continue
         bd = burn_duration(op.egr + op.x_r, op.phi_ng, op.phi_di, cfg.coeffs)
         ca50 = ca50_from_soc_bd(soc, bd, cfg.coeffs)
+        check_phasing_order(soi, soc, ca50)
         samples.append(CalibSample(op, soi, soc, ca50))
     return samples, misfires
 
@@ -361,12 +354,20 @@ def write_dataset(path, samples):
 
 
 def _read_sample(row, geom: EngineGeometry) -> CalibSample:
+    """The sample of one row of cells in DATASET_COLUMNS order. A ValueError
+    names the first cell that is not a finite number; a DomainError an SOI
+    outside geom's window, an invalid point or references out of phasing
+    order."""
     vals = list(map(float, row))
-    for name, v in zip(DATASET_COLUMNS, vals):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-    _check_soi(vals[DATASET_COLUMNS.index("soi")], geom)
-    return _sample(*vals)
+    if not all(map(math.isfinite, vals)):   # the loop only names the cell
+        for name, v in zip(DATASET_COLUMNS, vals):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+    speed, t_ivc, p_ivc, phi_di, phi_ng, egr, x_r, soi, soc_ref, ca50_ref = vals
+    _check_soi(soi, geom)
+    op = OperatingPoint(speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc)
+    check_phasing_order(soi, soc_ref, ca50_ref)
+    return CalibSample(op, soi, soc_ref, ca50_ref)
 
 
 def read_dataset(path):
@@ -376,14 +377,7 @@ def read_dataset(path):
     line on which the first such row starts; so does a file that
     core._read_csv rejects."""
     geom = default_geometry()
-    try:   # every row at once: numpy converts each cell by float()'s rules
-        data = np.array(_read_csv(path, DATASET_COLUMNS, list), dtype=float)
-        if not np.isfinite(data).all():
-            raise ValueError("malformed dataset")
-        _check_soi(data[:, DATASET_COLUMNS.index("soi")], geom)
-        return [_sample(*row) for row in data.tolist()]
-    except ValueError:   # DomainError is a ValueError; the rows name the first bad one
-        return _read_csv(path, DATASET_COLUMNS, lambda row: _read_sample(row, geom))
+    return _read_csv(path, DATASET_COLUMNS, lambda row: _read_sample(row, geom))
 
 
 def write_report_csv(path, report: CalibReport):

@@ -30,6 +30,9 @@ from .model import arrhenius_exponent, burn_duration, ca50_from_soc_bd, delay_sc
 # combustion later than this is treated as a failed cycle
 MISFIRE_LIMIT = 60.0
 
+# end of the expansion stroke [deg aTDC]: no CA50 lies past it
+EXPANSION_END = 180.0
+
 # start-up cycles run without fuel before the first fired cycle
 MOTORED_CYCLES = 2
 
@@ -179,11 +182,15 @@ def knock_integral_value(op: OperatingPoint, soi: float, theta_end: float,
 
 def check_phasing_order(soi: float, soc: float, ca50: float) -> None:
     """A DomainError if start of combustion precedes injection, or CA50
-    precedes start of combustion, by more than 1e-9 CAD."""
+    precedes start of combustion, by more than 1e-9 CAD, or if CA50 is not
+    at or before the end of the expansion stroke."""
     if soc < soi - 1e-9:
         raise DomainError("combustion cannot precede injection")
     if ca50 < soc - 1e-9:
         raise DomainError("CA50 cannot precede start of combustion")
+    if not ca50 <= EXPANSION_END:
+        raise DomainError(f"CA50 cannot follow the end of the expansion stroke "
+                          f"({EXPANSION_END:g} deg aTDC), got {ca50:g}")
 
 
 def quantize_soi(command: float, resolution: float) -> float:

@@ -1001,6 +1001,15 @@ class TestCliRejectsBadInput:
         self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
                       capsys, "the knock integrand overflows for c6 = 400.0")
 
+    def test_gen_data_ca50_past_expansion_end(self, tmp_path, capsys):
+        # the burn duration is finite, but CA50 lands far past any crank angle
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**default_coefficients().to_dict(),
+                                    "c8": 770.0, "c10": -200.0}))
+        self._rejects(["gen-data", "--samples", "20", "--coeffs", str(path)], tmp_path,
+                      capsys, "dualfuel gen-data: error: CA50 cannot follow the end of the "
+                      "expansion stroke (180 deg aTDC), got ")
+
     def test_gen_data_delay_scale_underflows(self, tmp_path, capsys):
         # phi^1e300 underflows to 0 for both fuels, and the integrand divides by it
         path = tmp_path / "c.json"
@@ -1087,6 +1096,9 @@ class TestCliRejectsBadInput:
         pytest.param(_set_cell("ca50_ref", "-100.0"),
                      "dataset.csv:4: CA50 cannot precede start of combustion",
                      id="ca50-before-soc"),
+        pytest.param(_set_cell("ca50_ref", "1e6"),
+                     "dataset.csv:4: CA50 cannot follow the end of the expansion stroke "
+                     "(180 deg aTDC), got 1e+06", id="ca50-past-expansion"),
     ])
     def test_malformed_dataset_row(self, tmp_path, capsys, command, edit, expected):
         data = _edited_dataset_csv(tmp_path, 4, edit)
@@ -1119,10 +1131,13 @@ class TestCliRejectsBadInput:
                       capsys, "holdout_frac 0.9 of 3 samples leaves no training sample")
 
     def test_calibration_divergence(self, tmp_path, capsys):
-        # a finite but absurd reference drives the initial RMSE past the limit
-        data = _edited_dataset_csv(tmp_path, 4, _set_cell("ca50_ref", "1e9"))
-        self._rejects(["calibrate", "--data", data, "--holdout-frac", "0"], tmp_path,
-                      capsys, "exceeds")
+        # a valid but absurd start point drives the initial RMSE past the limit
+        coeffs = default_coefficients().to_dict()
+        del coeffs["c7"]   # derived from c11
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**coeffs, "c11": 5000.0}))
+        self._rejects(["calibrate", "--data", _dataset_csv(tmp_path), "--holdout-frac", "0",
+                       "--coeffs", str(path)], tmp_path, capsys, "exceeds")
 
     def test_holdout_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # a holdout sample the model rejects, past the reader's checks

@@ -22,6 +22,7 @@ from dualfuel.core import (
 from dualfuel.harness import run_scenario
 from dualfuel.model import predict_soc
 from dualfuel.plant import (
+    EXPANSION_END,
     MISFIRE_LIMIT,
     MOTORED_CYCLES,
     QUAD_STEP_MIN,
@@ -29,6 +30,7 @@ from dualfuel.plant import (
     EnginePlant,
     Misfire,
     PlantConfig,
+    check_phasing_order,
     knock_integral_soc,
     knock_integral_value,
     quantize_soi,
@@ -425,3 +427,15 @@ class TestCycleRecord:
         monkeypatch.setattr("dualfuel.plant.ca50_from_soc_bd", lambda soc, bd, coeffs: soc - 1.0)
         with pytest.raises(DomainError, match="^CA50 cannot precede start of combustion$"):
             self._fired_cycle(cfg, mid_op)
+
+    def test_ca50_past_the_end_of_expansion_rejected(self, cfg, mid_op, monkeypatch):
+        monkeypatch.setattr("dualfuel.plant.ca50_from_soc_bd", lambda soc, bd, coeffs: 1e6)
+        with pytest.raises(DomainError, match=r"^CA50 cannot follow the end of the expansion "
+                                               r"stroke \(180 deg aTDC\), got 1e\+06$"):
+            self._fired_cycle(cfg, mid_op)
+
+    @pytest.mark.parametrize("ca50", [math.nextafter(EXPANSION_END, math.inf), math.inf,
+                                      math.nan])
+    def test_ca50_not_at_or_before_the_end_of_expansion_rejected(self, ca50):
+        with pytest.raises(DomainError, match="^CA50 cannot follow the end"):
+            check_phasing_order(-15.0, 0.0, ca50)
