@@ -334,33 +334,30 @@ def _read_csv(path, header, row):
     header, no row, a row the csv module cannot parse and undecodable text
     raise a one-line ValueError naming the file; so do a row whose length is
     not the header's and a ValueError from row(cells), with the line on which
-    the row starts. The whole file is parsed before any row is converted."""
-    rows = []   # (start, cells) per row
+    the row starts. Each row is converted as it is read, so the first bad
+    row is the one named, whatever its fault."""
+    out = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         start = 1   # the line on which the row being read starts
         try:
             for cells in r:
-                rows.append((start, cells))
+                if start == 1:
+                    if tuple(cells) != tuple(header):
+                        raise ValueError(f"expected the header {','.join(header)}")
+                elif len(cells) != len(header):
+                    raise ValueError(f"expected {len(header)} values, got {len(cells)}")
+                else:
+                    out.append(row(cells))
                 start = r.line_num + 1
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{start}: {exc}") from None
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:   # a ValueError, but on no one line
             raise ValueError(f"{path}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty file, no header")
-    if tuple(rows[0][1]) != tuple(header):
-        raise ValueError(f"{path}:1: expected the header {','.join(header)}")
-    if len(rows) == 1:
-        raise ValueError(f"{path}: a header but no rows")
-    out = []
-    for start, cells in rows[1:]:
-        try:
-            if len(cells) != len(header):
-                raise ValueError(f"expected {len(header)} values, got {len(cells)}")
-            out.append(row(cells))
-        except ValueError as exc:   # DomainError is a ValueError
+        except (csv.Error, ValueError) as exc:   # DomainError is a ValueError
             raise ValueError(f"{path}:{start}: {exc}") from None
+    if start == 1:
+        raise ValueError(f"{path}: empty file, no header")
+    if not out:
+        raise ValueError(f"{path}: a header but no rows")
     return out
 
 

@@ -27,6 +27,10 @@ CONTROLLERS = ("adaptive", "feedforward")
 PLANT_KEYS = tuple(f.name for f in fields(PlantConfig)
                    if f.name not in ("geom", "coeffs"))
 
+# the most cycles a scenario's run may take, duration_s * max speed / 120:
+# 800 times the 125 cycles of the longest built-in run
+MAX_CYCLES = 100_000
+
 
 @dataclass(frozen=True)
 class Breakpoint:
@@ -70,6 +74,10 @@ class Scenario:
         for key in ("speed", "phi_di", "phi_ng"):
             if key not in self.schedules:
                 raise ValueError(f"scenario must schedule {key!r}")
+        cycles = self.duration_s * max(bp.value for bp in self.schedules["speed"]) / 120.0
+        if cycles > MAX_CYCLES:
+            raise ValueError(f"duration_s * max speed / 120 is {cycles:.3g} cycles, "
+                             f"more than {MAX_CYCLES}")
         for ivc, man in (("p_ivc", "p_man"), ("t_ivc", "t_man")):
             both = ivc in self.schedules and man in self.schedules
             if both or not (ivc in self.schedules or man in self.schedules):

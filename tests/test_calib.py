@@ -556,6 +556,11 @@ class TestReadDataset:
                       6: lambda row: row.__setitem__(7, "40.0")},
                      "4: could not convert string to float: 'abc'",
                      id="two-bad-rows-parse-first"),
+        # the csv module rejects the oversized field, but only when it reaches it
+        pytest.param({4: lambda row: row.__setitem__(5, "abc"),
+                      8: lambda row: row.__setitem__(0, "1" * (csv.field_size_limit() + 1))},
+                     "4: could not convert string to float: 'abc'",
+                     id="bad-value-before-oversized-field"),
         pytest.param({6: lambda row: row.__setitem__(0, "0"),
                       9: lambda row: row.__setitem__(1, "inf")},
                      "6: engine speed must be positive", id="point-before-non-finite"),

@@ -426,6 +426,12 @@ class TestSummary:
         pytest.param(lambda lines: (_break_last_record_cell(lines, 2),
                                     _set_record_cell(lines, 4, "soc", "inf")),
                      ":6: soc must be finite, got inf", id="later-row-after-two-lines"),
+        # the csv module rejects the oversized field, but only when it reaches it
+        pytest.param(lambda lines: (_set_record_cell(lines, 3, "soc", "abc"),
+                                    _set_record_cell(lines, 5, "time_s",
+                                                     "1" * (csv.field_size_limit() + 1))),
+                     ":4: could not convert string to float: 'abc'",
+                     id="bad-value-before-oversized-field"),
     ])
     def test_malformed_records_named(self, tmp_path, records_lines, edit, expected):
         edit(records_lines)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualfuel.scenarios import (
+    MAX_CYCLES,
     Breakpoint,
     Scenario,
     builtin_case,
@@ -182,12 +183,21 @@ class TestJsonRoundTrip:
                      "scenario must schedule p_ivc or p_man, not both", id="both-pressure"),
         pytest.param(lambda d: d["schedules"].update(t_ivc=[{"t": 0.0, "value": 390.0}]),
                      "scenario must schedule t_ivc or t_man, not both", id="both-temperature"),
+        # about 10**10 cycles at 1200 RPM: the run would not end in any useful time
+        pytest.param(lambda d: d.update(duration_s=1e9),
+                     "duration_s \\* max speed / 120 is 1e\\+10 cycles, more than 100000",
+                     id="run-too-long"),
     ])
     def test_malformed_dict_rejected(self, edit, message):
         d = asdict(builtin_case(1))
         edit(d)
         with pytest.raises(ValueError, match=message):
             scenario_from_dict(d)
+
+    def test_run_at_the_cycle_limit_accepted(self):
+        d = asdict(builtin_case(1))
+        d["duration_s"] = MAX_CYCLES * 120.0 / 1200.0
+        assert scenario_from_dict(d).duration_s == 10_000.0
 
     def test_non_object_scenario_rejected(self):
         with pytest.raises(ValueError, match="scenario must be an object"):
