@@ -120,7 +120,7 @@ def cmd_sensitivity(args):
 
 
 def cmd_noise_study(args):
-    result, records, _ = harness.run_noise_study(
+    result, records = harness.run_noise_study(
         args.halfwidth, ctrl_coeffs=_coeffs(args), seed=args.seed,
         measurement_filter_cycles=args.filter_cycles)
     out = _outdir(args) / "noise_records.csv"

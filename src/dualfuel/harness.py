@@ -359,17 +359,15 @@ class NoiseStudyResult(NamedTuple):
 
 
 def run_noise_study(halfwidth: float, ctrl_coeffs: ModelCoefficients | None = None,
-                    geom: EngineGeometry | None = None, seed: int = 0,
-                    measurement_filter_cycles: float = 0.0):
+                    seed: int = 0, measurement_filter_cycles: float = 0.0):
     """Adaptive loop at the first benchmark condition with uniform CA50
     measurement noise; statistics are of the actual (noise-free) CA50 error."""
     case = builtin_case(1, seed=seed)
     scenario = replace(case, reference=case.reference[:1],   # hold the first condition
                        plant={**case.plant, "ca50_noise_halfwidth": halfwidth})
-    records, summary = run_scenario(
-        scenario, ctrl_coeffs=ctrl_coeffs, geom=geom,
-        measurement_filter_cycles=measurement_filter_cycles)
+    records, _ = run_scenario(scenario, ctrl_coeffs=ctrl_coeffs,
+                              measurement_filter_cycles=measurement_filter_cycles)
     fired = [r for r in records if r.cycle_index >= WARMUP_CYCLES]
     err = np.array([r.ca50_actual - r.ca50_ref for r in fired])
     result = NoiseStudyResult(halfwidth, *_spread(err, "the actual CA50 error"), len(fired))
-    return result, records, summary
+    return result, records

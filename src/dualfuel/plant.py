@@ -103,10 +103,6 @@ class PlantConfig:
         """g(theta) of this config on one angle, in plain math."""
         return _kernels._compression(math, *self._g_args)
 
-    def __getstate__(self):
-        # g is a closure, which pickle cannot carry; a copy rebuilds it on use
-        return {k: v for k, v in self.__dict__.items() if k != "_g"}
-
 
 class CycleRecord(NamedTuple):
     """One engine cycle as simulated: commands, applied actuation, outcome.

@@ -1,4 +1,4 @@
-"""Acceptance suite: the nine exit criteria, one test per criterion.
+"""Acceptance suite: the ten exit criteria, one test per criterion.
 
 Each test prints a single PASS/FAIL line (run with -s to see them inline).
 Criterion 7 bounds the absolute CA50 error that the input perturbations add
@@ -18,6 +18,7 @@ from dualfuel.calib import (
     CalibrationOptions,
     calibrate,
     generate_dataset,
+    split_dataset,
     validate,
 )
 from dualfuel.control import (
@@ -285,11 +286,10 @@ def test_criterion7_sensitivity_table(geom, full_dataset, calibrated):
     )
 
 
-def test_criterion8_noise_study(geom, calibrated, warm_kernels):
+def test_criterion8_noise_study(calibrated, warm_kernels):
     """Adaptive loop under +/-0.5 CAD uniform measurement noise."""
     _, fitted, _ = calibrated
-    result, records, _ = run_noise_study(0.5, ctrl_coeffs=fitted, geom=geom,
-                                         seed=8)
+    result, records = run_noise_study(0.5, ctrl_coeffs=fitted, seed=8)
     bounded = all(np.isfinite(r.ca50_actual) and abs(r.ca50_actual) < 50.0
                   for r in records)
     ok = (bounded and result.err_std <= 1.2 and result.n_cycles >= 95
@@ -338,3 +338,43 @@ def test_criterion9_paper_headline_claims(geom, calibrated, warm_kernels):
         f"{c}: settle {settle[c]} cyc (margin {PAPER_SETTLING_CYCLES - settle[c]}), "
         f"steady |err| {steady[c]:.4f} CAD (margin {PAPER_STEADY_ERR_CAD[c] - steady[c]:.4f})"
         for c in CONTROLLERS))
+
+
+def worst_steady_errors(ctrl_coeffs, geom):
+    """Per controller, the worst steady |CA50 error| of each of its six
+    built-in runs with ctrl_coeffs as the controller's model."""
+    errors = {c: [] for c in CONTROLLERS}
+    for n in range(1, 7):
+        for c in CONTROLLERS:
+            _, summary = run_scenario(builtin_case(n, c), ctrl_coeffs=ctrl_coeffs, geom=geom)
+            errors[c].append(max(max(abs(s.err_min), abs(s.err_max))
+                                 for s in summary.segments))
+    return errors
+
+
+def test_criterion10_controller_contrast(geom, coeffs, full_dataset, warm_kernels):
+    """The paper's contrast between its controllers on the 12 built-in runs.
+
+    With the shipped coefficients, whose model misses the plant, every
+    adaptive run stays below the paper's 0.1 CAD of steady error and every
+    feedforward run above its 1.5 CAD: the observer removes the mismatch
+    and the open-loop inversion carries it. After one Levenberg-Marquardt
+    iteration on the training split, feedforward drops below 1.5 CAD and
+    adaptive stays below 0.1 CAD, still ahead of feedforward."""
+    samples, _ = full_dataset
+    train, _ = split_dataset(samples, 0.2, 3)
+    _, fitted = calibrate(coeffs, train, geom, CalibrationOptions(max_iters=1, tol=0.0))
+    shipped = worst_steady_errors(coeffs, geom)
+    fit = worst_steady_errors(fitted, geom)
+    margins = {
+        "shipped adaptive": PAPER_STEADY_ERR_CAD["adaptive"] - max(shipped["adaptive"]),
+        "shipped feedforward": min(shipped["feedforward"]) - PAPER_STEADY_ERR_CAD["feedforward"],
+        "fitted adaptive": PAPER_STEADY_ERR_CAD["adaptive"] - max(fit["adaptive"]),
+        "fitted feedforward": PAPER_STEADY_ERR_CAD["feedforward"] - max(fit["feedforward"]),
+    }
+    ok = (all(m > 0.0 for m in margins.values())
+          and max(fit["feedforward"]) > max(fit["adaptive"]))
+    assert report("C10 controller contrast", ok, "; ".join(
+        [f"{name} margin {m:.4f} CAD" for name, m in margins.items()]
+        + [f"fitted worst feedforward {max(fit['feedforward']):.4f} > "
+           f"adaptive {max(fit['adaptive']):.4f} CAD"]))

@@ -176,7 +176,7 @@ class TestMeasurementFilter:
         # the smoothed observer chases less noise once the loop has settled
         # (it slows the startup transient, so compare steady segments only)
         def steady_std(filter_cycles):
-            _, records, _ = run_noise_study(
+            _, records = run_noise_study(
                 0.5, seed=9, measurement_filter_cycles=filter_cycles)
             err = np.array([r.ca50_actual - r.ca50_ref
                             for r in records if r.time_s >= 2.0])

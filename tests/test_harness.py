@@ -544,7 +544,7 @@ class TestSensitivity:
 
 class TestNoiseStudy:
     def test_zero_halfwidth_reduces_to_clean_run(self):
-        result, records, _ = run_noise_study(0.0, seed=4)
+        result, records = run_noise_study(0.0, seed=4)
         assert all(r.ca50_measured == r.ca50_actual for r in records)
         sc = builtin_case(1, seed=4)
         clean = Scenario(duration_s=10.0, controller="adaptive",
@@ -559,8 +559,8 @@ class TestNoiseStudy:
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_noise_perturbs_loop(self):
-        clean, _, _ = run_noise_study(0.0, seed=4)
-        noisy, records, _ = run_noise_study(0.5, seed=4)
+        clean, _ = run_noise_study(0.0, seed=4)
+        noisy, records = run_noise_study(0.5, seed=4)
         assert noisy.err_std > clean.err_std
         assert any(r.ca50_measured != r.ca50_actual for r in records[2:])
 

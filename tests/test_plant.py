@@ -2,7 +2,6 @@
 actuator and transport imperfections."""
 
 import math
-import pickle
 from collections import Counter
 
 import numpy as np
@@ -395,12 +394,6 @@ class TestConfigGeometricFactor:
                 want, _ = _kernels._march_scalar(soi, cfg.quad_step, MISFIRE_LIMIT,
                                                  a, denom, *geo)
                 assert knock_integral_soc(op, soi, cfg) == want
-
-    def test_pickled_config_rebuilds_g(self, cfg, mid_op):
-        soc = knock_integral_soc(mid_op, -15.0, cfg)
-        again = pickle.loads(pickle.dumps(cfg))
-        assert again == cfg
-        assert knock_integral_soc(mid_op, -15.0, again) == soc
 
 
 class TestCycleRecord:
