@@ -291,6 +291,7 @@ class TestCalibrate:
         passes = report.iterations + (report.stop_reason == "no_improving_step")
         assert report.iterations > 0
         assert calls["cylinder_volume"] <= 3
+        assert calls["cylinder_volume"] < report.iterations
         assert calls["ca50_jacobian"] == passes
 
     def test_unidentified_coefficient_does_not_raise(self, geom, coeffs, plant_cfg):
@@ -625,7 +626,7 @@ class TestReadDataset:
         assert read_dataset(path) == small_plant_dataset[:16]
 
     @pytest.mark.parametrize("column", DATASET_COLUMNS)
-    def test_array_path_accepts_what_rows_accept(self, tmp_path, rows, column):
+    def test_each_cell_reads_as_the_row_reader_reads_it(self, tmp_path, rows, column):
         # every file gives the row-at-a-time reader's samples or message
         path = tmp_path / "dataset.csv"
         j = DATASET_COLUMNS.index(column)
