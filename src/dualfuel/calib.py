@@ -4,7 +4,7 @@ CA50 model against the plant, with holdout validation statistics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +49,7 @@ LM_DAMPING_MIN = 1e-12
 LM_DAMPING_MAX = 1e10
 
 
-@dataclass(frozen=True)
-class CalibSample:
+class CalibSample(NamedTuple):
     """One steady-state reference point: boundary conditions, injection angle
     and the plant's resulting phasing."""
 
@@ -67,8 +66,7 @@ def _table(dataset):
                       s.op.x_r, s.soi, s.soc_ref, s.ca50_ref) for s in dataset], dtype=float)
 
 
-@dataclass(frozen=True)
-class SampleRanges:
+class SampleRanges(NamedTuple):
     """Sampling box for dataset generation (min, max per quantity)."""
 
     speed: tuple = (1200.0, 1500.0)
@@ -125,15 +123,18 @@ def generate_dataset(ranges: SampleRanges | None, n_samples: int,
                      cfg: PlantConfig, seed: int = 0):
     """Latin-hypercube sample of the operating box with plant references.
 
-    Returns (samples, misfire_count); misfired points are excluded.
+    Returns (samples, misfire_count); misfired points are excluded. A box
+    whose SOI range leaves the model's window raises a DomainError before
+    any draw.
     """
     if _count(n_samples, "n_samples") < 1:
         raise DomainError("n_samples must be at least 1")
     ranges = ranges or SampleRanges()
-    names = [f.name for f in fields(SampleRanges)]
+    for bound in ranges.soi:
+        _check_soi(bound, cfg.geom)
     rng = np.random.default_rng(_count(seed, "rng_seed"))
-    u = _latin_hypercube(n_samples, len(names), rng)
-    lo, hi = np.array([getattr(ranges, name) for name in names], dtype=float).T
+    u = _latin_hypercube(n_samples, len(ranges), rng)
+    lo, hi = np.array(ranges, dtype=float).T
     samples = []
     misfires = 0
     for speed, t_ivc, p_ivc, phi_di, phi_ng, egr, x_r, soi in (lo + (hi - lo) * u).tolist():

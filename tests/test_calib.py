@@ -98,7 +98,7 @@ class TestGenerateDataset:
         # the whole-array scaling of the draws is exact, element by element
         samples, misfires = generate_dataset(None, 64, plant_cfg, seed=9)
         u = _latin_hypercube(64, 8, np.random.default_rng(9))
-        bounds = dataclasses.asdict(SampleRanges())
+        bounds = SampleRanges()._asdict()
         expected = [{name: float(lo + (hi - lo) * x)
                      for (name, (lo, hi)), x in zip(bounds.items(), row)}
                     for row in u]
@@ -114,6 +114,24 @@ class TestGenerateDataset:
         with pytest.raises(DomainError,
                            match=f"n_samples must be a non-negative integer, got {n_samples}"):
             generate_dataset(None, n_samples, plant_cfg, seed=1)
+
+    @pytest.mark.parametrize("soi", [(25.0, 40.0), (-160.0, -10.0)])
+    def test_soi_box_outside_model_window_rejected(self, plant_cfg, monkeypatch, soi):
+        # the box is checked before any draw, so no sample reaches the plant
+        # (and none can reach a file that read_dataset would then reject)
+        def plant_soc(*args):
+            raise AssertionError("a sample was drawn")
+        monkeypatch.setattr(calib, "knock_integral_soc", plant_soc)
+        with pytest.raises(DomainError, match=r"^SOI must lie in \[-148\.5, 30\.0\] deg aTDC$"):
+            generate_dataset(SampleRanges(soi=soi, egr=(0.0, 0.1)), 20, plant_cfg, seed=1)
+
+    def test_in_window_custom_box_round_trips(self, plant_cfg, tmp_path):
+        samples, misfires = generate_dataset(SampleRanges(soi=(-30.0, 30.0)), 20,
+                                             plant_cfg, seed=1)
+        assert len(samples) + misfires == 20 and samples
+        assert min(s.soi for s in samples) < -10.0 < 20.0 < max(s.soi for s in samples)
+        write_dataset(tmp_path / "dataset.csv", samples)
+        assert read_dataset(tmp_path / "dataset.csv") == samples
 
 
 class TestRmse:
@@ -219,7 +237,7 @@ class TestCalibrate:
         # the starting point is checked the way rmse checks it, so an
         # out-of-window SOI is a DomainError naming the row, not divergence
         samples, _ = generate_dataset(None, 20, plant_cfg, seed=4)
-        samples[3] = dataclasses.replace(samples[3], soi=40.0)
+        samples[3] = samples[3]._replace(soi=40.0)
         with pytest.raises(DomainError, match="sample 3: SOI must lie in"):
             calibrate(None, samples, geom)
 
@@ -235,7 +253,7 @@ class TestCalibrate:
 
     def test_rmse_names_sample_outside_domain(self, geom, coeffs, small_plant_dataset):
         samples = list(small_plant_dataset[:10])
-        samples[6] = dataclasses.replace(samples[6], soi=-150.0)
+        samples[6] = samples[6]._replace(soi=-150.0)
         with pytest.raises(DomainError, match="sample 6: SOI must lie in"):
             rmse(coeffs, samples, geom)
 
@@ -386,7 +404,7 @@ class TestValidate:
 
     def test_sample_outside_domain_named(self, geom, coeffs, small_plant_dataset):
         samples = list(small_plant_dataset[:10])
-        samples[4] = dataclasses.replace(samples[4], soi=40.0)
+        samples[4] = samples[4]._replace(soi=40.0)
         with pytest.raises(DomainError, match="^sample 4: SOI must lie in"):
             validate(coeffs, samples, geom)
 

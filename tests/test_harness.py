@@ -518,7 +518,7 @@ class TestSensitivity:
                                                         quantity, delta, mode):
         def perturb(v):
             return v * (1.0 + delta) if mode == "rel" else v + delta
-        perturbed = [replace(s, op=replace(s.op, **{quantity: perturb(getattr(s.op, quantity))}))
+        perturbed = [s._replace(op=replace(s.op, **{quantity: perturb(getattr(s.op, quantity))}))
                      for s in dataset]
         stats = validate(coeffs, perturbed, geom)
         rows = run_sensitivity(coeffs, dataset, geom)
@@ -546,7 +546,7 @@ class TestSensitivity:
     @pytest.mark.parametrize("soi", [40.0, -150.0])
     def test_soi_outside_model_window_rejected(self, dataset, geom, coeffs, soi):
         bad = list(dataset)
-        bad[7] = replace(bad[7], soi=soi)
+        bad[7] = bad[7]._replace(soi=soi)
         with pytest.raises(DomainError, match="SOI must lie in"):
             run_sensitivity(coeffs, bad, geom)
 
@@ -1160,7 +1160,7 @@ class TestCliRejectsBadInput:
 
         def split_with_bad_holdout(samples, holdout_frac, seed):
             train, holdout = split(samples, holdout_frac, seed)
-            return train, [replace(holdout[0], soi=40.0), *holdout[1:]]
+            return train, [holdout[0]._replace(soi=40.0), *holdout[1:]]
         monkeypatch.setattr(calib, "split_dataset", split_with_bad_holdout)
         data = _dataset_csv(tmp_path)
         self._rejects(["calibrate", "--data", data], tmp_path, capsys,
