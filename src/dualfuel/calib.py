@@ -40,6 +40,10 @@ CALIBRATED_FIELDS = ("c1", "c2", "c3", "c4", "c5", "c6", "c8", "c9", "c10",
 
 DIVERGENCE_RMSE = 1e3
 
+# the most samples generate_dataset draws: about 950 times the 1054 of the
+# reference dataset, and checked before any draw or allocation
+MAX_SAMPLES = 1_000_000
+
 # Levenberg-Marquardt damping: start, change per accepted (/) or rejected (*)
 # step, floor (repeated division must not reach 0, where a rejection could no
 # longer raise it) and the ceiling past which no improving step is left
@@ -123,12 +127,14 @@ def generate_dataset(ranges: SampleRanges | None, n_samples: int,
                      cfg: PlantConfig, seed: int = 0):
     """Latin-hypercube sample of the operating box with plant references.
 
-    Returns (samples, misfire_count); misfired points are excluded. A box
-    whose SOI range leaves the model's window raises a DomainError before
-    any draw.
+    Returns (samples, misfire_count); misfired points are excluded. A count
+    above MAX_SAMPLES, or a box whose SOI range leaves the model's window,
+    raises a DomainError before any draw.
     """
     if _count(n_samples, "n_samples") < 1:
         raise DomainError("n_samples must be at least 1")
+    if n_samples > MAX_SAMPLES:
+        raise DomainError(f"n_samples is {n_samples}, more than {MAX_SAMPLES}")
     ranges = ranges or SampleRanges()
     for bound in ranges.soi:
         _check_soi(bound, cfg.geom)

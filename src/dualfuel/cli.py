@@ -90,20 +90,25 @@ def cmd_validate(args):
 
 def cmd_simulate(args):
     if args.case is not None:
-        scenario = scenarios.builtin_case(args.case, controller=args.controller,
-                                          seed=args.seed)
-        name = f"case{args.case}_{args.controller}"
+        runs = [(f"case{n}_{c}", scenarios.builtin_case(n, controller=c, seed=args.seed))
+                for n in args.case for c in args.controller or ["adaptive"]]
+    elif args.controller is not None:
+        raise ValueError("--controller is for --case runs; a scenario file names its controller")
     else:
-        scenario = scenarios.load_scenario(args.scenario)
-        name = Path(args.scenario).stem
-    records, summary = harness.run_scenario(scenario, ctrl_coeffs=_coeffs(args))
-    if not (summary.segments or summary.misfired):
-        raise ValueError(f"no fired cycle (cycles run: {len(records)}, the first "
-                         f"{harness.WARMUP_CYCLES} are motored); no output written")
-    out = _outdir(args)
-    harness.write_records_csv(out / f"{name}_records.csv", records)
-    print(harness.write_summary_txt(out / f"{name}_summary.txt", summary), end="")
-    print(f"wrote {len(records)} cycles to {out / (name + '_records.csv')}")
+        runs = [(Path(args.scenario).stem, scenarios.load_scenario(args.scenario))]
+    coeffs = _coeffs(args)
+    for name, scenario in runs:
+        try:
+            records, summary = harness.run_scenario(scenario, ctrl_coeffs=coeffs)
+            if not (summary.segments or summary.misfired):
+                raise ValueError(f"no fired cycle (cycles run: {len(records)}, the first "
+                                 f"{harness.WARMUP_CYCLES} are motored); no output written")
+        except ValueError as exc:   # DomainError is a ValueError
+            raise ValueError(f"{name}: {exc}") from None
+        out = _outdir(args)
+        harness.write_records_csv(out / f"{name}_records.csv", records)
+        print(harness.write_summary_txt(out / f"{name}_summary.txt", summary), end="")
+        print(f"wrote {len(records)} cycles to {out / (name + '_records.csv')}")
     return 0
 
 
@@ -154,13 +159,13 @@ def _parser():
     p.add_argument("--data", type=Path, required=True, help="dataset CSV")
     _add_common(p, seed=False, out=False)
 
-    p = sub.add_parser("simulate", help="closed-loop scenario run")
+    p = sub.add_parser("simulate", help="closed-loop scenario runs")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("scenario", nargs="?", default=None, help="scenario JSON")
-    source.add_argument("--case", type=int, choices=range(1, 7), default=None,
-                        help="built-in benchmark transient")
-    p.add_argument("--controller", choices=scenarios.CONTROLLERS,
-                   default="adaptive", help="controller for --case runs")
+    source.add_argument("--case", type=int, choices=range(1, 7), nargs="+", default=None,
+                        help="built-in benchmark transients, run in the order given")
+    p.add_argument("--controller", choices=scenarios.CONTROLLERS, nargs="+", default=None,
+                   help="controllers for --case runs, for each case in this order [adaptive]")
     _add_common(p)
 
     p = sub.add_parser("sensitivity", help="one-at-a-time input perturbation study")

@@ -115,6 +115,16 @@ class TestGenerateDataset:
                            match=f"n_samples must be a non-negative integer, got {n_samples}"):
             generate_dataset(None, n_samples, plant_cfg, seed=1)
 
+    def test_sample_count_above_cap_rejected(self, plant_cfg, monkeypatch):
+        # the count is checked before any draw; a draw would allocate the
+        # whole hypercube
+        def draw(*args):
+            raise AssertionError("the hypercube was drawn")
+        monkeypatch.setattr(calib, "_latin_hypercube", draw)
+        with pytest.raises(DomainError, match=f"^n_samples is {calib.MAX_SAMPLES + 1}, "
+                                              f"more than {calib.MAX_SAMPLES}$"):
+            generate_dataset(None, calib.MAX_SAMPLES + 1, plant_cfg, seed=1)
+
     @pytest.mark.parametrize("soi", [(25.0, 40.0), (-160.0, -10.0)])
     def test_soi_box_outside_model_window_rejected(self, plant_cfg, monkeypatch, soi):
         # the box is checked before any draw, so no sample reaches the plant

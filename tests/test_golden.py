@@ -1,10 +1,11 @@
 """The CLI workflow's outputs against committed copies in tests/golden/.
 
-One run at the CLI defaults: gen-data, calibrate, the 12 built-in runs,
-sensitivity and noise-study. The summaries must match exactly. Every
-other file is compared number by number with a relative tolerance of
-1e-12: the coefficients, the calibration report, the sensitivity rows, the
-12 record CSVs, the noise-study records and every 25th row of the dataset.
+One run at the CLI defaults: gen-data, calibrate, the 12 built-in runs in
+README's one simulate call, sensitivity and noise-study. The summaries
+must match exactly. Every other file is compared number by number with a
+relative tolerance of 1e-12: the coefficients, the calibration report, the
+sensitivity rows, the 12 record CSVs, the noise-study records and every
+25th row of the dataset.
 A libm that rounds differently passes while any real change fails. A
 change that moves a number rewrites tests/golden/ in its own diff
 (``PYTHONPATH=src python tests/test_golden.py``) and says why.
@@ -42,8 +43,8 @@ def run_workflow(out: Path):
     calls = [
         ["gen-data", "--out", o],
         ["calibrate", "--data", data, "--out", o],
-        *[["simulate", "--case", str(n), "--controller", c, "--coeffs", coeffs,
-           "--out", o] for n in CASES for c in CONTROLLERS],
+        ["simulate", "--case", *map(str, CASES), "--controller", *CONTROLLERS,
+         "--coeffs", coeffs, "--out", o],
         ["sensitivity", "--data", data, "--coeffs", coeffs, "--out", o],
         ["noise-study", "--coeffs", coeffs, "--out", o],
     ]

@@ -626,18 +626,37 @@ class TestCli:
         assert (tmp_path / "my_case_records.csv").exists()
         assert (tmp_path / "my_case_summary.txt").exists()
 
+    def test_one_call_runs_every_case_and_controller(self, tmp_path, capsys):
+        # the same files and the same stdout as the 12 single calls, in order
+        single, joined = tmp_path / "single", tmp_path / "joined"
+        stdout = []
+        for n in range(1, 7):
+            for c in scenarios.CONTROLLERS:
+                assert cli.main(["simulate", "--case", str(n), "--controller", c,
+                                 "--out", str(single)]) == 0
+                stdout.append(capsys.readouterr().out.replace(str(single), str(joined)))
+        assert cli.main(["simulate", "--case", "1", "2", "3", "4", "5", "6",
+                         "--controller", "adaptive", "feedforward",
+                         "--out", str(joined)]) == 0
+        assert capsys.readouterr().out == "".join(stdout)
+        names = sorted(p.name for p in single.iterdir())
+        assert len(names) == 24 and sorted(p.name for p in joined.iterdir()) == names
+        for name in names:
+            assert (joined / name).read_bytes() == (single / name).read_bytes(), name
+
+    def test_case_runs_default_to_adaptive(self, tmp_path):
+        assert cli.main(["simulate", "--case", "2", "1", "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"case{n}_adaptive_{kind}" for n in (1, 2)
+            for kind in ("records.csv", "summary.txt")]
+
     def test_largest_noise_halfwidth_runs(self, tmp_path):
         assert cli.main(["noise-study", "--halfwidth", "8.9e307",
                          "--out", str(tmp_path)]) == 0
         assert (tmp_path / "noise_records.csv").exists()
 
     def test_simulate_reports_misfire(self, tmp_path, capsys):
-        # the cold charge of test_misfire_aborts_with_partial_stream
-        def cold(d):
-            del d["schedules"]["t_man"], d["schedules"]["p_man"]
-            d["schedules"]["t_ivc"] = [{"t": 0.0, "value": 390.0}, {"t": 2.0, "value": 60.0}]
-            d["schedules"]["p_ivc"] = [{"t": 0.0, "value": 2.9}, {"t": 2.0, "value": 1.0}]
-        path = _scenario_json(tmp_path, cold)
+        path = _scenario_json(tmp_path, _cold_charge)
         assert cli.main(["simulate", path, "--out", str(tmp_path)]) == 0
         # stdout is the summary file's text, then the line naming the records
         summary = (tmp_path / "bad_summary.txt").read_text()
@@ -645,6 +664,27 @@ class TestCli:
         n_cycles = len(records.read_text().splitlines()) - 1
         assert capsys.readouterr().out == summary + f"wrote {n_cycles} cycles to {records}\n"
         assert summary.splitlines()[0] == "MISFIRE: run aborted, partial stream below"
+
+    def test_misfire_does_not_stop_later_runs(self, tmp_path, monkeypatch, capsys):
+        # case 1 is the cold charge: it writes its MISFIRE summary and partial
+        # records, and case 2 runs after it as in its own call
+        real = scenarios.builtin_case
+        single, out = tmp_path / "single", tmp_path / "out"
+        assert cli.main(["simulate", "--case", "2", "--out", str(single)]) == 0
+        capsys.readouterr()
+
+        def case(n, controller, seed):
+            d = asdict(real(n, controller=controller, seed=seed))
+            if n == 1:
+                _cold_charge(d)
+            return scenarios.scenario_from_dict(d)
+        monkeypatch.setattr(scenarios, "builtin_case", case)
+        assert cli.main(["simulate", "--case", "1", "2", "--out", str(out)]) == 0
+        summary = (out / "case1_adaptive_summary.txt").read_text()
+        assert summary.splitlines()[0] == "MISFIRE: run aborted, partial stream below"
+        assert summary in capsys.readouterr().out
+        for name in ("case2_adaptive_records.csv", "case2_adaptive_summary.txt"):
+            assert (out / name).read_bytes() == (single / name).read_bytes(), name
 
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()
@@ -711,6 +751,13 @@ def _edited_dataset_csv(tmp_path, line, edit):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     return path
+
+
+def _cold_charge(d):
+    # the cold charge of test_misfire_aborts_with_partial_stream
+    del d["schedules"]["t_man"], d["schedules"]["p_man"]
+    d["schedules"]["t_ivc"] = [{"t": 0.0, "value": 390.0}, {"t": 2.0, "value": 60.0}]
+    d["schedules"]["p_ivc"] = [{"t": 0.0, "value": 2.9}, {"t": 2.0, "value": 1.0}]
 
 
 def _scenario_json(tmp_path, edit):
@@ -924,6 +971,54 @@ class TestCliRejectsBadInput:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_run_without_fired_cycle_named(self, tmp_path, monkeypatch, capsys):
+        # case 2 lasts no time; case 1's files stay, and case 2 writes none
+        real = scenarios.builtin_case
+        monkeypatch.setattr(scenarios, "builtin_case", lambda n, controller, seed: replace(
+            real(n, controller=controller, seed=seed), duration_s=10.0 * (n == 1)))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--case", "1", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "dualfuel simulate: error: case2_adaptive: no fired cycle (cycles run: 0,")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "case1_adaptive_records.csv", "case1_adaptive_summary.txt"]
+
+    def test_simulate_rejects_out_of_range_case(self, tmp_path, capsys):
+        # argparse checks every case before any run
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--case", "1", "7", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "argument --case: invalid choice: 7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_controller_with_scenario_file_rejected(self, tmp_path, capsys):
+        # the file names its controller; --controller would be silently ignored
+        path = _scenario_json(tmp_path, lambda d: d.update(controller="adaptive"))
+        self._rejects(["simulate", path, "--controller", "feedforward"], tmp_path, capsys,
+                      "dualfuel simulate: error: --controller is for --case runs; a "
+                      "scenario file names its controller\n")
+
+    def test_failing_run_keeps_earlier_runs(self, tmp_path, capsys):
+        # with these coefficients the adaptive run ends and the feedforward
+        # run fails: its error names it, and only its files are missing
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**default_coefficients().to_dict(),
+                                    "c3": 1e300, "c4": 1e300}))
+        single, out = tmp_path / "single", tmp_path / "out"
+        assert cli.main(["simulate", "--case", "1", "--controller", "adaptive",
+                         "--coeffs", str(path), "--out", str(single)]) == 0
+        capsys.readouterr()
+        assert cli.main(["simulate", "--case", "1", "--controller", "adaptive",
+                         "feedforward", "--coeffs", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "dualfuel simulate: error: case1_feedforward: cycle 0: the ignition-delay "
+            "scale (c1*egr + c2) * N * (phi_ng^c3 + phi_di^c4) is 0.0, not finite and "
+            "positive\n")
+        names = sorted(p.name for p in single.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (single / name).read_bytes(), name
+
     @pytest.mark.parametrize("command, edit, expected", [
         pytest.param("validate", {"wiebe_b": 1e-05}, "half-burn fraction 0.0",
                      id="validate-underflowing-wiebe_b"),
@@ -1056,7 +1151,8 @@ class TestCliRejectsBadInput:
         (["validate", "--data", "{data}"], "sample 0"),
         (["sensitivity", "--data", "{data}"], "sample 0"),
         (["calibrate", "--data", "{data}"], "sample 0"),
-        (["simulate", "--case", "1", "--controller", "feedforward"], "cycle 0"),
+        (["simulate", "--case", "1", "--controller", "feedforward"],
+         "case1_feedforward: cycle 0"),
     ], ids=["validate", "sensitivity", "calibrate", "simulate-feedforward"])
     def test_model_delay_scale_underflows(self, tmp_path, capsys, argv, where):
         # the model shares the plant's delay-scale rule: phi^1e300 is 0 for
@@ -1070,6 +1166,15 @@ class TestCliRejectsBadInput:
                       f"dualfuel {argv[0]}: error: {where}: the ignition-delay scale "
                       "(c1*egr + c2) * N * (phi_ng^c3 + phi_di^c4) is 0.0, not finite and "
                       "positive\n")
+
+    def test_gen_data_sample_count_above_cap(self, tmp_path, capsys, monkeypatch):
+        # rejected before the hypercube is drawn, so nothing is allocated
+        def draw(*args):
+            raise AssertionError("the hypercube was drawn")
+        monkeypatch.setattr(calib, "_latin_hypercube", draw)
+        self._rejects(["gen-data", "--samples", str(calib.MAX_SAMPLES + 1)], tmp_path,
+                      capsys, f"dualfuel gen-data: error: n_samples is "
+                      f"{calib.MAX_SAMPLES + 1}, more than {calib.MAX_SAMPLES}\n")
 
     def test_gen_data_all_misfire(self, tmp_path, capsys):
         # c6 = 50 freezes the charge: every sample misfires

@@ -1,16 +1,17 @@
-"""Time the CLI workflow as a user runs it: 16 `python -m dualfuel.cli`
+"""Time the CLI workflow as a user runs it: 5 `python -m dualfuel.cli`
 processes, each paying its own interpreter start and imports.
 
     python3 tools/workflow_time.py [--rounds N]     # default: 3
 
 Each round runs, in a fresh temporary directory and with this checkout's
 `src` first on PYTHONPATH: gen-data (1054 samples, seed 11), calibrate, the
-12 built-in runs (`simulate --case N --controller C`), sensitivity and
-noise-study. Prints the interpreter, the CPUs the process may run on and the
-environment variables that change the timing, then each command's minimum
-and median wall seconds over the rounds, and those of the round's total. The
-first command that fails ends the tool with status 1 and one line on stderr
-naming its argv and the last line of its stderr.
+12 built-in runs in one process (`simulate --case 1 2 3 4 5 6 --controller
+adaptive feedforward`), sensitivity and noise-study. Prints the interpreter,
+the CPUs the process may run on and the environment variables that change
+the timing, then each command's minimum and median wall seconds over the
+rounds, and those of the round's total. The first command that fails ends
+the tool with status 1 and one line on stderr naming its argv and the last
+line of its stderr.
 """
 
 import argparse
@@ -29,8 +30,8 @@ COEFFS = ["--coeffs", "coefficients.json"]
 COMMANDS = [
     ["gen-data", "--samples", "1054", "--seed", "11"],
     ["calibrate", "--data", "dataset.csv", "--seed", "11"],
-    *[["simulate", "--case", str(n), "--controller", c, *COEFFS]
-      for n in range(1, 7) for c in ("adaptive", "feedforward")],
+    ["simulate", "--case", "1", "2", "3", "4", "5", "6",
+     "--controller", "adaptive", "feedforward", *COEFFS],
     ["sensitivity", "--data", "dataset.csv", *COEFFS],
     ["noise-study", "--halfwidth", "0.5", *COEFFS, "--seed", "11"],
 ]
@@ -53,7 +54,7 @@ def run_round(env):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description="time the 16-process CLI workflow")
+    parser = argparse.ArgumentParser(description="time the 5-process CLI workflow")
     parser.add_argument("--rounds", type=int, default=3)
     rounds = parser.parse_args(argv).rounds
     if rounds < 1:
