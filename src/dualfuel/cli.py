@@ -30,6 +30,15 @@ def _add_common(p, seed=True, out=True):
                    help="model coefficient JSON (default: shipped calibration)")
 
 
+def _case_number(text):
+    # --case takes one or more values, so a scenario file after them lands here
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a case number; a scenario file cannot go with --case") from None
+
+
 def _coeffs(args):
     if args.coeffs is not None:
         return load_coefficients(args.coeffs)
@@ -162,7 +171,7 @@ def _parser():
     p = sub.add_parser("simulate", help="closed-loop scenario runs")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("scenario", nargs="?", default=None, help="scenario JSON")
-    source.add_argument("--case", type=int, choices=range(1, 7), nargs="+", default=None,
+    source.add_argument("--case", type=_case_number, choices=range(1, 7), nargs="+", default=None,
                         help="built-in benchmark transients, run in the order given")
     p.add_argument("--controller", choices=scenarios.CONTROLLERS, nargs="+", default=None,
                    help="controllers for --case runs, for each case in this order [adaptive]")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dualfuel.calib import SampleRanges
 from dualfuel.core import OperatingPoint, default_coefficients, default_geometry
 
 
@@ -20,17 +21,10 @@ def mid_op():
                           x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
 
 
-# operating box used throughout: the validity region of the shipped model
-BOX = {
-    "speed": (1200.0, 1500.0),
-    "t_ivc": (372.56, 408.87),
-    "p_ivc": (2.85, 4.37),
-    "phi_di": (0.2, 0.5),
-    "phi_ng": (0.2, 0.7),
-    "egr": (0.0, 0.5),
-    "x_r": (0.02, 0.05),
-}
-SOI_BOX = (-20.0, -10.0)
+# operating box used throughout: dataset generation's sampling box, the
+# validity region of the shipped model
+BOX = {k: v for k, v in SampleRanges()._asdict().items() if k != "soi"}
+SOI_BOX = SampleRanges().soi
 
 
 def random_box_op(rng) -> OperatingPoint:

@@ -991,6 +991,17 @@ class TestCliRejectsBadInput:
         assert "argument --case: invalid choice: 7" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_simulate_rejects_file_after_case(self, tmp_path, capsys):
+        # --case takes one or more values, so a file after them is one of them
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--case", "1", "my_scenario.json",
+                      "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "dualfuel simulate: error: argument --case: 'my_scenario.json' is not a case "
+            "number; a scenario file cannot go with --case")
+        assert not (tmp_path / "out").exists()
+
     def test_controller_with_scenario_file_rejected(self, tmp_path, capsys):
         # the file names its controller; --controller would be silently ignored
         path = _scenario_json(tmp_path, lambda d: d.update(controller="adaptive"))
