@@ -99,6 +99,11 @@ def cmd_validate(args):
 
 def cmd_simulate(args):
     if args.case is not None:
+        # a repeated value would rerun a run and rewrite its files
+        for flag, values in (("--case", args.case), ("--controller", args.controller or ())):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{flag} {repeated[0]} is given more than once")
         runs = [(f"case{n}_{c}", scenarios.builtin_case(n, controller=c, seed=args.seed))
                 for n in args.case for c in args.controller or ["adaptive"]]
     elif args.controller is not None:
@@ -135,8 +140,7 @@ def cmd_sensitivity(args):
 
 def cmd_noise_study(args):
     result, records = harness.run_noise_study(
-        args.halfwidth, ctrl_coeffs=_coeffs(args), seed=args.seed,
-        measurement_filter_cycles=args.filter_cycles)
+        args.halfwidth, ctrl_coeffs=_coeffs(args), seed=args.seed)
     out = _outdir(args) / "noise_records.csv"
     harness.write_records_csv(out, records)
     print(f"noise halfwidth {result.halfwidth} CAD over {result.n_cycles} cycles: "
@@ -184,8 +188,6 @@ def _parser():
     p = sub.add_parser("noise-study", help="adaptive loop under CA50 measurement noise")
     p.add_argument("--halfwidth", type=float, default=0.5,
                    help="uniform noise halfwidth [CAD]")
-    p.add_argument("--filter-cycles", type=float, default=0.0,
-                   help="measurement-filter time constant in cycles (0 = off)")
     _add_common(p)
     return parser
 

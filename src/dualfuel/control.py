@@ -78,8 +78,10 @@ def smooth_measurement(prev: float | None, measured: float,
                        filter_cycles: float) -> float:
     """Optional first-order smoothing of the CA50 measurement.
 
-    filter_cycles is the time constant in engine cycles; 0 (the default
-    everywhere) passes the raw measurement through.
+    filter_cycles is the time constant in engine cycles; 0 passes the raw
+    measurement through. The closed loop feeds the observer the raw
+    measurement and does not call this; it stays while perfbench traces it
+    (ROADMAP item 11).
     """
     if filter_cycles <= 0.0 or prev is None:
         return measured

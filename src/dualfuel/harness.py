@@ -21,8 +21,8 @@ from .control import (
     adaptive_update,
     compute_states,
     feedforward_soi,
-    smooth_measurement,
 )
+from .control import smooth_measurement  # noqa: F401  (perfbench traces it)
 from .core import (
     DomainError,
     EngineGeometry,
@@ -111,20 +111,18 @@ def _op_lookup(scenario: Scenario):
 
 
 def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = None,
-                 geom: EngineGeometry | None = None,
-                 measurement_filter_cycles: float = 0.0):
+                 geom: EngineGeometry | None = None):
     """Closed-loop run of one scenario. Returns (records, summary).
 
     The plant runs the shipped coefficients; ctrl_coeffs (default: the
     same) is the controller's model. The CA50 reference is sampled once per
     cycle and applied on the next one. The controller sees the scheduled
     (commanded) operating point; the plant applies its own intake lag. The
-    optional first-order measurement filter (time constant in cycles, finite
-    and non-negative; 0, the default, is off) smooths the CA50 fed to the
-    observer. Both controllers learn from the command the actuator limits
-    let through: the observer takes its error against it and the feedforward
-    law inverts the model at it, so each recovers once saturation ends. A
-    misfire aborts with the partial stream and the summary flagged.
+    observer learns from each cycle's measured CA50. Both controllers learn
+    from the command the actuator limits let through: the observer takes its
+    error against it and the feedforward law inverts the model at it, so
+    each recovers once saturation ends. A misfire aborts with the partial
+    stream and the summary flagged.
 
     Work that depends only on the commanded point is done once per point
     that the run's op_at returns: the adaptive regressors are recomputed
@@ -133,9 +131,6 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
     three does. The plant likewise keeps the march arguments and burn
     duration of the point its cylinder sees.
     """
-    if not (math.isfinite(measurement_filter_cycles) and measurement_filter_cycles >= 0.0):
-        raise ValueError("measurement_filter_cycles must be finite and non-negative, "
-                         f"got {measurement_filter_cycles}")
     geom = geom or default_geometry()
     ctrl_coeffs = ctrl_coeffs or default_coefficients()
     cfg = PlantConfig(geom=geom, coeffs=default_coefficients(), **scenario.plant)
@@ -146,7 +141,6 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
 
     records: list[CycleRecord] = []
     misfired = False
-    filtered: float | None = None
     op_at = _op_lookup(scenario)
     ref_varies = _fixed_value(scenario.reference) is None
     pending_ref = schedule_value(scenario.reference, 0.0)
@@ -177,11 +171,9 @@ def run_scenario(scenario: Scenario, ctrl_coeffs: ModelCoefficients | None = Non
                 break
             records.append(rec)
             if adaptive and rec.cycle_index >= WARMUP_CYCLES:
-                filtered = smooth_measurement(filtered, rec.ca50_measured,
-                                              measurement_filter_cycles)
                 # tracking anti-windup: the clamp's share of the error is not
                 # the model's, so the observer does not learn it
-                ctrl = adaptive_update(filtered, ref + (command - unclamped), states, ctrl)
+                ctrl = adaptive_update(rec.ca50_measured, ref + (command - unclamped), states, ctrl)
         except DomainError as exc:
             raise DomainError(f"cycle {cycle}: {exc}") from None
 
@@ -359,14 +351,14 @@ class NoiseStudyResult(NamedTuple):
 
 
 def run_noise_study(halfwidth: float, ctrl_coeffs: ModelCoefficients | None = None,
-                    seed: int = 0, measurement_filter_cycles: float = 0.0):
+                    seed: int = 0):
     """Adaptive loop at the first benchmark condition with uniform CA50
-    measurement noise; statistics are of the actual (noise-free) CA50 error."""
+    measurement noise, which the observer sees unfiltered; statistics are of
+    the actual (noise-free) CA50 error."""
     case = builtin_case(1, seed=seed)
     scenario = replace(case, reference=case.reference[:1],   # hold the first condition
                        plant={**case.plant, "ca50_noise_halfwidth": halfwidth})
-    records, _ = run_scenario(scenario, ctrl_coeffs=ctrl_coeffs,
-                              measurement_filter_cycles=measurement_filter_cycles)
+    records, _ = run_scenario(scenario, ctrl_coeffs=ctrl_coeffs)
     fired = [r for r in records if r.cycle_index >= WARMUP_CYCLES]
     err = np.array([r.ca50_actual - r.ca50_ref for r in fired])
     result = NoiseStudyResult(halfwidth, *_spread(err, "the actual CA50 error"), len(fired))

@@ -50,7 +50,7 @@ FLAGS = {
     "calibrate": {"--max-iters": (-1, 0, 1, 5, 10**6), "--tol": FLOATS,
                   "--holdout-frac": FLOATS, "--seed": SEEDS},
     "simulate": {"--seed": SEEDS},
-    "noise-study": {"--halfwidth": FLOATS, "--filter-cycles": FLOATS, "--seed": SEEDS},
+    "noise-study": {"--halfwidth": FLOATS, "--seed": SEEDS},
 }
 
 NON_FINITE = re.compile(r"(?<![a-z])(nan|inf)(?![a-z])", re.IGNORECASE)

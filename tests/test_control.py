@@ -21,7 +21,6 @@ from dualfuel.control import (
     smooth_measurement,
 )
 from dualfuel.core import DomainError, OperatingPoint, cylinder_volume
-from dualfuel.harness import run_noise_study
 from dualfuel.model import predict_ca50
 
 from conftest import random_box_op
@@ -171,18 +170,6 @@ class TestMeasurementFilter:
         gain = 1.0 - np.exp(-1.0 / 3.0)
         assert smooth_measurement(8.0, 9.0, 3.0) == pytest.approx(
             8.0 + gain * 1.0, rel=1e-12)
-
-    def test_filter_damps_noise_chasing(self):
-        # the smoothed observer chases less noise once the loop has settled
-        # (it slows the startup transient, so compare steady segments only)
-        def steady_std(filter_cycles):
-            _, records = run_noise_study(
-                0.5, seed=9, measurement_filter_cycles=filter_cycles)
-            err = np.array([r.ca50_actual - r.ca50_ref
-                            for r in records if r.time_s >= 2.0])
-            return err.std()
-
-        assert steady_std(1.0) < steady_std(0.0)
 
 
 class TestFeedforward:

@@ -874,11 +874,6 @@ class TestCliRejectsBadInput:
         self._rejects(["simulate", path], tmp_path, capsys,
                       "ca50_noise_halfwidth must be non-negative with a finite span")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    def test_bad_filter_cycles(self, tmp_path, capsys, value):
-        self._rejects(["noise-study", "--filter-cycles", value], tmp_path, capsys,
-                      "measurement_filter_cycles must be finite and non-negative")
-
     @pytest.mark.parametrize("document, expected", [
         pytest.param(lambda d: {k: v for k, v in d.items() if k != "c5"},
                      "missing coefficient 'c5'", id="missing-c5"),
@@ -949,6 +944,27 @@ class TestCliRejectsBadInput:
         assert "unrecognized arguments: --learn-rate" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_removed_filter_cycles(self, tmp_path, capsys):
+        # argparse rejects the measurement filter that the observer dropped
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["noise-study", "--filter-cycles", "3", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --filter-cycles 3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, expected", [
+        pytest.param(["--case", "1", "1"], "--case 1 is given more than once", id="case"),
+        pytest.param(["--case", "2", "1", "--controller", "adaptive", "feedforward",
+                      "adaptive"], "--controller adaptive is given more than once",
+                     id="controller"),
+    ])
+    def test_repeated_simulate_value(self, tmp_path, capsys, argv, expected):
+        # a repeated value reran the same run and rewrote its files
+        self._rejects(["simulate", *argv], tmp_path, capsys,
+                      f"dualfuel simulate: error: {expected}\n")
 
     @pytest.mark.parametrize("command, option", [
         ("validate", "--seed"), ("validate", "--out"), ("sensitivity", "--seed"),

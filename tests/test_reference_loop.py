@@ -23,7 +23,6 @@ from dualfuel.control import (
     adaptive_update,
     compute_states,
     feedforward_soi,
-    smooth_measurement,
 )
 from dualfuel.core import (
     ModelCoefficients,
@@ -61,7 +60,7 @@ def reference_run(scenario: Scenario, ctrl_coeffs: ModelCoefficients):
     lag = 1.0 - math.exp(-1.0 / cfg.egr_lag_cycles) if cfg.egr_lag_cycles > 0 else 1.0
     adaptive = scenario.controller == "adaptive"
     ctrl = ControllerState()
-    prev_soi, egr_seen, filtered = FEEDFORWARD_SEED_SOI, None, None
+    prev_soi, egr_seen = FEEDFORWARD_SEED_SOI, None
     pending_ref = schedule_value(scenario.reference, 0.0)
     t, cycle, records = 0.0, 0, []
     while t < scenario.duration_s - 1e-12:
@@ -98,8 +97,7 @@ def reference_run(scenario: Scenario, ctrl_coeffs: ModelCoefficients):
                                    ref, ctrl.alpha_hat if adaptive else None,
                                    ctrl.beta_hat if adaptive else None))
         if adaptive and cycle >= WARMUP_CYCLES:
-            filtered = smooth_measurement(filtered, measured, 0.0)
-            ctrl = adaptive_update(filtered, ref + (command - unclamped), states, ctrl)
+            ctrl = adaptive_update(measured, ref + (command - unclamped), states, ctrl)
         cycle += 1
         t += 120.0 / op.speed
     return records, False
