@@ -11,15 +11,8 @@ from .control import MEAN_RESIDUAL_FRACTION
 from .core import OperatingPoint, _expect, _fields_of, _load_json, _number
 from .plant import PlantConfig
 
-# quantities a scenario may schedule; manifold conditions are mapped to IVC
-# conditions unless the scenario supplies p_ivc/t_ivc directly
-SCHEDULE_KEYS = ("speed", "phi_di", "phi_ng", "egr", "x_r",
-                 "p_ivc", "t_ivc", "p_man", "t_man")
-
-# documented bridge from mean intake-manifold conditions to IVC conditions
-# (ram/heating effects of the intake stroke on this engine)
-IVC_PRESSURE_GAIN = 1.45    # p_ivc = 1.45 * p_man  [bar]
-IVC_TEMP_OFFSET = 90.0      # t_ivc = t_man + 90    [K]
+# quantities a scenario may schedule: the fields of the OperatingPoint
+SCHEDULE_KEYS = tuple(f.name for f in fields(OperatingPoint))
 
 CONTROLLERS = ("adaptive", "feedforward")
 
@@ -71,17 +64,13 @@ class Scenario:
                 raise ValueError(f"unknown schedule key {key!r}")
             _check_breakpoints(key, bps)
         _check_breakpoints("reference", self.reference)
-        for key in ("speed", "phi_di", "phi_ng"):
+        for key in ("speed", "phi_di", "phi_ng", "p_ivc", "t_ivc"):
             if key not in self.schedules:
                 raise ValueError(f"scenario must schedule {key!r}")
         cycles = self.duration_s * max(bp.value for bp in self.schedules["speed"]) / 120.0
         if cycles > MAX_CYCLES:
             raise ValueError(f"duration_s * max speed / 120 is {cycles:.3g} cycles, "
                              f"more than {MAX_CYCLES}")
-        for ivc, man in (("p_ivc", "p_man"), ("t_ivc", "t_man")):
-            both = ivc in self.schedules and man in self.schedules
-            if both or not (ivc in self.schedules or man in self.schedules):
-                raise ValueError(f"scenario must schedule {ivc} or {man}{', not both' * both}")
 
     def event_times(self):
         """Sorted distinct times at which any schedule or the reference
@@ -110,13 +99,8 @@ def _check_breakpoints(name, bps):
 
 def operating_point(values) -> OperatingPoint:
     """The OperatingPoint of a scenario's schedule values at one time: an
-    unscheduled egr is 0 and x_r the mean residual fraction, and p_ivc/t_ivc
-    come through the bridge when the manifold conditions are scheduled."""
-    return OperatingPoint(
-        speed=values["speed"], phi_di=values["phi_di"], phi_ng=values["phi_ng"],
-        egr=values.get("egr", 0.0), x_r=values.get("x_r", MEAN_RESIDUAL_FRACTION),
-        p_ivc=values["p_ivc"] if "p_ivc" in values else IVC_PRESSURE_GAIN * values["p_man"],
-        t_ivc=values["t_ivc"] if "t_ivc" in values else values["t_man"] + IVC_TEMP_OFFSET)
+    unscheduled egr is 0 and x_r the mean residual fraction."""
+    return OperatingPoint(**{"egr": 0.0, "x_r": MEAN_RESIDUAL_FRACTION, **values})
 
 
 def schedule_value(bps, t: float) -> float:
@@ -160,9 +144,9 @@ def load_scenario(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # built-in benchmark transients
 
-# the base condition of every case: 1200 RPM, manifold 2 bar / 300 K, and a
+# the base condition of every case: 1200 RPM, 2.9 bar / 390 K at IVC, and a
 # CA50 reference of 8 CAD
-_BASE = {"speed": 1200.0, "t_man": 300.0, "p_man": 2.0, "phi_di": 0.4, "phi_ng": 0.4,
+_BASE = {"speed": 1200.0, "p_ivc": 2.9, "t_ivc": 390.0, "phi_di": 0.4, "phi_ng": 0.4,
          "egr": 0.25, "x_r": MEAN_RESIDUAL_FRACTION, "reference": 8.0}
 
 # each case's second condition: (schedule, value before 5 s, value from 5 s)
@@ -172,7 +156,7 @@ _CASES = {1: [("reference", 8.0, 10.0)], 2: [_SPEED], 3: [_GAS], 4: [_EGR],
 
 
 def builtin_case(n: int, controller: str = "adaptive", seed: int = 0) -> Scenario:
-    """Six 10 s benchmark transients at 1200 RPM base, manifold 2 bar / 300 K,
+    """Six 10 s benchmark transients at 1200 RPM base, 2.9 bar / 390 K at IVC,
     second condition applied at t = 5 s (ramped over 0.5 s where the change
     is a plant quantity):
 

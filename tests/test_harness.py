@@ -44,8 +44,6 @@ from dualfuel.harness import (
     _op_lookup,
 )
 from dualfuel.scenarios import (
-    IVC_PRESSURE_GAIN,
-    IVC_TEMP_OFFSET,
     Breakpoint,
     Scenario,
     builtin_case,
@@ -63,29 +61,19 @@ def case1_run():
 def _op_from_schedules(sc, t):
     """The point at time t built from schedule_value of every schedule."""
     v = {key: schedule_value(bps, t) for key, bps in sc.schedules.items()}
-    return OperatingPoint(
-        speed=v["speed"], phi_di=v["phi_di"], phi_ng=v["phi_ng"],
-        egr=v.get("egr", 0.0), x_r=v.get("x_r", MEAN_RESIDUAL_FRACTION),
-        p_ivc=v["p_ivc"] if "p_ivc" in v else IVC_PRESSURE_GAIN * v["p_man"],
-        t_ivc=v["t_ivc"] if "t_ivc" in v else v["t_man"] + IVC_TEMP_OFFSET)
+    return OperatingPoint(**{"egr": 0.0, "x_r": MEAN_RESIDUAL_FRACTION, **v})
 
 
 def _ramped_ivc_scenario():
     sc = builtin_case(2)
-    schedules = {k: v for k, v in sc.schedules.items() if k not in ("p_man", "t_man")}
-    schedules["p_ivc"] = [Breakpoint(0.0, 2.9), Breakpoint(3.0, 3.3, ramp_s=1.0)]
-    schedules["t_ivc"] = [Breakpoint(0.0, 390.0), Breakpoint(4.0, 405.0, ramp_s=2.0),
-                          Breakpoint(7.0, 395.0)]
-    return replace(sc, schedules=schedules)
+    return replace(sc, schedules={
+        **sc.schedules,
+        "p_ivc": [Breakpoint(0.0, 2.9), Breakpoint(3.0, 3.3, ramp_s=1.0)],
+        "t_ivc": [Breakpoint(0.0, 390.0), Breakpoint(4.0, 405.0, ramp_s=2.0),
+                  Breakpoint(7.0, 395.0)]})
 
 
 class TestOpAt:
-    def test_manifold_conditions_mapped_to_ivc(self):
-        sc = builtin_case(1)
-        op = _op_lookup(sc)(0.0)
-        assert op.p_ivc == pytest.approx(1.45 * 2.0)
-        assert op.t_ivc == pytest.approx(300.0 + 90.0)
-
     def test_direct_ivc_schedule_wins(self):
         sc = Scenario(
             duration_s=1.0, controller="adaptive",
@@ -223,7 +211,6 @@ class TestRunScenario:
         cold = dict(sc.schedules)
         cold["t_ivc"] = [Breakpoint(0.0, 390.0), Breakpoint(2.0, 60.0)]
         cold["p_ivc"] = [Breakpoint(0.0, 2.9), Breakpoint(2.0, 1.0)]
-        del cold["t_man"], cold["p_man"]
         bad = Scenario(duration_s=10.0, controller="adaptive",
                        schedules=cold, reference=sc.reference, plant=sc.plant)
         records, summary = run_scenario(bad)
@@ -755,7 +742,6 @@ def _edited_dataset_csv(tmp_path, line, edit):
 
 def _cold_charge(d):
     # the cold charge of test_misfire_aborts_with_partial_stream
-    del d["schedules"]["t_man"], d["schedules"]["p_man"]
     d["schedules"]["t_ivc"] = [{"t": 0.0, "value": 390.0}, {"t": 2.0, "value": 60.0}]
     d["schedules"]["p_ivc"] = [{"t": 0.0, "value": 2.9}, {"t": 2.0, "value": 1.0}]
 
@@ -789,6 +775,24 @@ class TestCliRejectsBadInput:
     def test_nan_duration(self, tmp_path, capsys):
         path = _scenario_json(tmp_path, lambda d: d.update(duration_s=float("nan")))
         self._rejects(["simulate", path], tmp_path, capsys, "duration_s")
+
+    def test_manifold_schedule_rejected(self, tmp_path, capsys):
+        # README's scenario with manifold conditions in place of p_ivc and
+        # t_ivc: schedules name OperatingPoint's fields, so p_man is unknown
+        d = {"duration_s": 10.0, "controller": "adaptive",
+             "plant": {"soi_resolution": 0.1, "ca50_noise_halfwidth": 0.0, "rng_seed": 0},
+             "schedules": {"speed": [{"t": 0.0, "value": 1200.0, "ramp_s": 0.0}],
+                           "p_man": [{"t": 0.0, "value": 2.0, "ramp_s": 0.0}],
+                           "t_man": [{"t": 0.0, "value": 300.0, "ramp_s": 0.0}],
+                           "phi_di": [{"t": 0.0, "value": 0.4, "ramp_s": 0.0}],
+                           "phi_ng": [{"t": 0.0, "value": 0.4, "ramp_s": 0.0}],
+                           "egr": [{"t": 0.0, "value": 0.0, "ramp_s": 0.0},
+                                   {"t": 5.0, "value": 0.5, "ramp_s": 0.5}]},
+             "reference": [{"t": 0.0, "value": 8.0, "ramp_s": 0.0}]}
+        path = tmp_path / "manifold.json"
+        path.write_text(json.dumps(d))
+        self._rejects(["simulate", str(path)], tmp_path, capsys,
+                      "unknown schedule key 'p_man'")
 
     def test_unknown_plant_key(self, tmp_path, capsys):
         path = _scenario_json(tmp_path, lambda d: d["plant"].update(boost=1.0))

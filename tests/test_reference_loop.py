@@ -42,8 +42,6 @@ from dualfuel.plant import (
 )
 from dualfuel.scenarios import (
     CONTROLLERS,
-    IVC_PRESSURE_GAIN,
-    IVC_TEMP_OFFSET,
     Breakpoint,
     Scenario,
     schedule_value,
@@ -66,11 +64,7 @@ def reference_run(scenario: Scenario, ctrl_coeffs: ModelCoefficients):
     while t < scenario.duration_s - 1e-12:
         ref, pending_ref = pending_ref, schedule_value(scenario.reference, t)
         v = {key: schedule_value(bps, t) for key, bps in scenario.schedules.items()}
-        op = OperatingPoint(
-            speed=v["speed"], phi_ng=v["phi_ng"], phi_di=v["phi_di"],
-            egr=v.get("egr", 0.0), x_r=v.get("x_r", MEAN_RESIDUAL_FRACTION),
-            p_ivc=v["p_ivc"] if "p_ivc" in v else IVC_PRESSURE_GAIN * v["p_man"],
-            t_ivc=v["t_ivc"] if "t_ivc" in v else v["t_man"] + IVC_TEMP_OFFSET)
+        op = OperatingPoint(**{"egr": 0.0, "x_r": MEAN_RESIDUAL_FRACTION, **v})
         if adaptive:
             states = compute_states(op, ctrl_coeffs)
             unclamped = adaptive_soi(ref, states, ctrl)
@@ -129,15 +123,11 @@ def scenarios(draw):
         "phi_di": draw(schedules((0.3, 0.4, 0.5))),
         "phi_ng": draw(schedules((0.3, 0.4, 0.5))),
         "egr": draw(schedules((0.0, 0.25, 0.5))),
+        "p_ivc": draw(schedules((2.9, 3.5, 4.3))),
+        "t_ivc": draw(schedules((380.0, 390.0, 400.0))),
     }
     if draw(st.booleans()):
         sched["x_r"] = draw(schedules((0.02, 0.0329, 0.05)))
-    if draw(st.booleans()):   # manifold conditions, or IVC conditions directly
-        sched["p_man"] = draw(schedules((2.0, 2.5)))
-        sched["t_man"] = draw(schedules((290.0, 300.0, 310.0)))
-    else:
-        sched["p_ivc"] = draw(schedules((2.9, 3.5, 4.3)))
-        sched["t_ivc"] = draw(schedules((380.0, 390.0, 400.0)))
     plant = {
         "egr_lag_cycles": draw(st.integers(0, 5)),
         "soi_resolution": draw(st.sampled_from((0.05, 0.1, 0.25))),
