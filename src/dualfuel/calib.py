@@ -4,7 +4,7 @@ CA50 model against the plant, with holdout validation statistics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -258,7 +258,7 @@ def _pack(coeffs):
 
 
 def _unpack(coeffs, vec):
-    return coeffs.replace(**{name: float(v) for name, v in zip(CALIBRATED_FIELDS, vec)})
+    return replace(coeffs, **{name: float(v) for name, v in zip(CALIBRATED_FIELDS, vec)})
 
 
 def _objective(base_coeffs, op, soi, v_soi, ca50_ref, geom):
@@ -293,8 +293,8 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
               options: CalibrationOptions | None = None):
     """Minimise the CA50 RMSE by Levenberg-Marquardt.
 
-    The solve runs in magnitude-normalised coordinates (each coefficient
-    scaled by its starting size) with the analytic Jacobian of
+    The solve runs in the coefficients' own units (_lm_step's unit-norm
+    columns make the step independent of them) with the analytic Jacobian of
     model.ca50_jacobian, which gives each iteration's residual from the same
     evaluation; the injection volumes are computed once per fit. A step is
     accepted only if it lowers the RMSE, so the reported RMSE trace is
@@ -323,15 +323,14 @@ def calibrate(initial: ModelCoefficients | None, dataset, geom: EngineGeometry,
     rmse_history = [fx]
     coeff_history = [dict(zip(CALIBRATED_FIELDS, x.tolist()))]
 
-    scale = np.maximum(np.abs(x), 1e-12)
     lam = LM_DAMPING_INITIAL
     stop_reason = "max_iters"
     for _ in range(options.max_iters):
         ca50, columns = ca50_jacobian(op, soi, _unpack(initial, x), geom, v_soi)
         resid = ca50 - ca50_ref
-        jac = np.column_stack([columns[name] for name in CALIBRATED_FIELDS]) * scale
+        jac = np.column_stack([columns[name] for name in CALIBRATED_FIELDS])
         while lam <= LM_DAMPING_MAX:
-            x_try = x + _lm_step(jac, resid, lam) * scale
+            x_try = x + _lm_step(jac, resid, lam)
             f_try = f(x_try)
             if f_try < fx:
                 lam = max(lam / LM_DAMPING_FACTOR, LM_DAMPING_MIN)

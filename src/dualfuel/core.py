@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -274,9 +274,6 @@ class ModelCoefficients:
                 raise DomainError(f"coefficient 'c7' = {c7} contradicts c11 / "
                                   f"half_burn_fraction = {coeffs.c7}")
         return coeffs
-
-    def replace(self, **changes) -> "ModelCoefficients":
-        return replace(self, **changes)
 
 
 def default_coefficients() -> ModelCoefficients:

@@ -1,6 +1,7 @@
 """Acceptance suite: the eleven exit criteria, one test per criterion.
 
-Each test prints a single PASS/FAIL line (run with -s to see them inline).
+Each test prints a single PASS/FAIL line (run with -s to see them inline);
+one more test checks that README quotes C7's line as C7 prints it.
 Criterion 7 bounds the absolute CA50 error that the input perturbations add
 to the calibrated model's worst error, not its ratio to that worst error;
 see its docstring for why.
@@ -9,6 +10,8 @@ see its docstring for why.
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,9 +66,13 @@ FINE_SOI_RESOLUTION_CAD = 0.01
 NO_LAG_SETTLING_CYCLES = 1
 
 
-def report(criterion, ok, detail=""):
+def acceptance_line(criterion, ok, detail=""):
     status = "PASS" if ok else "FAIL"
-    print(f"ACCEPTANCE {criterion}: {status}  {detail}")
+    return f"ACCEPTANCE {criterion}: {status}  {detail}"
+
+
+def report(criterion, ok, detail=""):
+    print(acceptance_line(criterion, ok, detail))
     return ok
 
 
@@ -256,8 +263,8 @@ def test_criterion6_calibration(geom, coeffs, full_dataset, calibrated):
         ident.append(CalibSample(op=op, soi=soi,
                                  soc_ref=predict_soc(op, soi, coeffs, geom),
                                  ca50_ref=predict_ca50(op, soi, coeffs, geom)))
-    start = coeffs.replace(**{n: getattr(coeffs, n) * 1.2
-                              for n in CALIBRATED_FIELDS})
+    start = replace(coeffs, **{n: getattr(coeffs, n) * 1.2
+                               for n in CALIBRATED_FIELDS})
     t0 = time.perf_counter()
     rep_ident, _ = calibrate(start, ident, geom,
                              CalibrationOptions(max_iters=500, tol=0.0))
@@ -276,15 +283,10 @@ def test_criterion6_calibration(geom, coeffs, full_dataset, calibrated):
                   f"max {stats.ca50_err_max:.3f}; runtime {total_time:.1f}s")
 
 
-def test_criterion7_sensitivity_table(geom, full_dataset, calibrated):
-    """Perturbation study: exact baseline row and bounded absolute inflation.
-
-    The worst perturbed max error may exceed the unperturbed (calibration)
-    max error by at most INFLATION_BOUND_CAD. The ratio of the two is
-    printed for information only: its denominator is the fit residual,
-    which shrinks as the fit improves while the inflation, the model's own
-    sensitivity to its inputs, does not.
-    """
+@pytest.fixture(scope="module")
+def sensitivity_check(geom, full_dataset, calibrated):
+    """C7's figures on the calibrated model and its ACCEPTANCE line, the one
+    that README quotes."""
     samples, _ = full_dataset
     _, fitted, _ = calibrated
     rows = run_sensitivity(fitted, samples, geom)
@@ -297,12 +299,28 @@ def test_criterion7_sensitivity_table(geom, full_dataset, calibrated):
     inflation = worst.ca50_err_max - rows[0].ca50_err_max
     ratio = worst.ca50_err_max / rows[0].ca50_err_max
     ok = ran_all and zero_exact and inflation <= INFLATION_BOUND_CAD
-    report("C7 sensitivity table", ok,
-           f"baseline max {rows[0].ca50_err_max:.3f} CAD; worst "
-           f"{worst.quantity} {worst.delta:+g} -> {worst.ca50_err_max:.3f} CAD; "
-           f"inflation {inflation:.3f} CAD (bound {INFLATION_BOUND_CAD:.3f}); "
-           f"ratio {ratio:.2f} (information only)")
-    assert ran_all and zero_exact
+    line = acceptance_line("C7 sensitivity table", ok,
+                           f"baseline max {rows[0].ca50_err_max:.3f} CAD; worst "
+                           f"{worst.quantity} {worst.delta:+g} -> {worst.ca50_err_max:.3f} "
+                           f"CAD; inflation {inflation:.3f} CAD (bound "
+                           f"{INFLATION_BOUND_CAD:.3f}); ratio {ratio:.2f} (information only)")
+    return SimpleNamespace(rows=rows, ran_all=ran_all, zero_exact=zero_exact, worst=worst,
+                           inflation=inflation, line=line)
+
+
+def test_criterion7_sensitivity_table(sensitivity_check):
+    """Perturbation study: exact baseline row and bounded absolute inflation.
+
+    The worst perturbed max error may exceed the unperturbed (calibration)
+    max error by at most INFLATION_BOUND_CAD. The ratio of the two is
+    printed for information only: its denominator is the fit residual,
+    which shrinks as the fit improves while the inflation, the model's own
+    sensitivity to its inputs, does not.
+    """
+    c7 = sensitivity_check
+    rows, worst, inflation = c7.rows, c7.worst, c7.inflation
+    print(c7.line)
+    assert c7.ran_all and c7.zero_exact
     assert inflation <= INFLATION_BOUND_CAD, (
         f"worst perturbation ({worst.quantity} {worst.delta:+g}) inflates the "
         f"max CA50 error by {inflation:.3f} CAD "
@@ -312,6 +330,15 @@ def test_criterion7_sensitivity_table(geom, full_dataset, calibrated):
         f"criterion's {INFLATION_FACTOR:g}x inflation factor applied to the "
         f"baseline max error of the reference robustness family."
     )
+
+
+def test_readme_quotes_the_c7_line(sensitivity_check):
+    # README's fenced C7 line is the one the criterion prints, so a change
+    # that moves the fit cannot leave README's figures stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quoted = [line for block in readme.split("```")[1::2] for line in block.splitlines()
+              if line.startswith("ACCEPTANCE C7 ")]
+    assert quoted == [sensitivity_check.line]
 
 
 def test_criterion8_noise_study(calibrated, warm_kernels):

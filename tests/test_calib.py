@@ -175,13 +175,13 @@ class TestRmse:
         with pytest.raises(DomainError,
                            match=r"^sample 0: the ignition-delay scale .* is inf, not "
                                  r"finite and positive$"):
-            rmse(coeffs.replace(c4=-1e10), small_plant_dataset, geom)
+            rmse(dataclasses.replace(coeffs, c4=-1e10), small_plant_dataset, geom)
 
     def test_overflowing_rmse_rejected(self, geom, coeffs, small_plant_dataset):
         # every error is finite, near 1e300, but their squares overflow
         with pytest.raises(DomainError,
                            match=r"^the CA50 RMSE is not finite \(inf\)$"):
-            rmse(coeffs.replace(c1=1e300), small_plant_dataset, geom)
+            rmse(dataclasses.replace(coeffs, c1=1e300), small_plant_dataset, geom)
 
     def test_objective_is_rmse_and_inf_outside_the_domain(self, geom, coeffs,
                                                           small_plant_dataset):
@@ -190,7 +190,7 @@ class TestRmse:
                              geom)
         assert f(calib._pack(coeffs)) == rmse(coeffs, small_plant_dataset, geom)
         for edit in ({"c4": -1e10}, {"c6": 1e300}, {"c1": 1e300}):
-            assert f(calib._pack(coeffs.replace(**edit))) == float("inf"), edit
+            assert f(calib._pack(dataclasses.replace(coeffs, **edit))) == float("inf"), edit
 
 
 class TestCalibrate:
@@ -211,8 +211,8 @@ class TestCalibrate:
 
     def test_reduces_error_from_perturbed_start(self, geom, coeffs):
         samples = model_dataset(coeffs, geom, 64, seed=5)
-        start = coeffs.replace(**{n: getattr(coeffs, n) * 1.1
-                                  for n in CALIBRATED_FIELDS})
+        start = dataclasses.replace(coeffs, **{n: getattr(coeffs, n) * 1.1
+                                               for n in CALIBRATED_FIELDS})
         f0 = rmse(start, samples, geom)
         report, fitted = calibrate(start, samples, geom,
                                    CalibrationOptions(max_iters=150))
@@ -259,7 +259,7 @@ class TestCalibrate:
         expected = {"c4": r"the ignition-delay scale .* is inf, not finite and positive",
                     "c6": r"the CA50 error is not finite \(inf\)"}[next(iter(edit))]
         with pytest.raises(DomainError, match=rf"^sample 0: {expected}$"):
-            calibrate(coeffs.replace(**edit), small_plant_dataset, geom)
+            calibrate(dataclasses.replace(coeffs, **edit), small_plant_dataset, geom)
 
     def test_rmse_names_sample_outside_domain(self, geom, coeffs, small_plant_dataset):
         samples = list(small_plant_dataset[:10])
@@ -282,8 +282,8 @@ class TestCalibrate:
         for name in CALIBRATED_FIELDS:
             value = getattr(coeffs, name)
             h = 1e-6 * abs(value)
-            up = predict_ca50(op, soi, coeffs.replace(**{name: value + h}), geom)
-            down = predict_ca50(op, soi, coeffs.replace(**{name: value - h}), geom)
+            up = predict_ca50(op, soi, dataclasses.replace(coeffs, **{name: value + h}), geom)
+            down = predict_ca50(op, soi, dataclasses.replace(coeffs, **{name: value - h}), geom)
             fd = (up - down) / (2.0 * h)
             assert np.all(np.isfinite(jac[name])), name
             assert np.max(np.abs(jac[name] - fd)) <= 1e-6 * np.max(np.abs(fd)), name
@@ -293,9 +293,25 @@ class TestCalibrate:
         # the LM loop takes its residual from the Jacobian's evaluation, so
         # that CA50 must be predict_ca50's, bit for bit
         op, soi, _, _ = _columns(small_plant_dataset)
-        for c in (coeffs, coeffs.replace(c6=-0.5, k_c=1.3, c8=1.1)):
+        for c in (coeffs, dataclasses.replace(coeffs, c6=-0.5, k_c=1.3, c8=1.1)):
             ca50, _ = ca50_jacobian(op, soi, c, geom, cylinder_volume(soi, geom))
             assert np.array_equal(ca50, predict_ca50(op, soi, c, geom))
+
+    @pytest.mark.parametrize("lam", [1e-9, 1e-3, 1.0])
+    def test_lm_step_does_not_depend_on_column_scales(self, geom, coeffs,
+                                                      small_plant_dataset, lam):
+        # calibrate steps in the coefficients' own units: _lm_step scales the
+        # columns to unit norm, so the step of J diag(s), multiplied by s, is
+        # the step of J for any positive s; a zero column keeps a zero step
+        op, soi, _, ca50_ref = _columns(small_plant_dataset)
+        ca50, columns = ca50_jacobian(op, soi, coeffs, geom, cylinder_volume(soi, geom))
+        jac = np.column_stack([columns[name] for name in CALIBRATED_FIELDS]
+                              + [np.zeros(len(soi))])
+        s = 10.0 ** np.random.default_rng(7).uniform(-6.0, 6.0, jac.shape[1])
+        step = calib._lm_step(jac, ca50 - ca50_ref, lam)
+        scaled = calib._lm_step(jac * s, ca50 - ca50_ref, lam) * s
+        assert np.max(np.abs(scaled - step)) <= 1e-9 * np.max(np.abs(step))
+        assert step[-1] == 0.0 and scaled[-1] == 0.0
 
     def test_one_volume_and_one_jacobian_per_iteration(self, geom, coeffs,
                                                        small_plant_dataset, monkeypatch):
@@ -422,7 +438,7 @@ class TestValidate:
         # every error is finite, near 1e300, but np.std squares them
         with pytest.raises(DomainError, match=r"^the standard deviation of the SOC "
                                                  r"error is not finite \(inf\)$"):
-            validate(coeffs.replace(c1=1e300), small_plant_dataset, geom)
+            validate(dataclasses.replace(coeffs, c1=1e300), small_plant_dataset, geom)
 
 
 class TestCsvRoundTrips:

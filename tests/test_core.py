@@ -209,7 +209,7 @@ class TestModelCoefficients:
         # half_burn_fraction and c7 are cached per instance; a replaced
         # Wiebe shape must not carry the old values
         assert coeffs.c7 > 0.0
-        steep = coeffs.replace(wiebe_a=5.0)
+        steep = replace(coeffs, wiebe_a=5.0)
         fraction = (math.log(2.0) / 5.0) ** (1.0 / coeffs.wiebe_b)
         assert steep.half_burn_fraction == fraction
         assert steep.c7 == coeffs.c11 / fraction
@@ -223,7 +223,7 @@ class TestModelCoefficients:
     ])
     def test_invariants(self, coeffs, bad):
         with pytest.raises(DomainError):
-            coeffs.replace(**bad)
+            replace(coeffs, **bad)
 
     @pytest.mark.parametrize("shape, fraction", [
         (dict(wiebe_b=1e-05), "0.0"),                 # the fraction underflows
@@ -232,7 +232,7 @@ class TestModelCoefficients:
     def test_half_burn_fraction_and_c7_finite_and_positive(self, coeffs, shape,
                                                            fraction):
         with pytest.raises(DomainError, match=f"half-burn fraction {fraction} and c7"):
-            coeffs.replace(**shape)
+            replace(coeffs, **shape)
         # the file that save_coefficients writes carries c7, which from_dict
         # reads only after the shape is checked
         with pytest.raises(DomainError, match="half-burn fraction"):
@@ -266,7 +266,7 @@ class TestModelCoefficients:
         # c1*egr + c2 > 0 on egr in [0, 1) holds iff c2 > 0 and c1 + c2 > 0;
         # ModelCoefficients itself accepts the point, as calibration trials need
         path = tmp_path / "coeffs.json"
-        save_coefficients(path, coeffs.replace(c1=c1_over_c2 * coeffs.c2))
+        save_coefficients(path, replace(coeffs, c1=c1_over_c2 * coeffs.c2))
         if accepted:
             assert load_coefficients(path).c1 == c1_over_c2 * coeffs.c2
         else:

@@ -1,6 +1,7 @@
 """Closed-form phasing predictions against independent high-precision oracles."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestIgnitionDelay:
 
     def test_vanishing_arrhenius_term(self, coeffs):
         # c5 -> 0 collapses the exponential to 1 exactly
-        tiny = coeffs.replace(c5=1e-300)
+        tiny = replace(coeffs, c5=1e-300)
         delay = ignition_delay(0.25, 1200.0, 0.4, 0.4, 32.30, 422.4, tiny)
         expected = (tiny.c1 * 0.25 + tiny.c2) * 1200.0 * (0.4 ** tiny.c3 + 0.4 ** tiny.c4)
         assert delay == expected
@@ -133,7 +134,7 @@ class TestBurnDuration:
 
     def test_overflowing_product_rejected(self, coeffs):
         # 1.3^770 and 0.2^-400 are finite floats; their product is not
-        steep = coeffs.replace(c8=770.0, c10=-400.0)
+        steep = replace(coeffs, c8=770.0, c10=-400.0)
         with pytest.raises(DomainError, match="burn duration .* overflows"):
             burn_duration(0.3, 0.4, 0.2, steep)
 
@@ -144,7 +145,7 @@ class TestCa50Composition:
 
     def test_half_burn_at_unit_scale(self, coeffs):
         # a = ln2 makes the half-burn fraction exactly 1
-        unit = coeffs.replace(wiebe_a=float(np.log(2.0)), wiebe_b=1.5)
+        unit = replace(coeffs, wiebe_a=float(np.log(2.0)), wiebe_b=1.5)
         assert ca50_from_soc_bd(-7.0, 6.0, unit) == pytest.approx(-1.0, rel=1e-12)
 
     def test_half_burn_fraction_is_wiebe_half_point(self, coeffs):
@@ -181,7 +182,7 @@ class TestPredictCa50:
 
     def test_closed_form_collapse(self, coeffs, geom):
         # no dilution, unit phis, vanishing Arrhenius term
-        tiny = coeffs.replace(c5=1e-300)
+        tiny = replace(coeffs, c5=1e-300)
         op = OperatingPoint(speed=1200.0, phi_ng=1.0, phi_di=1.0, egr=0.0,
                             x_r=0.0, p_ivc=3.0, t_ivc=390.0)
         ca50 = predict_ca50(op, -15.0, tiny, geom)
@@ -231,7 +232,7 @@ class TestFuelTerm:
             fuel_term(0.4, 0.3, c_ng, c_di)
 
     def test_overflowing_dilution_power_is_a_domain_error(self, coeffs):
-        steep = coeffs.replace(c8=1e10)
+        steep = replace(coeffs, c8=1e10)
         with pytest.raises(DomainError, match="c8 overflows"):
             burn_duration(0.3, 0.4, 0.3, steep)
         with pytest.raises(DomainError, match="c8 overflows"):
@@ -258,7 +259,7 @@ class TestFuelTerm:
         # OperatingPoint allows phi_ng = 0, a diesel-only point
         with pytest.raises(DomainError, match=re.escape(f"{absent}phi_ng^-0.5 + "
                                                         "phi_di^-0.2604")):
-            evaluate(_op_without("phi_ng"), coeffs.replace(c3=-0.5), geom)
+            evaluate(_op_without("phi_ng"), replace(coeffs, c3=-0.5), geom)
 
 
 class TestDelayScale:
@@ -267,23 +268,23 @@ class TestDelayScale:
 
     def test_underflow_rejected_on_floats(self, coeffs):
         with pytest.raises(DomainError, match=f"^{self.SCALE}0.0, not finite and positive$"):
-            delay_scale(0.25, 1200.0, 0.4, 0.4, coeffs.replace(c3=1e300, c4=1e300))
+            delay_scale(0.25, 1200.0, 0.4, 0.4, replace(coeffs, c3=1e300, c4=1e300))
 
     def test_first_bad_sample_named(self, coeffs):
         # 1.0^1e300 is 1, so only samples 1 and 2 underflow
         with pytest.raises(DomainError,
                            match=f"^sample 1: {self.SCALE}0.0, not finite and positive$"):
             delay_scale(np.full(3, 0.25), np.full(3, 1200.0), np.array([1.0, 0.4, 0.4]),
-                        np.full(3, 0.4), coeffs.replace(c3=1e300, c4=1e300))
+                        np.full(3, 0.4), replace(coeffs, c3=1e300, c4=1e300))
 
     def test_overflow_and_nan_rejected(self, coeffs):
         with pytest.raises(DomainError, match=f"^{self.SCALE}inf, not finite"):
-            delay_scale(0.25, 1200.0, 0.4, 0.4, coeffs.replace(c1=1.7e308))
+            delay_scale(0.25, 1200.0, 0.4, 0.4, replace(coeffs, c1=1.7e308))
         # 0 * inf: no EGR factor, and a fuel power that overflows in numpy
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 DomainError, match=f"^sample 0: {self.SCALE}nan, not finite"):
             delay_scale(np.zeros(2), np.full(2, 1200.0), np.full(2, 0.4),
-                        np.full(2, 0.4), coeffs.replace(c2=0.0, c3=-1e10))
+                        np.full(2, 0.4), replace(coeffs, c2=0.0, c3=-1e10))
 
     @pytest.mark.parametrize("evaluate", [
         lambda op, c, g: predict_soc(op, -15.0, c, g),
@@ -297,7 +298,7 @@ class TestDelayScale:
             "knock_integral_soc", "ignition_delay"])
     def test_every_caller_applies_the_rule(self, coeffs, geom, mid_op, evaluate):
         with pytest.raises(DomainError, match=f"^{self.SCALE}0.0, not finite and positive$"):
-            evaluate(mid_op, coeffs.replace(c3=1e300, c4=1e300), geom)
+            evaluate(mid_op, replace(coeffs, c3=1e300, c4=1e300), geom)
 
 
 class TestPhasingTerms:

@@ -3,6 +3,7 @@ actuator and transport imperfections."""
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ class TestPlantConfig:
         assert (MISFIRE_LIMIT - geom.ivc_angle) / cfg.quad_step < 21000
 
     def test_overflowing_pressure_power_is_a_domain_error(self, geom, coeffs):
-        cfg = PlantConfig(geom=geom, coeffs=coeffs.replace(c6=1e300))
+        cfg = PlantConfig(geom=geom, coeffs=replace(coeffs, c6=1e300))
         with pytest.raises(DomainError, match="p_ivc\\^c6 overflows"):
             knock_integral_soc(HOT_OP, -15.0, cfg)
 
@@ -85,7 +86,7 @@ class TestPlantConfig:
         # overflows in the march's Python floats
         op = OperatingPoint(speed=1200.0, phi_ng=0.4, phi_di=0.4, egr=0.25,
                             x_r=0.0329, p_ivc=3.5, t_ivc=390.0)
-        cfg = PlantConfig(geom=geom, coeffs=coeffs.replace(c6=400.0))
+        cfg = PlantConfig(geom=geom, coeffs=replace(coeffs, c6=400.0))
         with pytest.raises(DomainError, match="knock integrand overflows for c6 = 400.0"):
             knock_integral_soc(op, -15.0, cfg)
         with pytest.raises(DomainError, match="knock integrand overflows for c6 = 400.0"):

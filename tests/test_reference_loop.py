@@ -144,7 +144,7 @@ def scenarios(draw):
 def test_run_scenario_equals_the_reference_loop(scenario, c5_factor):
     # the controller's model differs from the plant's when c5_factor is not 1
     ctrl_coeffs = default_coefficients()
-    ctrl_coeffs = ctrl_coeffs.replace(c5=ctrl_coeffs.c5 * c5_factor)
+    ctrl_coeffs = replace(ctrl_coeffs, c5=ctrl_coeffs.c5 * c5_factor)
     records, summary = run_scenario(scenario, ctrl_coeffs=ctrl_coeffs)
     expected, misfired = reference_run(scenario, ctrl_coeffs)
     assert summary.misfired == misfired
