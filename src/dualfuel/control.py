@@ -116,10 +116,10 @@ def feedforward_soi(ref_ca50: float, op: OperatingPoint,
     """
     try:   # numpy's scalars overflow with a flag, Python's floats silently
         with np.errstate(all="raise", under="ignore"):
-            delay, half_burn = phasing_terms(cylinder_volume(prev_soi, geom), op.speed,
-                                             op.phi_ng, op.phi_di, op.egr,
-                                             MEAN_RESIDUAL_FRACTION, op.p_ivc, op.t_ivc,
-                                             coeffs, geom)
+            _, _, delay, half_burn = phasing_terms(cylinder_volume(prev_soi, geom), op.speed,
+                                                   op.phi_ng, op.phi_di, op.egr,
+                                                   MEAN_RESIDUAL_FRACTION, op.p_ivc, op.t_ivc,
+                                                   coeffs, geom)
             command = ref_ca50 - delay - half_burn
         if not math.isfinite(command):
             raise FloatingPointError(f"command {command}")

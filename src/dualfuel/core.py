@@ -362,10 +362,12 @@ def load_coefficients(path) -> ModelCoefficients:
     """Coefficients from a JSON file, with a positive ignition-delay scale.
 
     The delay scale c1*egr + c2 must be positive for every egr in [0, 1),
-    that is c2 > 0 and c1 + c2 > 0; otherwise the model predicts a zero or
-    negative ignition delay and a controller built on it pins its command
-    at the actuator limit. The calibration's trial points do not come
-    through here, so the check stays out of ``ModelCoefficients``.
+    that is c2 > 0 and c1 + c2 > 0. ``model.delay_scale`` rejects a scale
+    that is not finite and positive only at the points it evaluates, and the
+    adaptive law reads neither c1 nor c2, so an adaptive run would go on; this
+    check rejects the file once, naming c1 and c2. The calibration's trial
+    points do not come through here, so the check stays out of
+    ``ModelCoefficients``.
     """
     coeffs = ModelCoefficients.from_dict(_load_json(path))
     if not (coeffs.c2 > 0.0 and coeffs.c1 + coeffs.c2 > 0.0):

@@ -323,7 +323,7 @@ def run_sensitivity(coeffs: ModelCoefficients, dataset, geom: EngineGeometry):
         if quantity != "none":
             c[quantity] = c[quantity] * (1.0 + delta) if mode == "rel" else c[quantity] + delta
         with np.errstate(all="ignore"):   # a non-finite error is named below
-            delay, half_burn = phasing_terms(v_soi, **c, coeffs=coeffs, geom=geom)
+            _, _, delay, half_burn = phasing_terms(v_soi, **c, coeffs=coeffs, geom=geom)
             err = soi + delay + half_burn - ca50_ref
         what = f"the CA50 error with {quantity} {delta:+g} ({mode})"
         _check_finite(err, what)

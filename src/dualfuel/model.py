@@ -94,25 +94,17 @@ def half_burn_angle(x_d, phi_ng, phi_di, coeffs: ModelCoefficients):
     return _wiebe_term(coeffs.c11, x_d, phi_ng, phi_di, coeffs)
 
 
-def _phasing_chain(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
-                   coeffs: ModelCoefficients, geom: EngineGeometry):
+def phasing_terms(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
+                  coeffs: ModelCoefficients, geom: EngineGeometry):
     """The one forward evaluation of CA50 = SOI + delay + span at injection
     volume v_soi, from plain values or arrays: (P_SOI, Arrhenius exponent A,
-    ignition delay, half-burn span), the delay as delay_scale * exp(A)."""
+    ignition delay, half-burn span), the delay as delay_scale * exp(A). The
+    operating point is not checked, as the sensitivity study perturbs it out
+    of the domain; the delay scale is."""
     p_soi, t_soi = polytropic_state_at_soi(p_ivc, t_ivc, geom.ivc_volume, v_soi, coeffs.k_c)
     a = arrhenius_exponent(p_soi, t_soi, coeffs)
     return (p_soi, a, delay_scale(egr, speed, phi_ng, phi_di, coeffs) * np.exp(a),
             half_burn_angle(egr + x_r, phi_ng, phi_di, coeffs))
-
-
-def phasing_terms(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
-                  coeffs: ModelCoefficients, geom: EngineGeometry):
-    """(ignition delay, half-burn span) [CAD] at injection volume v_soi, from
-    plain values or arrays: CA50 = SOI + delay + span. The operating point is
-    not checked, as the sensitivity study perturbs it out of the domain; the
-    delay scale is."""
-    return _phasing_chain(v_soi, speed, phi_ng, phi_di, egr, x_r, p_ivc, t_ivc,
-                          coeffs, geom)[2:]
 
 
 def _check_soi(soi, geom: EngineGeometry):
@@ -127,13 +119,13 @@ def _check_soi(soi, geom: EngineGeometry):
 
 def _checked_chain(op: OperatingPoint, soi, coeffs: ModelCoefficients,
                    geom: EngineGeometry, v_soi=None):
-    """_phasing_chain for op's fields after the SOI-window check, at the
+    """phasing_terms for op's fields after the SOI-window check, at the
     injection volume v_soi (by default the volume at soi)."""
     _check_soi(soi, geom)
     if v_soi is None:
         v_soi = cylinder_volume(soi, geom)
-    return _phasing_chain(v_soi, op.speed, op.phi_ng, op.phi_di, op.egr, op.x_r,
-                          op.p_ivc, op.t_ivc, coeffs, geom)
+    return phasing_terms(v_soi, op.speed, op.phi_ng, op.phi_di, op.egr, op.x_r,
+                         op.p_ivc, op.t_ivc, coeffs, geom)
 
 
 def predict_soc(op: OperatingPoint, soi, coeffs: ModelCoefficients,

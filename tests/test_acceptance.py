@@ -1,7 +1,8 @@
 """Acceptance suite: the eleven exit criteria, one test per criterion.
 
 Each test prints a single PASS/FAIL line (run with -s to see them inline);
-one more test checks that README quotes C7's line as C7 prints it.
+two more tests check that README quotes the C7, C9, C10 and C11 lines as
+those criteria print them.
 Criterion 7 bounds the absolute CA50 error that the input perturbations add
 to the calibrated model's worst error, not its ratio to that worst error;
 see its docstring for why.
@@ -102,6 +103,14 @@ def steady_errors(runs):
             for c in CONTROLLERS}
 
 
+def readme_acceptance_lines(*criteria):
+    """README's fenced ACCEPTANCE lines of the named criteria, sorted."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    prefixes = tuple(f"ACCEPTANCE {c} " for c in criteria)
+    return sorted(line for block in readme.split("```")[1::2] for line in block.splitlines()
+                  if line.startswith(prefixes))
+
+
 @pytest.fixture(scope="module")
 def warm_kernels(geom, coeffs):
     # first calls pay for imports and lazy setup; keep them out of the
@@ -133,6 +142,14 @@ def calibrated(geom, coeffs, full_dataset):
                             CalibrationOptions(max_iters=500, tol=0.0))
     elapsed = time.perf_counter() - t0
     return rep, fitted, elapsed
+
+
+@pytest.fixture(scope="module")
+def fitted_runs(geom, calibrated, warm_kernels):
+    """The 12 built-in runs on the calibrated (C6) coefficients, which C4
+    and C9 share."""
+    _, fitted, _ = calibrated
+    return builtin_runs(fitted, geom)
 
 
 def test_criterion1_deadbeat_and_lyapunov():
@@ -210,14 +227,12 @@ def test_criterion3_reference_step_case(geom, calibrated, warm_kernels):
                   f"feedforward |err| {ff_err:.3f}; runtime {elapsed:.2f}s")
 
 
-def test_criterion4_remaining_cases(geom, calibrated, warm_kernels):
+def test_criterion4_remaining_cases(fitted_runs):
     """Benchmark transients 2-6: post-transient steady-state bounds."""
-    _, fitted, _ = calibrated
-    runs = builtin_runs(fitted, geom)
     ok = True
     details = []
     for n in range(2, 7):
-        fb, ff = runs[n, "adaptive"][2], runs[n, "feedforward"][2]
+        fb, ff = fitted_runs[n, "adaptive"][2], fitted_runs[n, "feedforward"][2]
         fb_err, ff_err = steady_error(fb), steady_error(ff)
         ok = ok and fb_err <= 0.15 and ff_err <= 1.5
         detail = f"case {n}: fb {fb_err:.3f}, ff {ff_err:.3f}"
@@ -335,10 +350,7 @@ def test_criterion7_sensitivity_table(sensitivity_check):
 def test_readme_quotes_the_c7_line(sensitivity_check):
     # README's fenced C7 line is the one the criterion prints, so a change
     # that moves the fit cannot leave README's figures stale
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    quoted = [line for block in readme.split("```")[1::2] for line in block.splitlines()
-              if line.startswith("ACCEPTANCE C7 ")]
-    assert quoted == [sensitivity_check.line]
+    assert readme_acceptance_lines("C7") == [sensitivity_check.line]
 
 
 def test_criterion8_noise_study(calibrated, warm_kernels):
@@ -380,31 +392,30 @@ def settle_cycles(runs):
             for c in CONTROLLERS}
 
 
-def test_criterion9_paper_headline_claims(geom, calibrated, warm_kernels):
+@pytest.fixture(scope="module")
+def headline_check(fitted_runs):
+    """C9's verdict and its ACCEPTANCE line, the one that README quotes."""
+    settle = settle_cycles(fitted_runs)
+    steady = {c: max(errors) for c, errors in steady_errors(fitted_runs).items()}
+    ok = (max(settle.values()) <= PAPER_SETTLING_CYCLES
+          and all(steady[c] < PAPER_STEADY_ERR_CAD[c] for c in CONTROLLERS))
+    return SimpleNamespace(ok=ok, line=acceptance_line("C9 paper headline claims", ok, "; ".join(
+        f"{c}: settle {settle[c]} cyc (margin {PAPER_SETTLING_CYCLES - settle[c]}), "
+        f"steady |err| {steady[c]:.4f} CAD (margin {PAPER_STEADY_ERR_CAD[c] - steady[c]:.4f})"
+        for c in CONTROLLERS)))
+
+
+def test_criterion9_paper_headline_claims(headline_check):
     """The paper's three numbers on the 12 built-in runs: every segment
     settles within 5 fired cycles of its last ramp's end, and the steady
     |CA50 error| stays below 0.1 CAD adaptive and 1.5 CAD feedforward."""
-    _, fitted, _ = calibrated
-    runs = builtin_runs(fitted, geom)
-    settle = settle_cycles(runs)
-    steady = {c: max(errors) for c, errors in steady_errors(runs).items()}
-    ok = (max(settle.values()) <= PAPER_SETTLING_CYCLES
-          and all(steady[c] < PAPER_STEADY_ERR_CAD[c] for c in CONTROLLERS))
-    assert report("C9 paper headline claims", ok, "; ".join(
-        f"{c}: settle {settle[c]} cyc (margin {PAPER_SETTLING_CYCLES - settle[c]}), "
-        f"steady |err| {steady[c]:.4f} CAD (margin {PAPER_STEADY_ERR_CAD[c] - steady[c]:.4f})"
-        for c in CONTROLLERS))
+    print(headline_check.line)
+    assert headline_check.ok
 
 
-def test_criterion10_controller_contrast(geom, coeffs, full_dataset, warm_kernels):
-    """The paper's contrast between its controllers on the 12 built-in runs.
-
-    With the shipped coefficients, whose model misses the plant, every
-    adaptive run stays below the paper's 0.1 CAD of steady error and every
-    feedforward run above its 1.5 CAD: the observer removes the mismatch
-    and the open-loop inversion carries it. After one Levenberg-Marquardt
-    iteration on the training split, feedforward drops below 1.5 CAD and
-    adaptive stays below 0.1 CAD, still ahead of feedforward."""
+@pytest.fixture(scope="module")
+def contrast_check(geom, coeffs, full_dataset, warm_kernels):
+    """C10's verdict and its ACCEPTANCE line, the one that README quotes."""
     samples, _ = full_dataset
     train, _ = split_dataset(samples, 0.2, 3)
     _, fitted = calibrate(coeffs, train, geom, CalibrationOptions(max_iters=1, tol=0.0))
@@ -418,27 +429,55 @@ def test_criterion10_controller_contrast(geom, coeffs, full_dataset, warm_kernel
     }
     ok = (all(m > 0.0 for m in margins.values())
           and max(fit["feedforward"]) > max(fit["adaptive"]))
-    assert report("C10 controller contrast", ok, "; ".join(
+    return SimpleNamespace(ok=ok, line=acceptance_line("C10 controller contrast", ok, "; ".join(
         [f"{name} margin {m:.4f} CAD" for name, m in margins.items()]
         + [f"fitted worst feedforward {max(fit['feedforward']):.4f} > "
-           f"adaptive {max(fit['adaptive']):.4f} CAD"]))
+           f"adaptive {max(fit['adaptive']):.4f} CAD"])))
 
 
-def test_criterion11_margin_mechanisms(geom, calibrated, warm_kernels):
-    """C9's two thin margins are two plant constants, not the fit. The
-    paper's 0.1 CAD is one step of the plant's 0.1 CAD injection grid: on a
-    0.01 CAD grid the worst adaptive steady |err| of the 12 built-in runs is
-    below 0.01 CAD. Its 5 cycles are what the plant's 3-cycle intake lag
-    costs feedforward: without the lag every run of both controllers settles
-    within 1 cycle of its last ramp, counted as C9 counts."""
+def test_criterion10_controller_contrast(contrast_check):
+    """The paper's contrast between its controllers on the 12 built-in runs.
+
+    With the shipped coefficients, whose model misses the plant, every
+    adaptive run stays below the paper's 0.1 CAD of steady error and every
+    feedforward run above its 1.5 CAD: the observer removes the mismatch
+    and the open-loop inversion carries it. After one Levenberg-Marquardt
+    iteration on the training split, feedforward drops below 1.5 CAD and
+    adaptive stays below 0.1 CAD, still ahead of feedforward."""
+    print(contrast_check.line)
+    assert contrast_check.ok
+
+
+@pytest.fixture(scope="module")
+def mechanism_check(geom, calibrated, warm_kernels):
+    """C11's verdict and its ACCEPTANCE line, the one that README quotes."""
     _, fitted, _ = calibrated
     fine = max(steady_errors(builtin_runs(
         fitted, geom, soi_resolution=FINE_SOI_RESOLUTION_CAD))["adaptive"])
     settle = settle_cycles(builtin_runs(fitted, geom, egr_lag_cycles=0))
     ok = (fine < FINE_SOI_RESOLUTION_CAD
           and max(settle.values()) <= NO_LAG_SETTLING_CYCLES)
-    assert report("C11 margin mechanisms", ok,
-                  f"{FINE_SOI_RESOLUTION_CAD:g} CAD grid: adaptive steady |err| {fine:.4f} CAD "
-                  f"(margin {FINE_SOI_RESOLUTION_CAD - fine:.4f}); no intake lag: " + ", ".join(
-                      f"{c} settle {settle[c]} cyc (margin {NO_LAG_SETTLING_CYCLES - settle[c]})"
-                      for c in CONTROLLERS))
+    return SimpleNamespace(ok=ok, line=acceptance_line(
+        "C11 margin mechanisms", ok,
+        f"{FINE_SOI_RESOLUTION_CAD:g} CAD grid: adaptive steady |err| {fine:.4f} CAD "
+        f"(margin {FINE_SOI_RESOLUTION_CAD - fine:.4f}); no intake lag: " + ", ".join(
+            f"{c} settle {settle[c]} cyc (margin {NO_LAG_SETTLING_CYCLES - settle[c]})"
+            for c in CONTROLLERS)))
+
+
+def test_criterion11_margin_mechanisms(mechanism_check):
+    """C9's two thin margins are two plant constants, not the fit. The
+    paper's 0.1 CAD is one step of the plant's 0.1 CAD injection grid: on a
+    0.01 CAD grid the worst adaptive steady |err| of the 12 built-in runs is
+    below 0.01 CAD. Its 5 cycles are what the plant's 3-cycle intake lag
+    costs feedforward: without the lag every run of both controllers settles
+    within 1 cycle of its last ramp, counted as C9 counts."""
+    print(mechanism_check.line)
+    assert mechanism_check.ok
+
+
+def test_readme_quotes_the_c9_c10_c11_lines(headline_check, contrast_check, mechanism_check):
+    # README fences each line beside its criterion's paragraph, so its
+    # margins are the ones the criteria print
+    assert readme_acceptance_lines("C9", "C10", "C11") == sorted(
+        c.line for c in (headline_check, contrast_check, mechanism_check))

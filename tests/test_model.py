@@ -1,7 +1,7 @@
 """Closed-form phasing predictions against independent high-precision oracles."""
 
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from dualfuel.core import (
 )
 from dualfuel.model import (
     SOI_LATEST,
+    arrhenius_exponent,
     burn_duration,
     ca50_from_soc_bd,
     ca50_jacobian,
@@ -306,14 +307,33 @@ class TestPhasingTerms:
         for _ in range(50):
             op = random_box_op(box_rng)
             soi = random_box_soi(box_rng)
-            delay, half_burn = phasing_terms(cylinder_volume(soi, geom), op.speed,
-                                             op.phi_ng, op.phi_di, op.egr, op.x_r,
-                                             op.p_ivc, op.t_ivc, coeffs, geom)
+            _, _, delay, half_burn = phasing_terms(cylinder_volume(soi, geom), op.speed,
+                                                   op.phi_ng, op.phi_di, op.egr, op.x_r,
+                                                   op.p_ivc, op.t_ivc, coeffs, geom)
             assert soi + delay + half_burn == predict_ca50(op, soi, coeffs, geom)
             assert soi + delay == predict_soc(op, soi, coeffs, geom)
 
     def test_accepts_inputs_outside_the_operating_domain(self, coeffs, geom):
         # the sensitivity study perturbs EGR and the residual fraction below 0
-        delay, half_burn = phasing_terms(cylinder_volume(-15.0, geom), 1200.0, 0.4,
-                                         0.4, -0.05, -0.03, 3.5, 390.0, coeffs, geom)
+        _, _, delay, half_burn = phasing_terms(cylinder_volume(-15.0, geom), 1200.0, 0.4,
+                                               0.4, -0.05, -0.03, 3.5, 390.0, coeffs, geom)
         assert np.isfinite(delay) and np.isfinite(half_burn)
+
+    def test_returns_the_injection_state_and_exponent(self, coeffs, geom, box_rng):
+        # one chain gives the prediction its delay and span and the Jacobian
+        # its P_SOI and exponent, for plain floats and for one array batch
+        ops = [random_box_op(box_rng) for _ in range(50)]
+        sois = [random_box_soi(box_rng) for _ in range(50)]
+        batch = OperatingPoint(**{f.name: np.array([getattr(op, f.name) for op in ops])
+                                  for f in fields(OperatingPoint)})
+        for op, soi in [*zip(ops, sois), (batch, np.array(sois))]:
+            v_soi = cylinder_volume(soi, geom)
+            p_soi, a, delay, span = phasing_terms(v_soi, op.speed, op.phi_ng, op.phi_di,
+                                                  op.egr, op.x_r, op.p_ivc, op.t_ivc,
+                                                  coeffs, geom)
+            p_ref, t_ref = polytropic_state_at_soi(op.p_ivc, op.t_ivc, geom.ivc_volume,
+                                                   v_soi, coeffs.k_c)
+            assert np.array_equal(p_soi, p_ref)
+            assert np.array_equal(a, arrhenius_exponent(p_ref, t_ref, coeffs))
+            ca50 = ca50_jacobian(op, soi, coeffs, geom, v_soi)[0]
+            assert np.array_equal(ca50, soi + delay + span)
