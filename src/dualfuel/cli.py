@@ -21,13 +21,14 @@ from .core import (
 from .plant import PlantConfig
 
 
-def _add_common(p, seed=True, out=True):
+def _add_common(p, seed=True, out=True, coeffs=True):
     if seed:
         p.add_argument("--seed", type=int, default=0)
     if out:
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    p.add_argument("--coeffs", type=Path, default=None,
-                   help="model coefficient JSON (default: shipped calibration)")
+    if coeffs:
+        p.add_argument("--coeffs", type=Path, default=None,
+                       help="model coefficient JSON (default: shipped calibration)")
 
 
 def _case_number(text):
@@ -51,11 +52,9 @@ def _outdir(args) -> Path:
 
 
 def cmd_gen_data(args):
-    cfg = PlantConfig(geom=default_geometry(), coeffs=_coeffs(args))
+    cfg = PlantConfig(geom=default_geometry(), coeffs=default_coefficients())
     samples, misfires = calib.generate_dataset(None, args.samples, cfg,
                                                seed=args.seed)
-    if not samples:
-        raise ValueError(f"all {misfires} samples misfired; no dataset written")
     out = _outdir(args) / "dataset.csv"
     calib.write_dataset(out, samples)
     print(f"wrote {len(samples)} samples to {out} ({misfires} misfires excluded)")
@@ -63,11 +62,9 @@ def cmd_gen_data(args):
 
 
 def cmd_calibrate(args):
-    options = calib.CalibrationOptions(max_iters=args.max_iters, tol=args.tol)
     dataset = calib.read_dataset(args.data)
-    train, holdout = calib.split_dataset(dataset, args.holdout_frac, args.seed)
-    report, coeffs = calib.calibrate(_coeffs(args), train,
-                                     default_geometry(), options)
+    train, holdout = calib.split_dataset(dataset, seed=args.seed)
+    report, coeffs = calib.calibrate(None, train, default_geometry())
     # holdout statistics come before any output, so a failure writes nothing
     try:
         stats = calib.validate(coeffs, holdout, default_geometry()) if holdout else None
@@ -158,15 +155,11 @@ def _parser():
 
     p = sub.add_parser("gen-data", help="generate a plant reference dataset")
     p.add_argument("--samples", type=int, default=1054)
-    _add_common(p)
+    _add_common(p, coeffs=False)
 
     p = sub.add_parser("calibrate", help="fit model coefficients to a dataset")
     p.add_argument("--data", type=Path, required=True, help="dataset CSV")
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--holdout-frac", type=float, default=0.2,
-                   help="fraction reserved for holdout statistics")
-    _add_common(p)
+    _add_common(p, coeffs=False)
 
     p = sub.add_parser("validate", help="prediction-error statistics on a dataset")
     p.add_argument("--data", type=Path, required=True, help="dataset CSV")

@@ -3,6 +3,8 @@ Levenberg-Marquardt calibration and validation statistics."""
 
 import csv
 import dataclasses
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from dualfuel.core import (
     default_geometry,
 )
 from dualfuel.model import ca50_jacobian, predict_ca50, predict_soc
-from dualfuel.plant import EXPANSION_END, PlantConfig
+from dualfuel.plant import EXPANSION_END, PlantConfig, knock_integral_soc
 
 from conftest import random_box_op, random_box_soi
 
@@ -134,6 +136,67 @@ class TestGenerateDataset:
         monkeypatch.setattr(calib, "knock_integral_soc", plant_soc)
         with pytest.raises(DomainError, match=r"^SOI must lie in \[-148\.5, 30\.0\] deg aTDC$"):
             generate_dataset(SampleRanges(soi=soi, egr=(0.0, 0.1)), 20, plant_cfg, seed=1)
+
+    @pytest.mark.parametrize("edit, expected", [
+        # p_ivc^c6 is finite, but the integrand's r^e overflows in the march
+        pytest.param({"c6": 400.0}, "the knock integrand overflows for c6 = 400.0",
+                     id="integrand-overflows"),
+        # the burn duration is finite, but CA50 lands far past any crank angle
+        pytest.param({"c8": 770.0, "c10": -200.0}, "CA50 cannot follow the end of the "
+                     "expansion stroke (180 deg aTDC), got ", id="ca50-past-expansion-end"),
+        # phi^1e300 underflows to 0 for both fuels, and the integrand divides by it
+        pytest.param({"c3": 1e300, "c4": 1e300}, "the ignition-delay scale (c1*egr + c2) * "
+                     "N * (phi_ng^c3 + phi_di^c4) is 0.0, not finite and positive",
+                     id="delay-scale-underflows"),
+        # (c1*egr + c2) * N overflows to inf in Python floats without an error
+        pytest.param({"c1": 1.7e308}, "the ignition-delay scale (c1*egr + c2) * N * "
+                     "(phi_ng^c3 + phi_di^c4) is inf, not finite and positive",
+                     id="delay-scale-overflows"),
+        # each power is finite, but their product overflows to inf without an
+        # error, and the dataset's CA50 references would be inf
+        pytest.param({"c8": 770.0, "c10": -400.0}, "the burn duration c7 * (1 + X_d)^c8 * "
+                     "(phi_ng^c9 + phi_di^c10) overflows", id="burn-duration-overflows"),
+    ])
+    def test_plant_coefficients_rejected(self, geom, coeffs, edit, expected):
+        cfg = PlantConfig(geom=geom, coeffs=dataclasses.replace(coeffs, **edit))
+        with pytest.raises(DomainError, match=f"^{re.escape(expected)}"):
+            generate_dataset(None, 20, cfg)
+
+    def test_shipped_plant_fires_across_the_box(self, plant_cfg):
+        """No point of the SampleRanges box misfires on the shipped plant.
+
+        The march integrates f = exp(a * g(theta)) / denom on a grid anchored
+        at SOI, with a = -c5 * p_ivc^c6 / t_ivc, denom = (c1*egr + c2) * N *
+        (phi_ng^c3 + phi_di^c4) and g = r^e, e = k*c6 - k + 1, for the
+        compression ratio r. With the shipped signs (c1, c2, c3, c5 > 0 and
+        c4, c6 < 0), f falls at every node, so SOC - SOI grows, with higher
+        speed, egr and phi_ng and with lower phi_di, p_ivc and t_ivc; x_r
+        enters only the burn duration. Before TDC r rises and e < 0, so f
+        rises with crank angle: an earlier SOI meets a smaller f at every
+        node, and its SOC - SOI is longer while its window stays before TDC.
+        So the longest SOC - SOI lies at a corner of the box, and the 256
+        corners bound it against the misfire limit.
+        """
+        c, k = plant_cfg.coeffs, plant_cfg.plant_poly_exp
+        assert min(c.c1, c.c2, c.c3, c.c5) > 0.0 > max(c.c4, c.c6, k * c.c6 - k + 1.0)
+        ranges = SampleRanges()
+        spans = {}
+        for corner in itertools.product(*ranges):
+            *fields, soi = corner
+            op = OperatingPoint(**dict(zip(ranges._fields, fields)))
+            spans[corner] = knock_integral_soc(op, soi, plant_cfg) - soi
+        # the slow end of each quantity, x_r's either end
+        slow = dict(speed=1, t_ivc=0, p_ivc=0, phi_di=0, phi_ng=1, egr=1, x_r=0, soi=0)
+        for corner, span in spans.items():
+            for i, (name, bounds) in enumerate(ranges._asdict().items()):
+                moved = spans[corner[:i] + (bounds[slow[name]],) + corner[i + 1:]]
+                assert moved == span if name == "x_r" else moved >= span, (corner, name)
+        worst = tuple(bounds[slow[name]] for name, bounds in ranges._asdict().items())
+        assert spans[worst] == max(spans.values())
+        print(f"worst SOC - SOI over the {len(spans)} corners: {spans[worst]:.2f} CAD "
+              f"at {dict(zip(ranges._fields, worst))}")
+        # a window as long as the worst one, from the latest SOI, ends before TDC
+        assert ranges.soi[1] + spans[worst] < 0.0
 
     def test_in_window_custom_box_round_trips(self, plant_cfg, tmp_path):
         samples, misfires = generate_dataset(SampleRanges(soi=(-30.0, 30.0)), 20,
@@ -251,15 +314,33 @@ class TestCalibrate:
         with pytest.raises(DomainError, match="sample 3: SOI must lie in"):
             calibrate(None, samples, geom)
 
-    @pytest.mark.parametrize("edit", [{"c4": -1e10}, {"c6": 1e300}])
+    @pytest.mark.parametrize("edit", [
+        {"c4": -1e10}, {"c6": 1e300},
+        pytest.param({"c3": 1e300, "c4": 1e300}, id="underflowing-delay-scale"),
+        # every error is finite, near 1e300, but the RMSE is not
+        pytest.param({"c1": 1e300}, id="overflowing-rmse"),
+        # P_SOI is inf, and inf^c6 = 0 would make the Arrhenius factor 1
+        pytest.param({"k_c": 1e10}, id="overflowing-k_c"),
+    ])
     def test_start_without_finite_error_named(self, geom, coeffs, small_plant_dataset,
                                               edit):
-        # not divergence: the first sample whose delay scale (c4) or CA50
-        # error (c6) is not finite, with no warning before it
-        expected = {"c4": r"the ignition-delay scale .* is inf, not finite and positive",
-                    "c6": r"the CA50 error is not finite \(inf\)"}[next(iter(edit))]
-        with pytest.raises(DomainError, match=rf"^sample 0: {expected}$"):
+        # not divergence: the first sample whose delay scale (c4 overflows it,
+        # c3 and c4 underflow it) or CA50 error (c6) is not finite, the RMSE
+        # (c1) or the polytropic state (k_c), with no warning before it
+        expected = {
+            "c4": r"sample 0: the ignition-delay scale .* is inf, not finite and positive",
+            "c3": r"sample 0: the ignition-delay scale .* is 0\.0, not finite and positive",
+            "c6": r"sample 0: the CA50 error is not finite \(inf\)",
+            "c1": r"the CA50 RMSE is not finite \(inf\)",
+            "k_c": r"the polytropic state at SOI is not finite for k_c = 10000000000\.0",
+        }[next(iter(edit))]
+        with pytest.raises(DomainError, match=rf"^{expected}$"):
             calibrate(dataclasses.replace(coeffs, **edit), small_plant_dataset, geom)
+
+    def test_absurd_start_point_aborts(self, geom, coeffs, small_plant_dataset):
+        # a valid but absurd start point drives the initial RMSE past the limit
+        with pytest.raises(DomainError, match=r"^initial RMSE .* CAD exceeds 1000$"):
+            calibrate(dataclasses.replace(coeffs, c11=5000.0), small_plant_dataset, geom)
 
     def test_rmse_names_sample_outside_domain(self, geom, coeffs, small_plant_dataset):
         samples = list(small_plant_dataset[:10])
@@ -403,6 +484,11 @@ class TestSplitDataset:
     def test_invalid_fraction_rejected(self, small_plant_dataset):
         with pytest.raises(DomainError):
             split_dataset(small_plant_dataset, 1.0)
+
+    def test_no_training_sample_left(self, small_plant_dataset):
+        with pytest.raises(DomainError,
+                           match="^holdout_frac 0.9 of 3 samples leaves no training sample$"):
+            split_dataset(small_plant_dataset[:3], 0.9)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_invalid_seed_rejected(self, small_plant_dataset, seed):

@@ -1,23 +1,40 @@
 """The CLI boundary under extreme coefficient files, scenario plant blocks and
 numeric flags: every command ends in exit 0 with finite output, or in exit 2
-with one error line and no file, within a time limit."""
+with one error line and no file, within a time limit. The plant of
+generate_dataset and the start point of calibrate, which no command takes
+from a file, meet the same coefficient files in Python: each call raises a
+one-line DomainError or returns finite numbers, with no warning."""
 
 import contextlib
 import io
 import json
+import math
 import re
 import signal
 import tempfile
-from dataclasses import asdict
+import warnings
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualfuel import cli
-from dualfuel.calib import generate_dataset, write_dataset
-from dualfuel.core import default_coefficients, default_geometry
+from dualfuel.calib import (
+    CalibrationOptions,
+    calibrate,
+    generate_dataset,
+    read_dataset,
+    split_dataset,
+    write_dataset,
+)
+from dualfuel.core import (
+    DomainError,
+    ModelCoefficients,
+    default_coefficients,
+    default_geometry,
+)
 from dualfuel.plant import PlantConfig
 from dualfuel.scenarios import CONTROLLERS, PLANT_KEYS, builtin_case
 
@@ -47,8 +64,7 @@ FLOATS = (float("nan"), float("inf"), float("-inf"), -1.0, -0.0, 0.0, 1e-310, 1e
           -1e-300, 0.5, 0.94, 2.5, 1e300, -1e300, 1e308)
 FLAGS = {
     "gen-data": {"--samples": (-1, 0, 1, 2, 20), "--seed": SEEDS},
-    "calibrate": {"--max-iters": (-1, 0, 1, 5, 10**6), "--tol": FLOATS,
-                  "--holdout-frac": FLOATS, "--seed": SEEDS},
+    "calibrate": {"--seed": SEEDS},
     "simulate": {"--seed": SEEDS},
     "noise-study": {"--halfwidth": FLOATS, "--seed": SEEDS},
 }
@@ -65,6 +81,20 @@ class _Expired(BaseException):
 
 def _expire(signum, frame):
     raise _Expired
+
+
+@contextlib.contextmanager
+def _time_limit(what):
+    """Fail with what in the message if the block runs past TIME_LIMIT_S."""
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    except _Expired:
+        raise AssertionError(f"{what} ran longer than {TIME_LIMIT_S} s") from None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -94,16 +124,9 @@ def _check_contract(argv, coeffs=None):
             path.write_text(json.dumps(coeffs))
             argv = [*argv, "--coeffs", str(path)]
         stdout, stderr = io.StringIO(), io.StringIO()
-        previous = signal.signal(signal.SIGALRM, _expire)
-        signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
-        try:
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(argv)
-        except _Expired:
-            raise AssertionError(f"{argv} ran longer than {TIME_LIMIT_S} s") from None
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
+        with (_time_limit(argv), contextlib.redirect_stdout(stdout),
+              contextlib.redirect_stderr(stderr)):
+            code = cli.main(argv)
         written = sorted(out.iterdir()) if out.exists() else []
         if code == 2:
             err = stderr.getvalue()
@@ -119,13 +142,11 @@ def _check_contract(argv, coeffs=None):
 COMMANDS = {
     "validate": ["validate", "--data", "{root}/dataset.csv"],
     "sensitivity": ["sensitivity", "--data", "{root}/dataset.csv"],
-    "calibrate": ["calibrate", "--data", "{root}/dataset.csv", "--max-iters", "5"],
     **{f"simulate-{case}-{controller}": ["simulate", "--case", case,
                                          "--controller", controller]
        for case in ("1", "4") for controller in CONTROLLERS},
     **{f"simulate-no-gas-{controller}": ["simulate", f"{{root}}/no_gas_{controller}.json"]
        for controller in CONTROLLERS},
-    "gen-data": ["gen-data", "--samples", "20"],
     "noise-study": ["noise-study"],
 }
 
@@ -136,6 +157,57 @@ COMMANDS = {
 def test_extreme_coefficients(inputs, command, edit):
     _check_contract([arg.format(root=inputs) for arg in COMMANDS[command]],
                     {**SHIPPED, **edit})
+
+
+def _numbers(value):
+    """Every number in value, through sequences, named tuples, dicts and
+    dataclasses such as the coefficients and the operating points."""
+    if is_dataclass(value):
+        value = asdict(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+def _check_library_contract(call, edit):
+    """call(coeffs), for the coefficients of the file {**SHIPPED, **edit}, raises
+    a one-line DomainError or returns finite numbers, with no warning, within
+    the time limit. A file that the loader rejects is not drawn:
+    test_extreme_coefficients checks those rejections."""
+    try:
+        coeffs = ModelCoefficients.from_dict({**SHIPPED, **edit})
+    except ValueError:
+        assume(False)
+    with _time_limit(call.__name__), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call(coeffs)
+        except DomainError as exc:
+            assert "\n" not in str(exc)
+            return
+    assert all(math.isfinite(x) for x in _numbers(result))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(edit=coefficient_files)
+def test_extreme_plant_coefficients(edit):
+    # gen-data's call, with the file's coefficients as the plant's
+    def plant_dataset(coeffs):
+        return generate_dataset(None, 20, PlantConfig(geom=default_geometry(), coeffs=coeffs))
+    _check_library_contract(plant_dataset, edit)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(edit=coefficient_files)
+def test_extreme_calibration_start(inputs, edit):
+    # calibrate's call on the inputs' training split, from the file's coefficients
+    train, _ = split_dataset(read_dataset(inputs / "dataset.csv"))
+
+    def fit(coeffs):
+        return calibrate(coeffs, train, default_geometry(), CalibrationOptions(max_iters=5))
+    _check_library_contract(fit, edit)
 
 
 # every PlantConfig field a scenario may set, all but geom and coeffs, takes
